@@ -6,10 +6,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <string>
 
 #include "bench/bench_util.h"
+#include "bench/json_capture.h"
 #include "common/tracked_alloc.h"
 #include "plugin/plugin.h"
 #include "tests/heap_probe_guard.h"
@@ -217,68 +216,6 @@ void BM_DispatchThroughput(benchmark::State& state) {
   state.counters["warm_heap_allocs"] = static_cast<double>(warm_allocs);
 }
 
-void BM_DispatchThroughputSpecialized(benchmark::State& state) {
-  // The same workload on the tier-2 backend (wasm/specialize.h): the warm-up
-  // crosses the tier-up threshold, so the measured loop runs the specialized
-  // stream — re-fused superinstructions, collapsed branch chains, merged
-  // fuel segments with bit-identical accounting. The acceptance floor lives
-  // in bench/baseline/BENCH_interp.json; fuel_per_call / instrs_per_call
-  // counters must equal BM_DispatchThroughput's exactly.
-  wasm::InstanceOptions iopt;
-  iopt.dispatch = wasm::Dispatch::kSpecialized;
-  iopt.tier_up_threshold = 8;
-  auto inst = instantiate_w(R"(
-    export fn work(n: i32) -> i32 {
-      var acc: i32 = 0;
-      var i: i32 = 0;
-      while (i < n) {
-        if (i % 3 == 0) { acc = acc + i * 7; } else { acc = acc - i / 3; }
-        i = i + 1;
-      }
-      return acc;
-    }
-  )",
-                            {}, iopt);
-  int64_t n = state.range(0);
-  const bool metered = state.range(1) != 0;
-  wasm::CallOptions opts;
-  opts.fuel = metered ? uint64_t{1} << 40 : uint64_t{0};
-  wasm::CallStats stats;
-  std::vector<TypedValue> args = {TypedValue::i32(static_cast<int32_t>(n))};
-
-  // Warm past the threshold; tier-up (the one allocating step) happens here.
-  for (int i = 0; i < 16; ++i) {
-    if (!inst->call("work", args, opts, &stats).ok()) std::abort();
-  }
-  if (inst->tier_up_events() < 1) {
-    std::fprintf(stderr, "tier-up never happened: threshold 8, 16 warm calls\n");
-    std::abort();
-  }
-  const uint64_t allocs_before = heap_probe::allocations();
-  for (int i = 0; i < 64; ++i) {
-    if (!inst->call("work", args, opts, &stats).ok()) std::abort();
-  }
-  const uint64_t warm_allocs = heap_probe::allocations() - allocs_before;
-  if (warm_allocs != 0) {
-    std::fprintf(stderr,
-                 "zero-alloc guarantee broken after tier-up: %llu heap "
-                 "allocations across 64 warm Instance::call invocations\n",
-                 static_cast<unsigned long long>(warm_allocs));
-    std::abort();
-  }
-
-  for (auto _ : state) {
-    auto r = inst->call("work", args, opts, &stats);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(stats.instrs_retired));
-  state.counters["instrs_per_call"] = static_cast<double>(stats.instrs_retired);
-  state.counters["fuel_per_call"] = static_cast<double>(stats.fuel_used);
-  state.counters["warm_heap_allocs"] = static_cast<double>(warm_allocs);
-  state.counters["tier_up_events"] = static_cast<double>(inst->tier_up_events());
-}
-
 void BM_DecodeValidate(benchmark::State& state) {
   // Toolchain-side cost: how long from plugin bytes to a validated module
   // (the static-analysis step MNOs run before deployment, §3A).
@@ -309,31 +246,7 @@ BENCHMARK(BM_DispatchThroughput)
     ->Args({100000, 0})
     ->Args({100000, 1})
     ->ArgNames({"n", "metered"});
-BENCHMARK(BM_DispatchThroughputSpecialized)
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->ArgNames({"n", "metered"});
 BENCHMARK(BM_DecodeValidate);
-
-/// Console reporting plus machine-readable capture: every run lands in the
-/// shared BENCH_interp.json as `abl_engine.<name>.ns_per_op` and one entry
-/// per user counter (items_per_second, warm_heap_allocs, ...), which CI
-/// archives and gates regressions on (scripts/check_bench.py).
-class JsonCaptureReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      const std::string base = "abl_engine." + run.benchmark_name();
-      entries[base + ".ns_per_op"] = run.GetAdjustedRealTime();
-      for (const auto& [name, counter] : run.counters) {
-        entries[base + "." + name] = static_cast<double>(counter.value);
-      }
-    }
-  }
-  std::map<std::string, double> entries;
-};
 
 }  // namespace
 
@@ -342,7 +255,9 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonCaptureReporter reporter;
+  // Results land in the shared BENCH_interp.json, which CI archives and
+  // gates regressions on (scripts/check_bench.py).
+  waran::bench::JsonCaptureReporter reporter("abl_engine");
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   waran::bench::bench_json_merge(reporter.entries);

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "bench/json_capture.h"
 #include "rt/deployment.h"
 
 namespace {
@@ -114,35 +115,12 @@ BENCHMARK(BM_UeStress)
     ->Args({8, 6})
     ->ArgNames({"ues_per_slice", "slices"});
 
-/// Same console + JSON capture shape as the other ablations (see
-/// abl_engine.cpp): every run lands in BENCH_interp.json as
-/// `abl_rt.<name>.<counter>`.
-class JsonCaptureReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      const std::string base = "abl_rt." + run.benchmark_name();
-      entries[base + ".ns_per_op"] = run.GetAdjustedRealTime();
-      for (const auto& [name, counter] : run.counters) {
-        entries[base + "." + name] = static_cast<double>(counter.value);
-      }
-    }
-  }
-  std::map<std::string, double> entries;
-};
-
-/// slots/sec for the N-cell run, or 0 if that run is missing.
+/// slots/sec for the N-cell run (the median under --benchmark_repetitions),
+/// or 0 if that run is missing.
 double cells_ips(const std::map<std::string, double>& entries, uint32_t n) {
-  const std::string tag = "cells:" + std::to_string(n) + "/";
-  for (const auto& [key, value] : entries) {
-    if (key.find(tag) != std::string::npos &&
-        key.size() > 17 && key.rfind(".items_per_second") == key.size() - 17) {
-      return value;
-    }
-  }
-  return 0.0;
+  auto it = entries.find("abl_rt.BM_MultiCellSlots/cells:" + std::to_string(n) +
+                         "/process_time/real_time.items_per_second");
+  return it == entries.end() ? 0.0 : it->second;
 }
 
 }  // namespace
@@ -150,7 +128,7 @@ double cells_ips(const std::map<std::string, double>& entries, uint32_t n) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonCaptureReporter reporter;
+  waran::bench::JsonCaptureReporter reporter("abl_rt");
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 

@@ -16,11 +16,10 @@ namespace waran::analysis::internal {
 
 struct TakenEdge {
   uint32_t to = 0;      ///< target micro-op (unused when `ret`)
-  /// Total fuel charged crossing this edge (kJump2/Z2/NZ2 charge two merged
-  /// segments on one edge). Edges into the same uop may carry different
-  /// charges: the translator prices an edge by the *source* pc it jumps to,
-  /// and distinct source pcs (nested `end`s emit no uops) can collapse onto
-  /// one uop index.
+  /// Fuel charged crossing this edge. Edges into the same uop may carry
+  /// different charges: the translator prices an edge by the *source* pc it
+  /// jumps to, and distinct source pcs (nested `end`s emit no uops) can
+  /// collapse onto one uop index.
   uint64_t charge = 0;
   bool ret = false;     ///< edge pops the frame (kRetTarget)
   /// kBr/kBrIf/kBrTable carry an explicit unwind: the operand stack is cut
@@ -36,7 +35,7 @@ struct Node {
   /// op, straight-line op, call resume).
   bool falls_through = false;
   /// Fuel charged when the op itself executes on the fall-through path
-  /// (kSeg family); taken-edge charges live on the edges.
+  /// (kSeg); taken-edge charges live on the edges.
   uint64_t fall_charge = 0;
   /// kCallWasm: the fall-through edge crosses a call to `callee`
   /// (module-level function index, always a defined function).

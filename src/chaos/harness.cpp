@@ -556,7 +556,6 @@ EpisodeReport run_multicell_episode(const EpisodeOptions& options) {
   // recorder, and the SLO engine evaluates one window per report round.
   dc.trace_capacity = 1024;
   dc.slo_window_slots = options.slots_per_round;
-  dc.tier_up_threshold = options.tier_up_threshold;
   dc.decorate_scheduler = [&plans](std::unique_ptr<ran::IntraSliceScheduler> inner,
                                    uint32_t cell, uint32_t slice_id) {
     return std::make_unique<ChaosIntraScheduler>(std::move(inner), *plans[cell],

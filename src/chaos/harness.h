@@ -46,12 +46,6 @@ struct EpisodeOptions {
   /// timing-dependent faults stay deterministic — deadline overruns land
   /// via the fuel backstop, slot overruns via injected padding.
   bool virtual_time = false;
-  /// Multicell only: forwarded to DeploymentConfig.tier_up_threshold, so
-  /// scheduler plugins cross the tier-1 → tier-2 boundary *during* the
-  /// fault campaign. Every invariant (anomaly exactness, quarantine,
-  /// containment) must hold identically — tiering is observationally
-  /// invisible. 0 = tier-1 throughout.
-  uint32_t tier_up_threshold = 0;
 };
 
 struct EpisodeReport {

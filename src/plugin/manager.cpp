@@ -15,15 +15,7 @@ void PluginManager::bind_metrics(const std::string& slot_name, Slot& slot) {
   slot.m_declines = &reg.counter("waran_plugin_declines_total", labels);
   slot.m_fuel_used = &reg.counter("waran_plugin_fuel_used_total", labels);
   slot.m_instrs = &reg.counter("waran_plugin_instructions_total", labels);
-  slot.m_tier_ups = &reg.counter("waran_plugin_tier_ups_total", labels);
   slot.m_wall_ns = &reg.histogram("waran_plugin_wall_ns", labels);
-}
-
-void PluginManager::enable_tier2(uint32_t tier_up_threshold) {
-  if (code_cache_ == nullptr) code_cache_ = std::make_unique<wasm::CodeCache>();
-  default_limits_.dispatch = wasm::Dispatch::kSpecialized;
-  default_limits_.code_cache = code_cache_.get();
-  default_limits_.tier_up_threshold = tier_up_threshold;
 }
 
 // Shared install/swap front half: consult the chaos load interceptor, then
@@ -106,7 +98,6 @@ Status PluginManager::swap(const std::string& slot,
   it->second.admission = last_admission_;
   it->second.health.quarantined = false;
   it->second.health.consecutive_faults = 0;
-  it->second.tier_ups_seen = 0;  // fresh instance, fresh monotonic count
   ++it->second.health.swaps;
   WARAN_LOG(kInfo, "plugin", "hot-swapped slot '" << slot << "'");
   return {};
@@ -155,13 +146,6 @@ Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
     s.m_fuel_used->add(cs.fuel_used);
     s.m_instrs->add(cs.instrs_retired);
     s.m_wall_ns->add(cs.wall_ns);
-    // Tier-up happens inside the sandbox crossing (on this cell's own
-    // thread); export the instance's monotonic count as a delta.
-    const uint64_t tier_ups = s.plugin->tier_up_events();
-    if (tier_ups > s.tier_ups_seen) {
-      s.m_tier_ups->add(tier_ups - s.tier_ups_seen);
-      s.tier_ups_seen = tier_ups;
-    }
   }
   if (!result.ok()) {
     if (result.error().code == Error::Code::kState) {

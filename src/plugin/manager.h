@@ -46,18 +46,6 @@ class PluginManager {
   explicit PluginManager(PluginLimits default_limits = {})
       : default_limits_(default_limits) {}
 
-  /// Switches every *future* install/swap to the tier-2 specializing
-  /// backend: plugins loaded after this call run under Dispatch::kSpecialized
-  /// against a code cache owned by this manager (one manager per cell, so
-  /// the cache inherits the cell's single-thread execution discipline and
-  /// needs no locks). Slots installed earlier keep their dispatch. Call it
-  /// right after construction — the deployment layer does, when
-  /// DeploymentConfig.tier_up_threshold > 0.
-  void enable_tier2(uint32_t tier_up_threshold = 32);
-
-  /// The manager-owned tier-2 code cache; null until enable_tier2().
-  const wasm::CodeCache* code_cache() const { return code_cache_.get(); }
-
   /// Switches every *future* install/swap to admission-time static
   /// analysis (analysis/analysis.h): the plugin's translated streams are
   /// verified and every export's static fuel/frame bounds are checked
@@ -169,12 +157,7 @@ class PluginManager {
     obs::Counter* m_declines = nullptr;
     obs::Counter* m_fuel_used = nullptr;
     obs::Counter* m_instrs = nullptr;
-    obs::Counter* m_tier_ups = nullptr;
     obs::Histogram* m_wall_ns = nullptr;
-    // Instance tier_up_events() already exported to m_tier_ups; the per-call
-    // delta feed keeps the counter exact across hot swaps (which reset the
-    // instance's monotonic count to zero).
-    uint64_t tier_ups_seen = 0;
   };
 
   void bind_metrics(const std::string& slot_name, Slot& slot);
@@ -184,7 +167,6 @@ class PluginManager {
                                                const wasm::Linker& extra_host);
 
   PluginLimits default_limits_;
-  std::unique_ptr<wasm::CodeCache> code_cache_;
   std::string domain_ = "plugin";
   std::map<std::string, Slot> slots_;
   CallInterceptor call_interceptor_;

@@ -130,9 +130,6 @@ Result<std::unique_ptr<Plugin>> Plugin::load(std::span<const uint8_t> module_byt
 
   wasm::InstanceOptions options;
   options.user_data = &plugin->exchange_;
-  options.dispatch = limits.dispatch;
-  options.code_cache = limits.code_cache;
-  options.tier_up_threshold = limits.tier_up_threshold;
   WARAN_TRY(instance, wasm::Instance::instantiate(plugin->module_, merged, options));
   plugin->instance_ = std::move(instance);
 
@@ -150,8 +147,6 @@ size_t Plugin::memory_bytes() const {
   const wasm::Memory* mem = instance_->memory();
   return mem != nullptr ? mem->size_bytes() : 0;
 }
-
-uint64_t Plugin::tier_up_events() const { return instance_->tier_up_events(); }
 
 Result<std::vector<uint8_t>> Plugin::call(const std::string& fn,
                                           std::span<const uint8_t> input,

@@ -34,16 +34,6 @@ struct PluginLimits {
   uint32_t max_output_bytes = 1 << 20;
   /// Consecutive faults before the manager quarantines the plugin (§6A).
   uint32_t quarantine_after_faults = 3;
-  /// Interpreter dispatch backend for this plugin's instance. kDefault picks
-  /// the fastest compiled-in backend (or honours WARAN_DISPATCH);
-  /// kSpecialized adds profile-guided tier-up (wasm/specialize.h).
-  wasm::Dispatch dispatch = wasm::Dispatch::kDefault;
-  /// Code cache holding tier-2 streams, shared across every plugin of one
-  /// cell (single-writer: the cell's executor thread). Null = each instance
-  /// owns a private cache. Read only when dispatch == kSpecialized.
-  wasm::CodeCache* code_cache = nullptr;
-  /// Calls before a function tiers up (kSpecialized only; 0 behaves as 1).
-  uint32_t tier_up_threshold = 32;
   /// Admission-time static analysis (analysis/analysis.h): PluginManager
   /// verifies the translated streams and checks every export's static
   /// fuel/frame bounds against this slot budget before the first call.
@@ -103,10 +93,6 @@ class Plugin {
 
   /// Linear-memory footprint right now (bytes). Fig. 5c probes this.
   size_t memory_bytes() const;
-
-  /// Functions this instance has tiered up to specialized streams
-  /// (monotonic; 0 unless limits.dispatch == kSpecialized).
-  uint64_t tier_up_events() const;
 
   /// Log lines emitted via waran.log since the last call (cleared per call).
   const std::vector<std::string>& log_lines() const { return exchange_.log; }

@@ -72,10 +72,6 @@ GnbDeployment::GnbDeployment(DeploymentConfig config) : config_(std::move(config
     sched_limits.admission = config_.admission;
     cell->sched_plugins = std::make_unique<plugin::PluginManager>(sched_limits);
     cell->sched_plugins->set_domain(mc.domain);
-    // Before install(): dispatch/cache are captured at plugin load time.
-    if (config_.tier_up_threshold > 0) {
-      cell->sched_plugins->enable_tier2(config_.tier_up_threshold);
-    }
 
     for (const SliceSpec& s : config_.slices) {
       auto bytes = sched::plugins::scheduler(s.policy);

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "wasm/specialize.h"
 #include "wasm/translate.h"
 
 namespace waran::wasm {
@@ -287,28 +286,6 @@ void append_uop(std::ostringstream& out, const TranslatedFunc& tf, const UInstr&
     case UOp::kLCAddSetI32:
       out << " l" << u.b << " = l" << u.a << " + " << u.imm.i32;
       return;
-    case UOp::kJump2:
-    case UOp::kJumpZ2:
-    case UOp::kJumpNZ2:
-      // Collapsed jump chain: both edge segments, charged in tier-1 order.
-      out << " -> @" << u.b << " charge=" << u.imm.pair.y << "+" << u.imm.pair.x;
-      return;
-    case UOp::kSegLocalGet:
-      out << " " << u.b << " charge=" << u.imm.pair.y;
-      return;
-    case UOp::kSegLocalMove:
-      out << " l" << u.a << " -> l" << u.b << " charge=" << u.imm.pair.y;
-      return;
-    case UOp::kSegLCAddSetI32:
-      out << " l" << u.b << " = l" << u.a << " + "
-          << static_cast<int32_t>(u.imm.pair.x) << " charge=" << u.imm.pair.y;
-      return;
-    case UOp::kLLGet:
-      out << " l" << u.a << ", l" << u.b;
-      return;
-    case UOp::kLGetCI32:
-      out << " l" << u.a << ", const=" << static_cast<int32_t>(u.imm.pair.x);
-      return;
     default:
       break;
   }
@@ -323,11 +300,8 @@ void append_uop(std::ostringstream& out, const TranslatedFunc& tf, const UInstr&
   } else if (uop_in(u.op, UOp::kLCAddI32, UOp::kLCShrUI32) ||
              uop_in(u.op, UOp::kLCEqI32, UOp::kLCGeUI32)) {
     out << " l" << u.a << ", " << u.imm.i32;
-  } else if (uop_in(u.op, UOp::kCAddI32, UOp::kCAndI32) ||
-             uop_in(u.op, UOp::kCSubI32, UOp::kCXorI32)) {
+  } else if (uop_in(u.op, UOp::kCAddI32, UOp::kCAndI32)) {
     out << " " << u.imm.i32;
-  } else if (uop_in(u.op, UOp::kAddSetI32, UOp::kXorSetI32)) {
-    out << " -> l" << u.b;
   } else if (uop_in(u.op, UOp::kBrIfLLEq, UOp::kBrIfLLGeU)) {
     out << " l" << u.a << ", l" << u.imm.pair.x;
     append_target(out, u.b, u.imm.pair.y);
@@ -337,64 +311,32 @@ void append_uop(std::ostringstream& out, const TranslatedFunc& tf, const UInstr&
   }
 }
 
-// Tier-1 stream for `defined_index`: the module's shared translation when
-// attached, else a fresh lowering into `local`.
-Result<const TranslatedFunc*> resolve_translated(const Module& module,
-                                                 uint32_t defined_index,
-                                                 TranslatedFunc* local) {
-  if (module.translated && defined_index < module.translated->funcs.size()) {
-    return &module.translated->funcs[defined_index];
-  }
-  WARAN_TRY(tf, translate_function(module, defined_index));
-  *local = std::move(tf);
-  return local;
-}
-
-void render_stream(std::ostringstream& out, const TranslatedFunc& tf) {
-  for (size_t i = 0; i < tf.ops.size(); ++i) {
-    char head[24];
-    std::snprintf(head, sizeof(head), "@%-5zu ", i);
-    out << head;
-    append_uop(out, tf, tf.ops[i]);
-    out << "\n";
-  }
-}
-
 }  // namespace
 
 std::string disassemble_translated(const Module& module, uint32_t defined_index) {
+  // The module's shared translation when attached, else a fresh lowering.
   TranslatedFunc local;
-  auto tfr = resolve_translated(module, defined_index, &local);
-  if (!tfr.ok()) return "<translate error: " + tfr.error().message + ">\n";
-  const TranslatedFunc* tf = *tfr;
+  const TranslatedFunc* tf = nullptr;
+  if (module.translated && defined_index < module.translated->funcs.size()) {
+    tf = &module.translated->funcs[defined_index];
+  } else {
+    auto tr = translate_function(module, defined_index);
+    if (!tr.ok()) return "<translate error: " + tr.error().message + ">\n";
+    local = std::move(*tr);
+    tf = &local;
+  }
   std::ostringstream out;
   out << ";; func " << (module.num_imported_funcs + defined_index) << ": "
       << tf->ops.size() << " uops, max_stack=" << tf->max_stack << ", params="
       << tf->num_params << ", locals=" << tf->num_locals << ", results="
       << static_cast<int>(tf->result_arity) << "\n";
-  render_stream(out, *tf);
-  return out.str();
-}
-
-std::string disassemble_specialized(const Module& module, uint32_t defined_index) {
-  TranslatedFunc local;
-  auto tfr = resolve_translated(module, defined_index, &local);
-  if (!tfr.ok()) return "<translate error: " + tfr.error().message + ">\n";
-  const TranslatedFunc* tf = *tfr;
-  // Static listing: specialize under a taken-biased synthetic profile so
-  // every speculative rewrite (conditional jump-chain collapse) is shown.
-  // A live instance may apply fewer, never different, rewrites.
-  FuncProfile biased;
-  biased.cond_evals = 1;
-  biased.cond_taken = 1;
-  const TranslatedFunc spec = specialize(*tf, biased);
-  std::ostringstream out;
-  out << ";; func " << (module.num_imported_funcs + defined_index)
-      << " (tier-2): " << spec.ops.size() << " uops (tier-1: " << tf->ops.size()
-      << "), max_stack=" << spec.max_stack << ", params=" << spec.num_params
-      << ", locals=" << spec.num_locals << ", results="
-      << static_cast<int>(spec.result_arity) << "\n";
-  render_stream(out, spec);
+  for (size_t i = 0; i < tf->ops.size(); ++i) {
+    char head[24];
+    std::snprintf(head, sizeof(head), "@%-5zu ", i);
+    out << head;
+    append_uop(out, *tf, tf->ops[i]);
+    out << "\n";
+  }
   return out.str();
 }
 

@@ -25,12 +25,4 @@ std::string disassemble_function(const Module& module, uint32_t defined_index);
 /// the threaded interpreter ("which stream does my plugin actually run?").
 std::string disassemble_translated(const Module& module, uint32_t defined_index);
 
-/// The tier-2 stream the profile-guided specializer (wasm/specialize.h)
-/// would install for one defined function, rendered like
-/// disassemble_translated. Specialized under a taken-biased synthetic
-/// profile so every speculative rewrite is visible; a live instance may
-/// apply fewer, never different, rewrites. `waranc dump --tiers` prints
-/// this side by side with the tier-1 stream.
-std::string disassemble_specialized(const Module& module, uint32_t defined_index);
-
 }  // namespace waran::wasm

@@ -2,11 +2,9 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
-#include "common/log.h"
 #include "obs/trace.h"
 #include "rt/clock.h"
 
@@ -73,13 +71,6 @@ I trunc_sat(F f) {
 
 }  // namespace
 
-Instance::~Instance() {
-  // Runs before member destruction, so cache_ is valid even when it points
-  // at owned_cache_. The last instance of a translation to release drops
-  // that translation's tier-2 entries from the (possibly shared) cache.
-  if (cache_ != nullptr) cache_->release_module(translated_.get());
-}
-
 Result<std::unique_ptr<Instance>> Instance::instantiate(
     std::shared_ptr<const Module> module, const Linker& linker,
     const InstanceOptions& options) {
@@ -101,52 +92,12 @@ Result<std::unique_ptr<Instance>> Instance::instantiate(
 
   Dispatch d = options.dispatch;
   if (d == Dispatch::kDefault) {
-    // Env override for tests/ops: force a backend everywhere the embedder
-    // left the choice open. Explicit pins (e.g. the differential oracle's
-    // kSwitch instance) are never overridden.
-    if (const char* env = std::getenv("WARAN_DISPATCH"); env != nullptr) {
-      const std::string_view want(env);
-      if (want == "switch") d = Dispatch::kSwitch;
-      else if (want == "threaded") d = Dispatch::kThreaded;
-      else if (want == "specialized") d = Dispatch::kSpecialized;
-      else if (!want.empty()) {
-        // A typo ("specialised") must not silently exercise the wrong
-        // dispatcher while appearing to work.
-        WARAN_LOG(kWarn, "wasm",
-                  "unknown WARAN_DISPATCH value '"
-                      << want
-                      << "' (expected switch|threaded|specialized); "
-                         "using the default backend");
-      }
-    }
-  }
-  if (d == Dispatch::kDefault) {
     d = WARAN_HAS_THREADED_DISPATCH ? Dispatch::kThreaded : Dispatch::kSwitch;
   }
 #if !WARAN_HAS_THREADED_DISPATCH
   if (d == Dispatch::kThreaded) d = Dispatch::kSwitch;
 #endif
   inst->dispatch_ = d;
-  if (d == Dispatch::kSpecialized) {
-    const size_t nfuncs = inst->translated_->funcs.size();
-    inst->profile_.resize(nfuncs);
-    inst->active_.resize(nfuncs);
-    for (size_t i = 0; i < nfuncs; ++i) {
-      inst->active_[i] = &inst->translated_->funcs[i];
-    }
-    inst->tier_up_threshold_ =
-        options.tier_up_threshold == 0 ? 1 : options.tier_up_threshold;
-    if (options.code_cache != nullptr) {
-      inst->cache_ = options.code_cache;
-    } else {
-      inst->owned_cache_ = std::make_unique<CodeCache>();
-      inst->cache_ = inst->owned_cache_.get();
-    }
-    // Keep the cache's keys for this translation alive and unique for this
-    // instance's whole lifetime; ~Instance releases, and the last release
-    // drops the translation's tier-2 entries (hot-swap hygiene).
-    inst->cache_->retain_module(inst->translated_.get());
-  }
 
   // Resolve imports. WA-RAN hosts only expose functions; table/memory/global
   // imports are rejected at instantiation (decoded for completeness).
@@ -332,40 +283,7 @@ Status Instance::invoke_host(uint32_t import_index, std::span<const Value> args,
 Status Instance::push_frame(uint32_t func_index) {
   ExecContext& ec = exec_;
   if (ec.frames.size() >= max_call_depth_) return Error::trap("call stack exhausted");
-  const uint32_t di = func_index - module_->num_imported_funcs;
-  const TranslatedFunc* tfp;
-  if (dispatch_ == Dispatch::kSpecialized) {
-    // Tier-up point. Runs on the calling thread (the cell's own worker
-    // under rt), so the cache needs no locks. The rewrite below is the
-    // only allocating step of the tier-2 backend; frames already running
-    // the tier-1 stream keep it — streams are never mutated, and the cache
-    // keeps this module's installed pointers stable while any instance of
-    // it (us included) is alive — so a threshold crossing mid-recursion or
-    // under host re-entry is safe.
-    FuncProfile& p = profile_[di];
-    ++p.calls;
-    tfp = active_[di];
-    if (tfp == &translated_->funcs[di] && p.calls >= tier_up_threshold_) {
-      const TranslatedFunc* t2 = cache_->tier_up(translated_, tfp, p);
-      if (t2 != tfp) {
-        if (StreamFirewall fw = stream_firewall()) {
-          // Miscompile firewall (debug/fuzz builds): a tier-2 rewrite that
-          // breaks a stream invariant fails here, at the swap, instead of
-          // diverging later under the differential oracle.
-          if (Status st = fw(*module_, *t2); !st.ok()) {
-            return Error::internal("stream firewall rejected tier-2 rewrite of defined func " +
-                                   std::to_string(di) + ": " + st.error().message);
-          }
-        }
-      }
-      tfp = t2;
-      active_[di] = tfp;
-      ++tier_up_events_;
-    }
-  } else {
-    tfp = &translated_->funcs[di];
-  }
-  const TranslatedFunc& tf = *tfp;
+  const TranslatedFunc& tf = translated_->funcs[func_index - module_->num_imported_funcs];
   const uint32_t nparams = tf.num_params;
   const uint32_t locals_base = static_cast<uint32_t>(ec.locals.size());
   const uint32_t stack_base = ec.top - nparams;
@@ -425,15 +343,12 @@ Status Instance::run(size_t base_frames, Value* result) {
 #if WARAN_HAS_THREADED_DISPATCH
   if (dispatch_ == Dispatch::kThreaded) return run_threaded(base_frames, result);
 #endif
-  if (dispatch_ == Dispatch::kSpecialized) {
-    return run_specialized(base_frames, result);
-  }
   return run_switch(base_frames, result);
 }
 
-// The three dispatcher bodies are generated from one shared core so their
+// The two dispatcher bodies are generated from one shared core so their
 // semantics cannot drift; the switch build is the differential-test oracle
-// for the threaded and specialized hot paths.
+// for the threaded hot path.
 #define WARAN_RUN_NAME run_switch
 #define WARAN_INTERP_THREADED 0
 #include "wasm/interp_loop.inc"
@@ -447,13 +362,6 @@ Status Instance::run_threaded(size_t base_frames, Value* result) {
   return run_switch(base_frames, result);
 }
 #endif
-
-// Tier-2 backend: threaded dispatch (switch where computed goto is
-// unavailable) plus the profiling hooks that feed the specializer.
-#define WARAN_RUN_NAME run_specialized
-#define WARAN_INTERP_THREADED WARAN_HAS_THREADED_DISPATCH
-#define WARAN_INTERP_TIER2 1
-#include "wasm/interp_loop.inc"
 
 void Linker::register_func(std::string module, std::string name, HostFunc fn) {
   funcs_[{std::move(module), std::move(name)}] = std::move(fn);

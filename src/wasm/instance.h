@@ -25,7 +25,6 @@
 #include "wasm/host.h"
 #include "wasm/memory.h"
 #include "wasm/module.h"
-#include "wasm/specialize.h"
 #include "wasm/translate.h"
 
 // Threaded (computed-goto) dispatch needs the GNU labels-as-values
@@ -42,16 +41,9 @@ namespace waran::wasm {
 /// Interpreter dispatch strategy. kDefault resolves to threaded
 /// (computed-goto) when the toolchain supports it, else the switch loop;
 /// kSwitch forces the portable loop — differential tests use it as the
-/// oracle against the threaded hot path. kSpecialized is the tier-2
-/// backend: threaded dispatch plus per-function call/branch profiling and
-/// lazy tier-up into specialized streams (wasm/specialize.h). All backends
-/// execute observably identical semantics (results, traps, fuel, stats).
-/// The WARAN_DISPATCH env var ("switch" | "threaded" | "specialized")
-/// forces a backend wherever the embedder left kDefault; explicit pins —
-/// e.g. the differential oracle's — always win over the env.
-enum class Dispatch : uint8_t { kDefault = 0, kThreaded, kSwitch, kSpecialized };
-
-class CodeCache;
+/// oracle against the threaded hot path. Both execute observably identical
+/// semantics (results, traps, fuel, stats).
+enum class Dispatch : uint8_t { kDefault = 0, kThreaded, kSwitch };
 
 struct InstanceOptions {
   /// Opaque pointer surfaced to host functions via HostContext::user_data.
@@ -61,14 +53,6 @@ struct InstanceOptions {
   /// tens of thousands without risking the host stack.
   uint32_t max_call_depth = 256;
   Dispatch dispatch = Dispatch::kDefault;
-  /// Tier-2 code cache for Dispatch::kSpecialized (non-owning; must outlive
-  /// the instance and only be used from one thread — the rt layer hands
-  /// each cell's instances the cell's own cache). Null makes the instance
-  /// own a private cache, so kSpecialized works standalone too.
-  CodeCache* code_cache = nullptr;
-  /// Calls of one function before its stream tiers up (kSpecialized only;
-  /// clamped to >= 1, where the very first call already runs specialized).
-  uint32_t tier_up_threshold = 32;
 };
 
 /// Per-call execution policy, threaded from the embedder (PluginManager,
@@ -111,10 +95,6 @@ class Instance {
   static Result<std::unique_ptr<Instance>> instantiate(
       std::shared_ptr<const Module> module, const Linker& linker,
       const InstanceOptions& options = {});
-
-  /// Releases this instance's module reference on its code cache (tier-2
-  /// entries of a module are dropped when its last instance goes away).
-  ~Instance();
 
   // -- Calls ---------------------------------------------------------------
 
@@ -163,29 +143,11 @@ class Instance {
   /// The dispatch strategy actually in use (kDefault resolved).
   Dispatch dispatch() const { return dispatch_; }
 
-  // -- Tiering (Dispatch::kSpecialized) ------------------------------------
-
-  /// Functions of this instance that have tiered up to a specialized
-  /// stream (each counted once, at its own threshold crossing).
-  uint64_t tier_up_events() const { return tier_up_events_; }
-
-  /// The code cache this instance tiers into (null unless kSpecialized).
-  const CodeCache* code_cache() const { return cache_; }
-
   /// The translated micro-op module this instance executes — the module's
   /// shared translation, or a private lowering when the embedder skipped
-  /// translate_module(). This is what the instance retains against its
-  /// code cache.
+  /// translate_module().
   const std::shared_ptr<const TranslatedModule>& translation() const {
     return translated_;
-  }
-
-  /// The stream the next call of defined function `defined_index` will
-  /// execute (tier-1 until the threshold crossing). Introspection only.
-  const TranslatedFunc* active_stream(uint32_t defined_index) const {
-    return dispatch_ == Dispatch::kSpecialized
-               ? active_[defined_index]
-               : &translated_->funcs[defined_index];
   }
 
   std::optional<uint32_t> find_export(std::string_view name, ImportKind kind) const;
@@ -224,10 +186,9 @@ class Instance {
   /// host functions may re-enter via Instance::call, nesting on exec_.
   Status invoke(uint32_t func_index, std::span<const Value> args, Value* result);
   Status run(size_t base_frames, Value* result);
-  // The three dispatcher bodies, generated from wasm/interp_loop.inc.
+  // The two dispatcher bodies, generated from wasm/interp_loop.inc.
   Status run_switch(size_t base_frames, Value* result);
   Status run_threaded(size_t base_frames, Value* result);
-  Status run_specialized(size_t base_frames, Value* result);
   Status push_frame(uint32_t func_index);
   Status invoke_host(uint32_t import_index, std::span<const Value> args, Value* result);
 
@@ -245,21 +206,6 @@ class Instance {
   void* user_data_ = nullptr;
   uint32_t max_call_depth_ = 256;
   Dispatch dispatch_ = Dispatch::kSwitch;
-
-  // Tier-2 state (populated only under Dispatch::kSpecialized). `active_`
-  // holds, per defined function, the stream push_frame binds into new
-  // frames: the tier-1 stream until `profile_[i].calls` crosses the
-  // threshold, the cache's specialized stream afterwards. Tier-up runs
-  // synchronously inside push_frame on the calling (cell worker) thread;
-  // in-flight frames keep their old stream pointer, which stays valid
-  // because streams are never mutated and the cache pins this module's
-  // entries while the instance lives (retain_module/release_module).
-  CodeCache* cache_ = nullptr;
-  std::unique_ptr<CodeCache> owned_cache_;
-  std::vector<FuncProfile> profile_;           // per defined function
-  std::vector<const TranslatedFunc*> active_;  // per defined function
-  uint32_t tier_up_threshold_ = 32;
-  uint64_t tier_up_events_ = 0;
 
   bool fuel_enabled_ = false;
   uint64_t fuel_ = 0;

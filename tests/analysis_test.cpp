@@ -118,8 +118,8 @@ TEST(StreamVerifier, RejectsEachInvariantViolation) {
   expect_invariant(m, make_tf({kSeg1, kRet}), "return-arity");
   // height-merge: the same join reached at two different operand heights.
   expect_invariant(m,
-                   make_tf({kSeg1, kConst, ui(UOp::kJumpZ, 0, 4, 0, 1),
-                            ui(UOp::kSegLocalGet, 0, 0, 0, 1), kRet},
+                   make_tf({kSeg1, kConst, ui(UOp::kJumpZ, 0, 5, 0, 1), kSeg1, kConst,
+                            kRet},
                            4, /*result_arity=*/0),
                    "height-merge");
   // unwind: branch unwinds to a height above the current operand height.
