@@ -112,6 +112,8 @@ BENCHMARK(BM_UeStress)
     ->Args({2, 3})
     ->Args({8, 3})
     ->Args({32, 3})
+    ->Args({64, 3})
+    ->Args({341, 3})  // ~1,024 UEs per cell
     ->Args({8, 6})
     ->ArgNames({"ues_per_slice", "slices"});
 

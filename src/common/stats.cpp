@@ -50,27 +50,39 @@ double QuantileAcc::stddev() const {
 }
 
 void RateMeter::add(double t, uint64_t bits) {
-  // Clamp regressions forward: entries_ must stay sorted by time or evict()
+  // Clamp regressions forward: the ring must stay sorted by time or evict()
   // would drop the wrong end of the window.
-  if (!entries_.empty() && t < entries_.back().t) t = entries_.back().t;
-  entries_.push_back({t, bits});
+  if (count_ > 0 && t < at(count_ - 1).t) t = at(count_ - 1).t;
+  push({t, bits});
   window_bits_ += bits;
   total_bits_ += bits;
   evict(t);
 }
 
+void RateMeter::push(Entry e) {
+  if (count_ == ring_.size()) {
+    std::vector<Entry> grown(std::max<size_t>(16, ring_.size() * 2));
+    for (size_t i = 0; i < count_; ++i) grown[i] = at(i);
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  at(count_) = e;
+  ++count_;
+}
+
 void RateMeter::evict(double t) const {
-  while (!entries_.empty() && entries_.front().t < t - window_s_) {
-    window_bits_ -= entries_.front().bits;
-    entries_.pop_front();
+  while (count_ > 0 && at(0).t < t - window_s_) {
+    window_bits_ -= at(0).bits;
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
   }
 }
 
 double RateMeter::rate_bps(double t) const {
-  if (entries_.empty()) return 0.0;
+  if (count_ == 0) return 0.0;
   // A stale query (earlier than the newest arrival) would count bits that
   // arrive "after" the window's right edge; anchor it to the newest entry.
-  if (t < entries_.back().t) t = entries_.back().t;
+  if (t < at(count_ - 1).t) t = at(count_ - 1).t;
   evict(t);
   if (window_s_ <= 0) return 0.0;
   return static_cast<double>(window_bits_) / window_s_;

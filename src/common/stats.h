@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace waran {
@@ -47,7 +46,9 @@ class QuantileAcc {
 /// average rate over the trailing window. Times are in seconds and expected
 /// monotone; a timestamp older than the newest recorded entry is clamped
 /// forward so the window never un-sorts (clock skew between reporting paths
-/// must not corrupt eviction).
+/// must not corrupt eviction). The window lives in a ring that doubles when
+/// full, so a meter fed at a steady rate stops allocating once the ring
+/// holds one window.
 class RateMeter {
  public:
   explicit RateMeter(double window_s = 1.0) : window_s_(window_s) {}
@@ -64,9 +65,14 @@ class RateMeter {
     uint64_t bits;
   };
   double window_s_;
-  mutable std::deque<Entry> entries_;
+  // Entries oldest first from head_; the capacity is zero or a power of two.
+  mutable std::vector<Entry> ring_;
+  mutable size_t head_ = 0;
+  mutable size_t count_ = 0;
   mutable uint64_t window_bits_ = 0;
   uint64_t total_bits_ = 0;
+  Entry& at(size_t i) const { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  void push(Entry e);
   void evict(double t) const;
 };
 

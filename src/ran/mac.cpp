@@ -29,8 +29,10 @@ void GnbMac::add_slice(const SliceConfig& config,
   state.config = config;
   state.scheduler = std::move(scheduler);
   auto& reg = obs::MetricsRegistry::global();
-  std::string id = std::to_string(config.slice_id);
-  obs::Labels labels = {{"cell", std::to_string(config_.cell)}, {"slice", id}};
+  // obs::Labels holds string_views: name the strings so they outlive it.
+  const std::string cell = std::to_string(config_.cell);
+  const std::string id = std::to_string(config.slice_id);
+  obs::Labels labels = {{"cell", cell}, {"slice", id}};
   state.m_prb_granted = &reg.counter("waran_mac_prb_granted_total", labels);
   state.m_sched_faults = &reg.counter("waran_mac_sched_faults_total", labels);
   state.m_sanitized = &reg.counter("waran_mac_sanitized_allocs_total", labels);
@@ -55,31 +57,52 @@ void GnbMac::set_mcs_table(McsTable table) {
   for (auto& [rnti, ue] : ues_) ue->channel().set_mcs_table(table);
 }
 
+namespace {
+
+/// Position of `rnti` in a slice's RNTI-ordered index (or where it would go).
+std::vector<UeContext*>::const_iterator find_rnti(const std::vector<UeContext*>& ues,
+                                                 uint32_t rnti) {
+  return std::lower_bound(ues.begin(), ues.end(), rnti,
+                          [](const UeContext* ue, uint32_t r) { return ue->rnti() < r; });
+}
+
+}  // namespace
+
 uint32_t GnbMac::add_ue(uint32_t slice_id, Channel channel, TrafficSource traffic) {
-  assert(slices_.contains(slice_id));
+  // The slice index needs the slice: an unknown id throws in every build.
+  SliceState& slice = slices_.at(slice_id);
   channel.set_mcs_table(mcs_table_);
   uint32_t rnti = next_rnti_++;
-  ues_.emplace(rnti, std::make_unique<UeContext>(rnti, slice_id, std::move(channel),
-                                                 std::move(traffic),
-                                                 config_.pf_time_constant_slots));
+  auto ue = std::make_unique<UeContext>(rnti, slice_id, std::move(channel),
+                                        std::move(traffic), config_.pf_time_constant_slots);
+  const auto pos = find_rnti(slice.ues, rnti) - slice.ues.begin();
+  slice.ues.insert(slice.ues.begin() + pos, ue.get());
+  slice.delivered.insert(slice.delivered.begin() + pos, SlotDelivery{});
+  ues_.emplace(rnti, std::move(ue));
   return rnti;
 }
 
 Status GnbMac::remove_ue(uint32_t rnti) {
-  if (ues_.erase(rnti) == 0) return Error::not_found("no such UE");
+  auto it = ues_.find(rnti);
+  if (it == ues_.end()) return Error::not_found("no such UE");
+  SliceState& slice = slices_.at(it->second->slice_id());
+  const auto pos = find_rnti(slice.ues, rnti) - slice.ues.begin();
+  slice.ues.erase(slice.ues.begin() + pos);
+  slice.delivered.erase(slice.delivered.begin() + pos);
+  ues_.erase(it);
   return {};
 }
 
-codec::SchedRequest GnbMac::build_request(const SliceState& slice, uint32_t quota) const {
-  codec::SchedRequest req;
+void GnbMac::build_request(SliceState& slice, uint32_t quota) {
+  codec::SchedRequest& req = slice.request;
   req.slot = static_cast<uint32_t>(slot_);
   req.prb_quota = quota;
+  req.ues.clear();
   double slots_per_s = 1e6 / config_.slot_us;
-  for (const auto& [rnti, ue] : ues_) {
-    if (ue->slice_id() != slice.config.slice_id) continue;
+  for (const UeContext* ue : slice.ues) {
     if (ue->buffer_bytes() == 0) continue;
     codec::UeInfo info;
-    info.rnti = rnti;
+    info.rnti = ue->rnti();
     info.cqi = ue->channel().cqi();
     info.mcs = ue->channel().mcs();
     info.buffer_bytes = ue->buffer_bytes();
@@ -88,7 +111,6 @@ codec::SchedRequest GnbMac::build_request(const SliceState& slice, uint32_t quot
     info.achievable_bps = transport_block_bits(info.mcs, quota, mcs_table_) * slots_per_s;
     req.ues.push_back(info);
   }
-  return req;
 }
 
 codec::SchedResponse GnbMac::fallback_round_robin(const codec::SchedRequest& req) {
@@ -107,17 +129,16 @@ codec::SchedResponse GnbMac::fallback_round_robin(const codec::SchedRequest& req
   return resp;
 }
 
-void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
-                            const codec::SchedResponse& resp,
-                            std::map<uint32_t, SlotDelivery>& delivered) {
-  uint32_t remaining = req.prb_quota;
+void GnbMac::apply_response(SliceState& slice, const codec::SchedResponse& resp) {
+  const uint32_t quota = slice.request.prb_quota;
+  uint32_t remaining = quota;
   uint64_t sanitized_here = 0;
   for (const codec::SchedAlloc& alloc : resp.allocs) {
     if (remaining == 0) break;
     if (alloc.prbs == 0) continue;
-    auto it = ues_.find(alloc.rnti);
-    if (it == ues_.end() || it->second->slice_id() != slice.config.slice_id ||
-        (it->second->buffer_bytes() == 0 && !it->second->harq_pending())) {
+    auto it = find_rnti(slice.ues, alloc.rnti);
+    if (it == slice.ues.end() || (*it)->rnti() != alloc.rnti ||
+        ((*it)->buffer_bytes() == 0 && !(*it)->harq_pending())) {
       // Plugin referenced a UE it does not own / that asked for nothing:
       // sanitize by dropping the grant (§6A).
       ++sanitized_here;
@@ -130,7 +151,8 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
       prbs = remaining;
     }
     remaining -= prbs;
-    UeContext& ue = *it->second;
+    UeContext& ue = **it;
+    SlotDelivery& delivered = slice.delivered[it - slice.ues.begin()];
 
     if (config_.channel_errors && ue.harq_pending()) {
       // The grant retransmits the pending TB. Chase combining: every
@@ -145,7 +167,7 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
           ++slice.stats.tb_drops;
         }
       } else {
-        delivered[alloc.rnti].harq_bits += ue.harq_finish();
+        delivered.harq_bits += ue.harq_finish();
       }
       continue;
     }
@@ -163,7 +185,7 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
         ++slice.stats.tb_drops;
       }
     } else {
-      delivered[alloc.rnti].fresh_bits += deliverable;
+      delivered.fresh_bits += deliverable;
     }
   }
   slice.stats.sanitized_allocs += sanitized_here;
@@ -177,7 +199,7 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedRequest& req,
         "slice " + std::to_string(slice.config.slice_id),
         std::to_string(sanitized_here) + " grant(s) dropped or clamped");
   }
-  slice.m_prb_granted->add(req.prb_quota - remaining);
+  slice.m_prb_granted->add(quota - remaining);
 }
 
 Status GnbMac::run_slot() {
@@ -193,16 +215,14 @@ Status GnbMac::run_slot() {
   for (auto& [rnti, ue] : ues_) ue->begin_slot(config_.slot_us);
 
   // Phase 2: inter-slice quotas.
-  std::vector<SliceDemand> demands;
-  std::vector<SliceState*> order;
-  demands.reserve(slices_.size());
+  demands_.clear();
+  order_.clear();
   double now = now_s();
   for (auto& [id, slice] : slices_) {
     SliceDemand d;
     d.config = &slice.config;
     double tbs_sum = 0;
-    for (const auto& [rnti, ue] : ues_) {
-      if (ue->slice_id() != id) continue;
+    for (const UeContext* ue : slice.ues) {
       d.backlog_bytes += ue->buffer_bytes();
       d.current_rate_bps += ue->rate_bps(now);
       if (ue->buffer_bytes() > 0) {
@@ -211,25 +231,25 @@ Status GnbMac::run_slot() {
       }
     }
     if (d.active_ues > 0) d.est_bits_per_prb = tbs_sum / d.active_ues;
-    demands.push_back(d);
-    order.push_back(&slice);
+    demands_.push_back(d);
+    order_.push_back(&slice);
   }
   std::vector<uint32_t> quotas;
   {
     obs::ObsSpan inter_span(obs::TraceCat::kMac, "inter_slice");
-    quotas = inter_->allocate(config_.n_prbs, demands);
+    quotas = inter_->allocate(config_.n_prbs, demands_);
   }
-  if (quotas.size() != order.size()) {
+  if (quotas.size() != order_.size()) {
     return Error::internal("inter-slice scheduler returned wrong quota count");
   }
 
   // Phases 3+4 per slice.
-  std::map<uint32_t, SlotDelivery> delivered;
-  for (size_t i = 0; i < order.size(); ++i) {
-    SliceState& slice = *order[i];
+  for (size_t i = 0; i < order_.size(); ++i) {
+    SliceState& slice = *order_[i];
     slice.stats.last_quota = quotas[i];
-    if (quotas[i] == 0 || demands[i].active_ues == 0) continue;
-    codec::SchedRequest req = build_request(slice, quotas[i]);
+    if (quotas[i] == 0 || demands_[i].active_ues == 0) continue;
+    build_request(slice, quotas[i]);
+    const codec::SchedRequest& req = slice.request;
     if (req.ues.empty()) continue;
     ++slice.stats.slots_scheduled;
     slice.m_slots_scheduled->add();
@@ -252,19 +272,18 @@ Status GnbMac::run_slot() {
                          << " scheduler fault: " << result.error().message);
       resp = fallback_round_robin(req);
     }
-    apply_response(slice, req, resp, delivered);
+    apply_response(slice, resp);
   }
 
-  // Deliver (every UE ticks its EWMA, scheduled or not).
+  // Deliver (every UE ticks its EWMA, scheduled or not). Each UE belongs
+  // to exactly one slice, and complete_slot touches only its own UE.
   double slots_per_s = 1e6 / config_.slot_us;
   double deliver_time = now_s();
-  for (auto& [rnti, ue] : ues_) {
-    auto it = delivered.find(rnti);
-    if (it == delivered.end()) {
-      ue->complete_slot(0, 0, deliver_time, slots_per_s);
-    } else {
-      ue->complete_slot(it->second.fresh_bits, it->second.harq_bits, deliver_time,
-                        slots_per_s);
+  for (auto& [id, slice] : slices_) {
+    for (size_t i = 0; i < slice.ues.size(); ++i) {
+      SlotDelivery& d = slice.delivered[i];
+      slice.ues[i]->complete_slot(d.fresh_bits, d.harq_bits, deliver_time, slots_per_s);
+      d = {};
     }
   }
 
@@ -315,11 +334,11 @@ std::vector<uint32_t> GnbMac::ue_rntis() const {
 }
 
 double GnbMac::slice_rate_bps(uint32_t slice_id) const {
+  auto it = slices_.find(slice_id);
+  if (it == slices_.end()) return 0.0;
   double sum = 0;
   double now = now_s();
-  for (const auto& [rnti, ue] : ues_) {
-    if (ue->slice_id() == slice_id) sum += ue->rate_bps(now);
-  }
+  for (const UeContext* ue : it->second.ues) sum += ue->rate_bps(now);
   return sum;
 }
 

@@ -90,7 +90,8 @@ class GnbMac {
   void set_mcs_table(McsTable table);
   McsTable mcs_table() const { return mcs_table_; }
 
-  /// Adds a UE to a slice; returns its RNTI.
+  /// Adds a UE to a slice; returns its RNTI. slice_id must name a registered
+  /// slice (std::out_of_range otherwise).
   uint32_t add_ue(uint32_t slice_id, Channel channel, TrafficSource traffic);
 
   /// Removes a UE (detach).
@@ -130,10 +131,22 @@ class GnbMac {
   }
 
  private:
+  struct SlotDelivery {
+    uint32_t fresh_bits = 0;  // first transmissions (drain the RLC buffer)
+    uint32_t harq_bits = 0;   // HARQ recoveries (buffer already drained)
+  };
   struct SliceState {
     SliceConfig config;
     std::unique_ptr<IntraSliceScheduler> scheduler;
     SliceStats stats;
+    // The slice's UEs in ascending RNTI order (add_ue/remove_ue keep it), so
+    // the slot loop walks a slice's members instead of the whole cell.
+    std::vector<UeContext*> ues;
+    // This slot's deliveries, parallel to `ues`; drained by the delivery
+    // loop, so it is all zero between slots.
+    std::vector<SlotDelivery> delivered;
+    // Rebuilt every slot the slice is scheduled; kept for its capacity.
+    codec::SchedRequest request;
     // Registry handles, bound at add_slice (label: slice id).
     obs::Counter* m_prb_granted = nullptr;
     obs::Counter* m_sched_faults = nullptr;
@@ -141,16 +154,11 @@ class GnbMac {
     obs::Counter* m_slots_scheduled = nullptr;
   };
 
-  codec::SchedRequest build_request(const SliceState& slice, uint32_t quota) const;
+  /// Fills `slice.request` with the slice's backlogged UEs.
+  void build_request(SliceState& slice, uint32_t quota);
   /// Host-side round-robin used when a slice's scheduler faults (§6A).
   static codec::SchedResponse fallback_round_robin(const codec::SchedRequest& req);
-  struct SlotDelivery {
-    uint32_t fresh_bits = 0;  // first transmissions (drain the RLC buffer)
-    uint32_t harq_bits = 0;   // HARQ recoveries (buffer already drained)
-  };
-  void apply_response(SliceState& slice, const codec::SchedRequest& req,
-                      const codec::SchedResponse& resp,
-                      std::map<uint32_t, SlotDelivery>& delivered);
+  void apply_response(SliceState& slice, const codec::SchedResponse& resp);
 
   MacConfig config_;
   uint64_t slot_ = 0;
@@ -168,6 +176,9 @@ class GnbMac {
   std::map<uint32_t, SliceState> slices_;
   std::map<uint32_t, std::unique_ptr<UeContext>> ues_;
   std::unique_ptr<InterSliceScheduler> inter_;
+  // Inter-slice inputs, rebuilt every slot; kept for their capacity.
+  std::vector<SliceDemand> demands_;
+  std::vector<SliceState*> order_;
   McsTable mcs_table_ = McsTable::kQam64;
   Xoshiro256 error_rng_{0x5eed};
   std::function<uint64_t()> slot_padding_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace waran::ran {
 namespace {
@@ -38,31 +39,23 @@ constexpr McsRow kMcs256[28] = {
     {6, 822},  {6, 873},  {8, 682.5},{8, 711},  {8, 754},  {8, 797},
     {8, 841},  {8, 885},  {8, 916.5},{8, 948}};
 
-const McsRow& mcs_row(uint32_t mcs, McsTable table) {
+constexpr const McsRow& mcs_row(uint32_t mcs, McsTable table) {
   if (table == McsTable::kQam256) return kMcs256[std::min(mcs, max_mcs(table))];
   return kMcs64[std::min(mcs, max_mcs(table))];
 }
 
-}  // namespace
-
-uint32_t max_mcs(McsTable table) { return table == McsTable::kQam256 ? 27 : 28; }
-
-double cqi_spectral_efficiency(uint32_t cqi, McsTable table) {
-  uint32_t c = std::min(cqi, kMaxCqi);
-  return table == McsTable::kQam256 ? kCqiEff256[c] : kCqiEff64[c];
-}
-
-double mcs_spectral_efficiency(uint32_t mcs, McsTable table) {
+constexpr double row_spectral_efficiency(uint32_t mcs, McsTable table) {
   const McsRow& row = mcs_row(mcs, table);
   return row.qm * row.rate_x1024 / 1024.0;
 }
 
-uint32_t mcs_modulation_order(uint32_t mcs, McsTable table) {
-  return mcs_row(mcs, table).qm;
+constexpr double cqi_efficiency(uint32_t cqi, McsTable table) {
+  uint32_t c = std::min(cqi, kMaxCqi);
+  return table == McsTable::kQam256 ? kCqiEff256[c] : kCqiEff64[c];
 }
 
-uint32_t mcs_from_cqi(uint32_t cqi, McsTable table) {
-  double target = cqi_spectral_efficiency(cqi, table);
+constexpr uint32_t search_mcs_for_cqi(uint32_t cqi, McsTable table) {
+  double target = cqi_efficiency(cqi, table);
   if (target <= 0.0) return 0;
   // Most efficient MCS not exceeding the CQI's efficiency. The MCS tables
   // are not strictly monotone at modulation switches, so select by
@@ -70,13 +63,57 @@ uint32_t mcs_from_cqi(uint32_t cqi, McsTable table) {
   uint32_t best = 0;
   double best_se = 0.0;
   for (uint32_t m = 0; m <= max_mcs(table); ++m) {
-    double se = mcs_spectral_efficiency(m, table);
+    double se = row_spectral_efficiency(m, table);
     if (se <= target + 1e-9 && se > best_se) {
       best = m;
       best_se = se;
     }
   }
   return best;
+}
+
+constexpr size_t table_index(McsTable table) { return table == McsTable::kQam256 ? 1 : 0; }
+
+// Link adaptation runs for every UE in every slot but has only 2 x 16
+// inputs, and the TBS model reads one efficiency per MCS: both are
+// evaluated once, at compile time, from the rows above.
+struct LinkTables {
+  uint8_t mcs_for_cqi[2][kMaxCqi + 1] = {};
+  double se[2][kMaxMcs + 1] = {};
+};
+
+constexpr LinkTables make_link_tables() {
+  LinkTables t;
+  for (McsTable table : {McsTable::kQam64, McsTable::kQam256}) {
+    const size_t i = table_index(table);
+    for (uint32_t c = 0; c <= kMaxCqi; ++c) {
+      t.mcs_for_cqi[i][c] = static_cast<uint8_t>(search_mcs_for_cqi(c, table));
+    }
+    for (uint32_t m = 0; m <= max_mcs(table); ++m) {
+      t.se[i][m] = row_spectral_efficiency(m, table);
+    }
+  }
+  return t;
+}
+
+constexpr LinkTables kLinkTables = make_link_tables();
+
+}  // namespace
+
+double cqi_spectral_efficiency(uint32_t cqi, McsTable table) {
+  return cqi_efficiency(cqi, table);
+}
+
+double mcs_spectral_efficiency(uint32_t mcs, McsTable table) {
+  return row_spectral_efficiency(mcs, table);
+}
+
+uint32_t mcs_modulation_order(uint32_t mcs, McsTable table) {
+  return mcs_row(mcs, table).qm;
+}
+
+uint32_t mcs_from_cqi(uint32_t cqi, McsTable table) {
+  return kLinkTables.mcs_for_cqi[table_index(table)][std::min(cqi, kMaxCqi)];
 }
 
 uint32_t cqi_from_mcs(uint32_t mcs, McsTable table) {
@@ -89,8 +126,8 @@ uint32_t cqi_from_mcs(uint32_t mcs, McsTable table) {
 
 uint32_t transport_block_bits(uint32_t mcs, uint32_t n_prb, McsTable table) {
   if (n_prb == 0) return 0;
-  return static_cast<uint32_t>(
-      std::floor(mcs_spectral_efficiency(mcs, table) * kDataResPerPrb * n_prb));
+  const double se = kLinkTables.se[table_index(table)][std::min(mcs, max_mcs(table))];
+  return static_cast<uint32_t>(std::floor(se * kDataResPerPrb * n_prb));
 }
 
 uint32_t cqi_from_snr_db(double snr_db) {

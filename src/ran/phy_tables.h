@@ -24,7 +24,7 @@ inline constexpr uint32_t kDataResPerPrb = 158;
 enum class McsTable : uint8_t { kQam64 = 0, kQam256 = 1 };
 
 /// Highest valid MCS index in `table` (28 for QAM64, 27 for QAM256).
-uint32_t max_mcs(McsTable table);
+constexpr uint32_t max_mcs(McsTable table) { return table == McsTable::kQam256 ? 27 : 28; }
 
 /// Spectral efficiency (bits per resource element) for a CQI index, 0 for
 /// CQI 0 (out of range). CQI is clamped to [0, 15].

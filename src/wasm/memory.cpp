@@ -33,12 +33,14 @@ Error Memory::oob_error(uint64_t addr, uint64_t len) {
 
 Status Memory::read_bytes(uint64_t addr, std::span<uint8_t> out) const {
   if (!in_bounds(addr, out.size())) return oob_error(addr, out.size());
+  if (out.empty()) return {};  // an empty span's data() may be null
   std::memcpy(out.data(), bytes_.data() + addr, out.size());
   return {};
 }
 
 Status Memory::write_bytes(uint64_t addr, std::span<const uint8_t> in) {
   if (!in_bounds(addr, in.size())) return oob_error(addr, in.size());
+  if (in.empty()) return {};
   std::memcpy(bytes_.data() + addr, in.data(), in.size());
   return {};
 }

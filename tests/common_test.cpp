@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -223,6 +224,28 @@ TEST(RateMeter, StaleQueryAnchorsToNewestEntry) {
   // Querying at a time before the newest arrival anchors the window to the
   // newest entry: the t=0 sample already expired, only the t=2 one counts.
   EXPECT_DOUBLE_EQ(m.rate_bps(0.5), 500.0);
+}
+
+TEST(RateMeter, RingWrapAndGrowthMatchBruteForceWindow) {
+  // Steady arrivals wrap the ring; bursts at one timestamp then force it to
+  // grow while wrapped. The windowed sum must equal a brute-force scan.
+  RateMeter m(1.0);
+  std::vector<std::pair<double, uint64_t>> all;
+  double t = 0.0;
+  for (int step = 0; step < 4000; ++step) {
+    t += 0.01;
+    const int arrivals = step % 997 == 500 ? 300 : 1;
+    for (int a = 0; a < arrivals; ++a) {
+      const uint64_t bits = 1000 + static_cast<uint64_t>(step * 7 + a) % 13;
+      m.add(t, bits);
+      all.emplace_back(t, bits);
+    }
+    uint64_t expected = 0;
+    for (const auto& [at, b] : all) {
+      if (!(at < t - 1.0)) expected += b;
+    }
+    ASSERT_EQ(m.rate_bps(t), static_cast<double>(expected)) << "step " << step;
+  }
 }
 
 TEST(Log, PerComponentOverrides) {

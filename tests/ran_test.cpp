@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "obs/anomaly.h"
 #include "ran/channel.h"
 #include "ran/mac.h"
 #include "ran/phy_tables.h"
@@ -64,6 +66,45 @@ TEST(PhyTables, SnrToCqiRampAndClamp) {
   EXPECT_EQ(cqi_from_snr_db(50.0), kMaxCqi);
   for (double snr = -6.0; snr < 25.0; snr += 0.5) {
     EXPECT_LE(cqi_from_snr_db(snr), cqi_from_snr_db(snr + 0.5));
+  }
+}
+
+// The 38.214 link-adaptation rule evaluated directly, as the reference for
+// the lookup table behind mcs_from_cqi: the most efficient MCS whose
+// spectral efficiency does not exceed the CQI's (MCS 0 for CQI 0).
+uint32_t reference_mcs_from_cqi(uint32_t cqi, McsTable table) {
+  double target = cqi_spectral_efficiency(cqi, table);
+  if (target <= 0.0) return 0;
+  uint32_t best = 0;
+  double best_se = 0.0;
+  for (uint32_t m = 0; m <= max_mcs(table); ++m) {
+    double se = mcs_spectral_efficiency(m, table);
+    if (se <= target + 1e-9 && se > best_se) {
+      best = m;
+      best_se = se;
+    }
+  }
+  return best;
+}
+
+TEST(PhyTables, LookupTablesEqual38214Formulas) {
+  for (McsTable table : {McsTable::kQam64, McsTable::kQam256}) {
+    const int t = static_cast<int>(table);
+    for (uint32_t cqi = 0; cqi <= 20; ++cqi) {  // 16..20 clamp to CQI 15
+      EXPECT_EQ(mcs_from_cqi(cqi, table), reference_mcs_from_cqi(cqi, table))
+          << "table " << t << " cqi " << cqi;
+    }
+    // Exact equality: every TBS the MAC computes stays bit-identical to
+    // floor(se * 158 REs * n_prb) with se from the 38.214 rows, including
+    // MCS indices past the table maximum (clamped).
+    for (uint32_t mcs = 0; mcs <= 31; ++mcs) {
+      const double se = mcs_spectral_efficiency(mcs, table);
+      for (uint32_t n_prb = 0; n_prb <= 275; ++n_prb) {
+        ASSERT_EQ(transport_block_bits(mcs, n_prb, table),
+                  static_cast<uint32_t>(std::floor(se * 158 * n_prb)))
+            << "table " << t << " mcs " << mcs << " n_prb " << n_prb;
+      }
+    }
   }
 }
 
@@ -190,6 +231,95 @@ TEST(Mac, RntisAreUniqueAndStable) {
   }
   EXPECT_EQ(rntis.size(), 16u);
   EXPECT_EQ(*rntis.begin(), 0x4601u);  // srsRAN's first C-RNTI
+}
+
+TEST(Mac, SliceIndexTracksUeChurn) {
+  // Records every request and grants one PRB to each listed UE, after
+  // `bogus` grants the MAC must sanitize.
+  class Recording final : public IntraSliceScheduler {
+   public:
+    std::vector<codec::SchedAlloc> bogus;
+    std::vector<codec::SchedRequest> requests;
+    Result<codec::SchedResponse> schedule(const codec::SchedRequest& req) override {
+      requests.push_back(req);
+      codec::SchedResponse resp;
+      resp.allocs = bogus;
+      for (const auto& ue : req.ues) resp.allocs.push_back({ue.rnti, 1});
+      return resp;
+    }
+    const char* name() const override { return "recording"; }
+  };
+  class Fixed final : public InterSliceScheduler {
+   public:
+    std::vector<uint32_t> allocate(uint32_t, const std::vector<SliceDemand>& d) override {
+      return std::vector<uint32_t>(d.size(), 20);
+    }
+    const char* name() const override { return "fixed"; }
+  };
+  obs::AnomalyJournal::global().clear();
+  MacConfig config;
+  config.domain = "mac-churn";
+  GnbMac mac(config);
+  mac.set_inter_scheduler(std::make_unique<Fixed>());
+  auto owned_a = std::make_unique<Recording>();
+  auto owned_b = std::make_unique<Recording>();
+  Recording& a = *owned_a;
+  Recording& b = *owned_b;
+  SliceConfig cfg;
+  cfg.slice_id = 1;
+  mac.add_slice(cfg, std::move(owned_a));
+  cfg.slice_id = 2;
+  mac.add_slice(cfg, std::move(owned_b));
+
+  // Interleaved RNTIs: slice 1 gets the even-numbered UEs, slice 2 the odd.
+  std::vector<uint32_t> in_a, in_b;
+  for (int i = 0; i < 8; ++i) {
+    const uint32_t slice = i % 2 == 0 ? 1 : 2;
+    const uint32_t rnti =
+        mac.add_ue(slice, Channel::pinned_mcs(10), TrafficSource::full_buffer());
+    (slice == 1 ? in_a : in_b).push_back(rnti);
+  }
+  const uint32_t removed = in_a[1];
+  ASSERT_TRUE(mac.remove_ue(removed).ok());
+  in_a.erase(in_a.begin() + 1);
+  in_b.push_back(mac.add_ue(2, Channel::pinned_mcs(10), TrafficSource::full_buffer()));
+  const uint32_t foreign = in_b[2];
+  a.bogus = {{removed, 3}, {foreign, 3}};
+
+  const uint32_t kSlots = 4;
+  ASSERT_TRUE(mac.run_slots(kSlots).ok());
+
+  auto rntis_of = [](const codec::SchedRequest& req) {
+    std::vector<uint32_t> out;
+    for (const auto& ue : req.ues) out.push_back(ue.rnti);
+    return out;
+  };
+  ASSERT_EQ(a.requests.size(), kSlots);
+  ASSERT_EQ(b.requests.size(), kSlots);
+  for (uint32_t s = 0; s < kSlots; ++s) {
+    EXPECT_EQ(rntis_of(a.requests[s]), in_a) << "slot " << s;
+    EXPECT_EQ(rntis_of(b.requests[s]), in_b) << "slot " << s;
+  }
+
+  // Both bogus grants are dropped in every slot: counted per grant,
+  // journaled once per response.
+  EXPECT_EQ(mac.slice_stats(1)->sanitized_allocs, 2u * kSlots);
+  EXPECT_EQ(mac.slice_stats(2)->sanitized_allocs, 0u);
+  const auto records = obs::AnomalyJournal::global().snapshot("mac-churn");
+  ASSERT_EQ(records.size(), kSlots);
+  for (const auto& r : records) {
+    EXPECT_EQ(r.kind, obs::AnomalyKind::kSanitized);
+    EXPECT_EQ(r.source, "slice 1");
+  }
+
+  // Every valid UE got exactly its own one-PRB grant per slot; the foreign
+  // UE's bits come from its own slice only, the removed UE stays gone.
+  EXPECT_EQ(mac.ue(removed), nullptr);
+  const uint64_t per_slot = transport_block_bits(10, 1);
+  for (uint32_t rnti : mac.ue_rntis()) {
+    EXPECT_EQ(mac.ue(rnti)->delivered_bits(), per_slot * kSlots) << rnti;
+  }
+  EXPECT_EQ(mac.ue_rntis().size(), in_a.size() + in_b.size());
 }
 
 }  // namespace

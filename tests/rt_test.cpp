@@ -3,7 +3,8 @@
 // the same config + seed must produce bit-identical metrics digests and
 // trace hashes whether the cells run inline on one thread or sharded across
 // worker threads, and across repeated threaded runs (the latter is also the
-// CI TSan workload for the runtime layer).
+// CI TSan workload for the runtime layer). The binary counts its heap
+// allocations (tests/heap_probe_guard.h) to pin the steady-state slot's.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,12 +14,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/tracked_alloc.h"
 #include "obs/anomaly.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rt/clock.h"
 #include "rt/deployment.h"
 #include "rt/executor.h"
+#include "tests/heap_probe_guard.h"
 #include "tests/wasm_test_util.h"
 
 namespace waran {
@@ -259,6 +262,34 @@ TEST(GnbDeployment, PerCellTraceRingsAreDistinctAndPopulated) {
     for (uint32_t d = 0; d < c; ++d) {
       EXPECT_NE(ring, dep.trace_ring(d));  // one ring per shard
     }
+  }
+}
+
+TEST(GnbDeployment, SteadyStateSlotAllocationsArePinned) {
+  // The dense-cell slot path (3 Wasm-scheduled slices x 64 UEs, E2 off) on
+  // virtual time, so a slow build cannot journal a slot overrun into the
+  // count.
+  reset_global_obs();
+  rt::DeploymentConfig cfg;
+  cfg.cells = 1;
+  cfg.threaded = false;
+  cfg.virtual_time = true;
+  cfg.report_period_slots = 0;
+  for (rt::SliceSpec& s : cfg.slices) s.ues = 64;
+  rt::GnbDeployment dep(cfg);
+  ASSERT_TRUE(dep.status().ok());
+  // Warm-up beyond one 1 s rate window: every UE's RateMeter ring has grown
+  // to hold a full window and the plugins' instances are warm.
+  ASSERT_TRUE(dep.run_slots(1100).ok());
+  for (int i = 0; i < 20; ++i) {
+    const uint64_t before = heap_probe::allocations();
+    ASSERT_TRUE(dep.run_slots(1).ok());
+    // What one slot still allocates:
+    //   1  InterSliceScheduler::allocate returns the quotas by value;
+    //   3  per scheduled slice (all three): Codec::encode_request's output
+    //      vector, Plugin::call's copy of the plugin output, and
+    //      decode_response's grant vector.
+    EXPECT_EQ(heap_probe::allocations() - before, 1u + 3u * 3u) << "slot " << i;
   }
 }
 
