@@ -70,6 +70,8 @@ class ByteWriter {
   const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
+  /// Sizes the buffer up front when the encoded length is known.
+  void reserve(size_t n) { buf_.reserve(n); }
 
   void u8(uint8_t v) { buf_.push_back(v); }
   void u16le(uint16_t v);

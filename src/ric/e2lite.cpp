@@ -34,6 +34,13 @@ struct E2Metrics {
 constexpr uint32_t kTelemetryLen =
     12 + 17 * 8 + 2 * (obs::Histogram::kBuckets + 2) * 8;
 
+// Encoded size of an indication, so it is written into one exact-size buffer.
+size_t indication_size(const IndicationReport& report) {
+  size_t n = 4 + 4 + 24 * report.slices.size() + 4 + 24 * report.ues.size();
+  if (report.telemetry.has_value()) n += 4 + 4 + kTelemetryLen;  // tag, len, body
+  return n;
+}
+
 void write_hist(ByteWriter& w, const obs::HistState& h) {
   for (uint64_t b : h.buckets) w.u64le(b);
   w.u64le(h.sum);
@@ -115,6 +122,7 @@ std::vector<uint8_t> encode_indication(const IndicationReport& report) {
                     static_cast<uint32_t>(report.ues.size()));
   E2Metrics::get().enc_msgs.add();
   ByteWriter w;
+  w.reserve(indication_size(report));
   w.u32le(kMsgIndication);
   w.u32le(static_cast<uint32_t>(report.slices.size()));
   for (const SliceReport& s : report.slices) {
@@ -215,6 +223,7 @@ std::vector<uint8_t> encode_control(const std::vector<ControlAction>& actions) {
                     static_cast<uint32_t>(actions.size()));
   E2Metrics::get().enc_msgs.add();
   ByteWriter w;
+  w.reserve(4 + 4 + 12 * actions.size());  // type, count, 12 B per action
   w.u32le(kMsgControl);
   w.u32le(static_cast<uint32_t>(actions.size()));
   for (const ControlAction& a : actions) {

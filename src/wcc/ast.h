@@ -22,6 +22,8 @@ enum class BinOp : uint8_t {
   kAdd, kSub, kMul, kDiv, kRem,
   kEq, kNe, kLt, kGt, kLe, kGe,
   kAnd, kOr,  // short-circuit logical
+  kBitAnd, kBitOr, kBitXor,
+  kShl, kShrS, kShrU,  // << >> >>>: the count is masked to the operand width
 };
 
 enum class UnOp : uint8_t { kNeg, kNot };

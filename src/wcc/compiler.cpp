@@ -1,6 +1,7 @@
 #include "wcc/compiler.h"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -136,6 +137,20 @@ class Compiler {
     return {};
   }
 };
+
+// The value of `i64(N)` or `i64(-N)` when the literal N lies beyond i32
+// range: the one place W accepts such a literal. Every other cast compiles
+// as before, so programs that never write one keep their exact bytes.
+std::optional<int64_t> wide_i64_literal(const Expr& cast) {
+  if (cast.cast_to != Type::kI64) return std::nullopt;
+  const Expr* x = cast.lhs.get();
+  const bool negate = x->kind == Expr::Kind::kUnary && x->un_op == UnOp::kNeg;
+  if (negate) x = x->lhs.get();
+  if (x->kind != Expr::Kind::kIntLit || x->lit_type != Type::kI32) return std::nullopt;
+  const int64_t v = negate ? -x->int_value : x->int_value;
+  if (v >= INT32_MIN && v <= INT32_MAX) return std::nullopt;
+  return v;
+}
 
 // Scans expressions/statements for call names (to import only used host fns).
 void collect_calls(const Expr& e, std::set<std::string>& out) {
@@ -453,6 +468,10 @@ Result<Type> Compiler::compile_expr(const Expr& e) {
     }
 
     case Expr::Kind::kCast: {
+      if (std::optional<int64_t> wide = wide_i64_literal(e)) {
+        fb_->i64_const(*wide);
+        return Type::kI64;
+      }
       WARAN_TRY(from, compile_expr(*e.lhs));
       Type to = e.cast_to;
       if (from == to) return to;
@@ -507,8 +526,10 @@ Result<Type> Compiler::compile_expr(const Expr& e) {
       }
       if (lt == Type::kVoid) return err(e.line, "void operand");
 
+      // `int_only` spells the operators that have no f64 form.
       struct OpRow {
         Op i32, i64, f64;
+        const char* int_only = nullptr;
       };
       auto row = [&](BinOp op) -> Result<OpRow> {
         switch (op) {
@@ -516,7 +537,13 @@ Result<Type> Compiler::compile_expr(const Expr& e) {
           case BinOp::kSub: return OpRow{Op::kI32Sub, Op::kI64Sub, Op::kF64Sub};
           case BinOp::kMul: return OpRow{Op::kI32Mul, Op::kI64Mul, Op::kF64Mul};
           case BinOp::kDiv: return OpRow{Op::kI32DivS, Op::kI64DivS, Op::kF64Div};
-          case BinOp::kRem: return OpRow{Op::kI32RemS, Op::kI64RemS, Op::kNop};
+          case BinOp::kRem: return OpRow{Op::kI32RemS, Op::kI64RemS, Op::kNop, "%"};
+          case BinOp::kBitAnd: return OpRow{Op::kI32And, Op::kI64And, Op::kNop, "&"};
+          case BinOp::kBitOr: return OpRow{Op::kI32Or, Op::kI64Or, Op::kNop, "|"};
+          case BinOp::kBitXor: return OpRow{Op::kI32Xor, Op::kI64Xor, Op::kNop, "^"};
+          case BinOp::kShl: return OpRow{Op::kI32Shl, Op::kI64Shl, Op::kNop, "<<"};
+          case BinOp::kShrS: return OpRow{Op::kI32ShrS, Op::kI64ShrS, Op::kNop, ">>"};
+          case BinOp::kShrU: return OpRow{Op::kI32ShrU, Op::kI64ShrU, Op::kNop, ">>>"};
           case BinOp::kEq: return OpRow{Op::kI32Eq, Op::kI64Eq, Op::kF64Eq};
           case BinOp::kNe: return OpRow{Op::kI32Ne, Op::kI64Ne, Op::kF64Ne};
           case BinOp::kLt: return OpRow{Op::kI32LtS, Op::kI64LtS, Op::kF64Lt};
@@ -528,7 +555,10 @@ Result<Type> Compiler::compile_expr(const Expr& e) {
       };
       WARAN_TRY(ops, row(e.bin_op));
       Op chosen = lt == Type::kI32 ? ops.i32 : lt == Type::kI64 ? ops.i64 : ops.f64;
-      if (chosen == Op::kNop) return err(e.line, "operator '%' is not defined for f64");
+      if (chosen == Op::kNop) {
+        return err(e.line, std::string("operator '") + ops.int_only +
+                               "' is not defined for f64 (integer operands only)");
+      }
       fb_->op(chosen);
 
       bool is_compare = e.bin_op == BinOp::kEq || e.bin_op == BinOp::kNe ||

@@ -5,6 +5,13 @@
 //   export fn schedule() -> i32 { ... }
 //   var x: f64 = 1.5;  if/else, while, break, continue, return
 //   casts: i32(x), i64(x), f64(x)    (float->int casts saturate)
+//   integer literals are i32; a wider one is legal only as i64(N) / i64(-N)
+//
+// Binary operators, tightest first, all left-associative:
+//   * / %   + -   << >> >>>   &   ^   |   < > <= >=   == !=   &&   ||
+// & | ^ << >> >>> take two i32 or two i64 operands (never f64); >> is
+// arithmetic, >>> logical, and a shift count is masked to the operand
+// width as in Wasm.
 //
 // Intrinsics lower to single opcodes:
 //   load8u/load16u/load32/load64/loadf64 (addr) ; store8/16/32/64/f64

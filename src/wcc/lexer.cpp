@@ -42,6 +42,12 @@ const char* to_string(Tok t) {
     case Tok::kPercent: return "%";
     case Tok::kAmpAmp: return "&&";
     case Tok::kPipePipe: return "||";
+    case Tok::kAmp: return "&";
+    case Tok::kPipe: return "|";
+    case Tok::kCaret: return "^";
+    case Tok::kShl: return "<<";
+    case Tok::kShr: return ">>";
+    case Tok::kShrU: return ">>>";
     case Tok::kBang: return "!";
     case Tok::kEq: return "==";
     case Tok::kNe: return "!=";
@@ -176,15 +182,24 @@ Result<std::vector<Token>> lex(std::string_view src) {
         }
         break;
       case '&':
-        if (!two('&')) return err("expected '&&'");
-        tok.kind = Tok::kAmpAmp;
-        advance(2);
+        if (two('&')) {
+          tok.kind = Tok::kAmpAmp;
+          advance(2);
+        } else {
+          tok.kind = Tok::kAmp;
+          advance(1);
+        }
         break;
       case '|':
-        if (!two('|')) return err("expected '||'");
-        tok.kind = Tok::kPipePipe;
-        advance(2);
+        if (two('|')) {
+          tok.kind = Tok::kPipePipe;
+          advance(2);
+        } else {
+          tok.kind = Tok::kPipe;
+          advance(1);
+        }
         break;
+      case '^': tok.kind = Tok::kCaret; advance(1); break;
       case '!':
         if (two('=')) {
           tok.kind = Tok::kNe;
@@ -207,6 +222,9 @@ Result<std::vector<Token>> lex(std::string_view src) {
         if (two('=')) {
           tok.kind = Tok::kLe;
           advance(2);
+        } else if (two('<')) {
+          tok.kind = Tok::kShl;
+          advance(2);
         } else {
           tok.kind = Tok::kLt;
           advance(1);
@@ -216,6 +234,10 @@ Result<std::vector<Token>> lex(std::string_view src) {
         if (two('=')) {
           tok.kind = Tok::kGe;
           advance(2);
+        } else if (two('>')) {
+          bool logical = i + 2 < src.size() && src[i + 2] == '>';
+          tok.kind = logical ? Tok::kShrU : Tok::kShr;
+          advance(logical ? 3 : 2);
         } else {
           tok.kind = Tok::kGt;
           advance(1);

@@ -54,6 +54,15 @@ void hoist(Expr& e, ExprPtr child) {
 
 int32_t as_i32(const Expr& e) { return static_cast<int32_t>(e.int_value); }
 
+// -x for an integer literal, wrapping at its width. A source literal beyond
+// i32 range only typechecks as i64(-N): it is negated exactly, and
+// fold_cast then widens it.
+int64_t negate_int(const Expr& x) {
+  if (x.lit_type == Type::kI64) return static_cast<int64_t>(-static_cast<uint64_t>(x.int_value));
+  if (as_i32(x) != x.int_value) return -x.int_value;
+  return static_cast<int32_t>(-static_cast<uint32_t>(as_i32(x)));
+}
+
 // Saturating f64 -> int, matching the engine's trunc_sat and wcc casts.
 int64_t sat_i64(double d) {
   if (std::isnan(d)) return 0;
@@ -141,10 +150,7 @@ class Optimizer {
     Expr& x = *e.lhs;
     if (e.un_op == UnOp::kNeg) {
       if (is_int_lit(x)) {
-        int64_t v = x.lit_type == Type::kI32
-                        ? static_cast<int32_t>(-static_cast<uint32_t>(as_i32(x)))
-                        : static_cast<int64_t>(-static_cast<uint64_t>(x.int_value));
-        make_int(e, v, x.lit_type);
+        make_int(e, negate_int(x), x.lit_type);
         ++stats_.folded_consts;
       } else if (is_float_lit(x)) {
         make_float(e, -x.float_value);
@@ -161,7 +167,9 @@ class Optimizer {
   void fold_cast(Expr& e) {
     Expr& x = *e.lhs;
     if (is_int_lit(x)) {
-      int64_t v = x.lit_type == Type::kI32 ? as_i32(x) : x.int_value;
+      // int_value is exact. Folded i32 literals are always in range; a source
+      // literal beyond it only typechecks directly inside i64(...).
+      int64_t v = x.int_value;
       switch (e.cast_to) {
         case Type::kI32:
           make_int(e, static_cast<int32_t>(v), Type::kI32);
@@ -263,6 +271,7 @@ class Optimizer {
     const int64_t bv = is32 ? as_i32(b) : b.int_value;
     const uint64_t ua = is32 ? static_cast<uint32_t>(av) : static_cast<uint64_t>(av);
     const uint64_t ub = is32 ? static_cast<uint32_t>(bv) : static_cast<uint64_t>(bv);
+    const uint64_t shift_mask = is32 ? 31 : 63;
 
     auto wrap = [&](uint64_t v) -> int64_t {
       return is32 ? static_cast<int32_t>(static_cast<uint32_t>(v))
@@ -299,6 +308,13 @@ class Optimizer {
       case BinOp::kGt: result = av > bv; result_type = Type::kI32; break;
       case BinOp::kLe: result = av <= bv; result_type = Type::kI32; break;
       case BinOp::kGe: result = av >= bv; result_type = Type::kI32; break;
+      case BinOp::kBitAnd: result = wrap(ua & ub); break;
+      case BinOp::kBitOr: result = wrap(ua | ub); break;
+      case BinOp::kBitXor: result = wrap(ua ^ ub); break;
+      // Wasm masks the shift count to the operand width.
+      case BinOp::kShl: result = wrap(ua << (ub & shift_mask)); break;
+      case BinOp::kShrS: result = av >> (ub & shift_mask); break;
+      case BinOp::kShrU: result = wrap(ua >> (ub & shift_mask)); break;
       case BinOp::kAnd:
         if (!is32) return false;
         result = (av != 0 && bv != 0) ? 1 : 0;

@@ -1,5 +1,7 @@
 #include "wcc/parser.h"
 
+#include <optional>
+
 #include "wcc/lexer.h"
 
 namespace waran::wcc {
@@ -268,86 +270,47 @@ class Parser {
     }
   }
 
-  // Expression precedence climbing.
-  Result<ExprPtr> expression() { return logical_or(); }
-
-  Result<ExprPtr> logical_or() {
-    WARAN_TRY(lhs, logical_and());
-    ExprPtr node = std::move(lhs);
-    while (peek().kind == Tok::kPipePipe) {
-      uint32_t line = take().line;
-      WARAN_TRY(rhs, logical_and());
-      node = make_binary(BinOp::kOr, std::move(node), std::move(rhs), line);
-    }
-    return node;
-  }
-
-  Result<ExprPtr> logical_and() {
-    WARAN_TRY(lhs, equality());
-    ExprPtr node = std::move(lhs);
-    while (peek().kind == Tok::kAmpAmp) {
-      uint32_t line = take().line;
-      WARAN_TRY(rhs, equality());
-      node = make_binary(BinOp::kAnd, std::move(node), std::move(rhs), line);
-    }
-    return node;
-  }
-
-  Result<ExprPtr> equality() {
-    WARAN_TRY(lhs, relational());
-    ExprPtr node = std::move(lhs);
-    while (peek().kind == Tok::kEq || peek().kind == Tok::kNe) {
-      BinOp op = peek().kind == Tok::kEq ? BinOp::kEq : BinOp::kNe;
-      uint32_t line = take().line;
-      WARAN_TRY(rhs, relational());
-      node = make_binary(op, std::move(node), std::move(rhs), line);
-    }
-    return node;
-  }
-
-  Result<ExprPtr> relational() {
-    WARAN_TRY(lhs, additive());
-    ExprPtr node = std::move(lhs);
-    while (true) {
-      BinOp op;
-      switch (peek().kind) {
-        case Tok::kLt: op = BinOp::kLt; break;
-        case Tok::kGt: op = BinOp::kGt; break;
-        case Tok::kLe: op = BinOp::kLe; break;
-        case Tok::kGe: op = BinOp::kGe; break;
-        default: return node;
-      }
-      uint32_t line = take().line;
-      WARAN_TRY(rhs, additive());
-      node = make_binary(op, std::move(node), std::move(rhs), line);
+  // Expression precedence climbing over one binding-power table. A higher
+  // power binds tighter; every level is left-associative.
+  struct Infix {
+    BinOp op;
+    int power;
+  };
+  static std::optional<Infix> infix(Tok t) {
+    switch (t) {
+      case Tok::kPipePipe: return Infix{BinOp::kOr, 1};
+      case Tok::kAmpAmp: return Infix{BinOp::kAnd, 2};
+      case Tok::kEq: return Infix{BinOp::kEq, 3};
+      case Tok::kNe: return Infix{BinOp::kNe, 3};
+      case Tok::kLt: return Infix{BinOp::kLt, 4};
+      case Tok::kGt: return Infix{BinOp::kGt, 4};
+      case Tok::kLe: return Infix{BinOp::kLe, 4};
+      case Tok::kGe: return Infix{BinOp::kGe, 4};
+      case Tok::kPipe: return Infix{BinOp::kBitOr, 5};
+      case Tok::kCaret: return Infix{BinOp::kBitXor, 6};
+      case Tok::kAmp: return Infix{BinOp::kBitAnd, 7};
+      case Tok::kShl: return Infix{BinOp::kShl, 8};
+      case Tok::kShr: return Infix{BinOp::kShrS, 8};
+      case Tok::kShrU: return Infix{BinOp::kShrU, 8};
+      case Tok::kPlus: return Infix{BinOp::kAdd, 9};
+      case Tok::kMinus: return Infix{BinOp::kSub, 9};
+      case Tok::kStar: return Infix{BinOp::kMul, 10};
+      case Tok::kSlash: return Infix{BinOp::kDiv, 10};
+      case Tok::kPercent: return Infix{BinOp::kRem, 10};
+      default: return std::nullopt;
     }
   }
 
-  Result<ExprPtr> additive() {
-    WARAN_TRY(lhs, multiplicative());
-    ExprPtr node = std::move(lhs);
-    while (peek().kind == Tok::kPlus || peek().kind == Tok::kMinus) {
-      BinOp op = peek().kind == Tok::kPlus ? BinOp::kAdd : BinOp::kSub;
-      uint32_t line = take().line;
-      WARAN_TRY(rhs, multiplicative());
-      node = make_binary(op, std::move(node), std::move(rhs), line);
-    }
-    return node;
-  }
-
-  Result<ExprPtr> multiplicative() {
+  Result<ExprPtr> expression(int min_power = 1) {
     WARAN_TRY(lhs, unary());
     ExprPtr node = std::move(lhs);
-    while (peek().kind == Tok::kStar || peek().kind == Tok::kSlash ||
-           peek().kind == Tok::kPercent) {
-      BinOp op = peek().kind == Tok::kStar    ? BinOp::kMul
-                 : peek().kind == Tok::kSlash ? BinOp::kDiv
-                                              : BinOp::kRem;
+    while (true) {
+      std::optional<Infix> op = infix(peek().kind);
+      if (!op || op->power < min_power) return node;
       uint32_t line = take().line;
-      WARAN_TRY(rhs, unary());
-      node = make_binary(op, std::move(node), std::move(rhs), line);
+      WARAN_TRY(rhs, expression(op->power + 1));
+      node = make_binary(op->op, std::move(node), std::move(rhs), line);
     }
-    return node;
   }
 
   Result<ExprPtr> unary() {

@@ -49,6 +49,12 @@ enum class Tok : uint8_t {
   kPercent,
   kAmpAmp,
   kPipePipe,
+  kAmp,     // &
+  kPipe,    // |
+  kCaret,   // ^
+  kShl,     // <<
+  kShr,     // >>  (arithmetic)
+  kShrU,    // >>> (logical)
   kBang,
   kEq,   // ==
   kNe,   // !=

@@ -48,7 +48,7 @@ TEST(E2Lite, ControlRoundTrip) {
 
 TEST(E2Lite, RejectsTruncationAndBadCounts) {
   auto bytes = encode_indication(sample_report());
-  bytes.resize(bytes.size() - 1);
+  bytes.pop_back();
   EXPECT_FALSE(decode_indication(bytes).ok());
 
   std::vector<uint8_t> huge = {1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f};
@@ -56,6 +56,23 @@ TEST(E2Lite, RejectsTruncationAndBadCounts) {
 
   std::vector<ControlAction> bad = {{static_cast<ActionType>(9), 0, 0}};
   EXPECT_FALSE(decode_control(encode_control(bad)).ok());
+}
+
+TEST(E2Lite, EncodesIntoOneExactSizeBuffer) {
+  IndicationReport r = sample_report();
+  r.telemetry = obs::CellTelemetry{};
+  auto indication = encode_indication(r);
+  // Header, 24 B per slice, 24 B per UE, then the tagged telemetry block.
+  EXPECT_EQ(indication.size(), 8u + 2 * 24 + 4 + 2 * 24 + 8 + 1220);
+  // Sized once up front; a buffer grown field by field keeps spare capacity.
+  EXPECT_EQ(indication.capacity(), indication.size());
+
+  std::vector<ControlAction> actions = {{ActionType::kSetSliceQuota, 1, 20},
+                                        {ActionType::kHandover, 0x4601, 1},
+                                        {ActionType::kSetCqiTable, 2, 0}};
+  auto control = encode_control(actions);
+  EXPECT_EQ(control.size(), 8u + 3 * 12);
+  EXPECT_EQ(control.capacity(), control.size());
 }
 
 // --- Communication plugin. ---
@@ -123,6 +140,99 @@ TEST_F(CommPluginTest, LengthMismatchRejected) {
   ASSERT_TRUE(framed.ok());
   framed->push_back(0);  // trailing junk: total no longer matches header len
   EXPECT_FALSE(plugin_->call("unframe", *framed).ok());
+}
+
+// The framing kernel checksums eight bytes per step in four 16-bit lanes
+// and finishes the len % 8 tail bytewise. These tests hold it to the wire
+// definition: the sum of payload bytes mod 2^32.
+
+std::vector<uint8_t> pattern_payload(size_t len, uint32_t seed) {
+  std::vector<uint8_t> out(len);
+  uint32_t x = seed * 2654435761u + 1;
+  for (uint8_t& b : out) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  return out;
+}
+
+uint32_t byte_sum(const std::vector<uint8_t>& payload) {
+  uint32_t sum = 0;
+  for (uint8_t b : payload) sum += b;
+  return sum;
+}
+
+uint32_t u32_at(const std::vector<uint8_t>& bytes, size_t at) {
+  uint32_t v;
+  memcpy(&v, bytes.data() + at, 4);
+  return v;
+}
+
+TEST_F(CommPluginTest, ChecksumEqualsHostByteSumAtEveryLength) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (size_t n = 337; n <= 3000; n += 37) lengths.push_back(n);  // every residue mod 8
+  lengths.push_back(1024);  // exactly one 128-word block
+  lengths.push_back(1032);  // one block plus a word
+  for (size_t n : lengths) {
+    SCOPED_TRACE("payload length " + std::to_string(n));
+    std::vector<uint8_t> payload = pattern_payload(n, static_cast<uint32_t>(n));
+    auto framed = plugin_->call("frame", payload);
+    ASSERT_TRUE(framed.ok()) << framed.error().message;
+    ASSERT_EQ(framed->size(), n + 12);
+    EXPECT_EQ(u32_at(*framed, 4), n);
+    EXPECT_EQ(u32_at(*framed, 8 + n), byte_sum(payload));
+    auto unframed = plugin_->call("unframe", *framed);
+    ASSERT_TRUE(unframed.ok()) << unframed.error().message;
+    EXPECT_EQ(*unframed, payload);
+  }
+}
+
+TEST_F(CommPluginTest, AllOnesPayloadFillsEveryLaneBeforeItFolds) {
+  // 0xFF everywhere drives each 16-bit lane to 128 * 2 * 255 = 65,280
+  // before every fold: the largest value the lane bound allows.
+  std::vector<uint8_t> payload(65536, 0xff);
+  auto framed = plugin_->call("frame", payload);
+  ASSERT_TRUE(framed.ok()) << framed.error().message;
+  EXPECT_EQ(u32_at(*framed, 8 + payload.size()), 65536u * 255u);
+  auto unframed = plugin_->call("unframe", *framed);
+  ASSERT_TRUE(unframed.ok()) << unframed.error().message;
+  EXPECT_EQ(*unframed, payload);
+}
+
+TEST_F(CommPluginTest, OneBitFlipRejectedInWordsAndTail) {
+  const size_t n = 1461;  // 182 full words and a 5-byte tail
+  std::vector<uint8_t> payload = pattern_payload(n, 3);
+  auto framed = plugin_->call("frame", payload);
+  ASSERT_TRUE(framed.ok());
+  for (size_t at : {size_t{0}, size_t{3}, (n & ~size_t{7}) - 1, (n & ~size_t{7}) - 8,
+                    n - 5, n - 1}) {
+    SCOPED_TRACE("payload byte " + std::to_string(at));
+    std::vector<uint8_t> bad = *framed;
+    bad[8 + at] ^= 0x10;
+    EXPECT_FALSE(plugin_->call("unframe", bad).ok());
+  }
+  EXPECT_TRUE(plugin_->call("unframe", *framed).ok());
+}
+
+TEST_F(CommPluginTest, LargePayloadFramesWithinDefaultFuel) {
+  ASSERT_EQ(plugin_->limits().fuel_per_call, 2'000'000u);
+  std::vector<uint8_t> payload = pattern_payload(200000, 9);
+  auto framed = plugin_->call("frame", payload);
+  ASSERT_TRUE(framed.ok()) << framed.error().message;
+  EXPECT_EQ(u32_at(*framed, 8 + payload.size()), byte_sum(payload));
+  auto unframed = plugin_->call("unframe", *framed);
+  ASSERT_TRUE(unframed.ok()) << unframed.error().message;
+  EXPECT_EQ(*unframed, payload);
+}
+
+TEST_F(CommPluginTest, FrameFuelIsPinned) {
+  // Regression gate for the framing kernel: the exact fuel of framing a
+  // 1,456-byte indication (3 slices, 6 UEs and the telemetry tail). The
+  // byte-at-a-time loop it replaced cost 26,250.
+  std::vector<uint8_t> payload = pattern_payload(1456, 5);
+  ASSERT_TRUE(plugin_->call("frame", payload).ok());
+  EXPECT_EQ(plugin_->last_call_stats().fuel_used, 4887u);
 }
 
 // --- Vendor interop shim. ---

@@ -210,5 +210,62 @@ TEST(WccOpt, StatsReporting) {
                                stats.dead_branches_removed + stats.dead_loops_removed);
 }
 
+int64_t run_i64(wasm::Instance& inst, const char* fn) {
+  auto r = inst.call(fn, std::vector<TypedValue>{});
+  EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().message);
+  return r.ok() && r->has_value() ? (*r)->value.as_i64() : INT64_MIN;
+}
+
+TEST(WccOpt, BitwiseFoldsMatchUnoptimized) {
+  // All-literal operands fold to one constant each. Shift counts are masked
+  // to the operand width the way Wasm masks them: 1 << 33 is 1 << 1.
+  const char* i32_src = R"(
+    export fn f() -> i32 {
+      return (12 & 10) + (12 | 10) * 3 + (12 ^ 10) * 100 + (1 << 33) * 1000
+           + (-8 >> 33) + (-8 >>> 60) * 7;
+    }
+  )";
+  EXPECT_GT(assert_equivalent(i32_src), 2.0);
+  auto opt = instantiate(i32_src, true);
+  ASSERT_NE(opt, nullptr);
+  EXPECT_EQ(run_i32(*opt), 8 + 14 * 3 + 6 * 100 + 2 * 1000 - 4 + 15 * 7);
+
+  const char* i64_src = R"(
+    export fn f() -> i32 {
+      var a: i64 = (i64(-1) >>> i64(65)) >> i64(62);   // INT64_MAX >> 62 = 1
+      var b: i64 = i64(1) << i64(64);                  // count 64 masks to 0
+      var c: i64 = (i64(-16) >> i64(66)) ^ i64(5);     // -4 ^ 5 = -7
+      var d: i64 = (i64(-1) << i64(63)) | i64(1);      // INT64_MIN | 1
+      return i32(a + b * i64(10) + c * i64(100)) + i32((d >>> i64(63)) & i64(3));
+    }
+  )";
+  EXPECT_GT(assert_equivalent(i64_src), 1.0);
+  opt = instantiate(i64_src, true);
+  ASSERT_NE(opt, nullptr);
+  EXPECT_EQ(run_i32(*opt), 1 + 10 - 700 + 1);
+}
+
+TEST(WccOpt, WideI64LiteralsWithAndWithoutOptimizer) {
+  // A literal beyond i32 range is legal as the direct operand of i64(...);
+  // cast folding must keep it whole instead of wrapping it through i32.
+  const char* src = R"(
+    export fn big() -> i64 { return i64(5000000000); }
+    export fn neg() -> i64 { return i64(-5000000000); }
+    export fn top() -> i64 { return i64(9223372036854775807); }
+    export fn edge() -> i64 { return i64(2147483648) + i64(-2147483648); }
+    export fn mask() -> i64 { return i64(71777214294589695) >>> i64(48); }
+  )";
+  for (bool optimize : {false, true}) {
+    SCOPED_TRACE(optimize ? "optimized" : "unoptimized");
+    auto inst = instantiate(src, optimize);
+    ASSERT_NE(inst, nullptr);
+    EXPECT_EQ(run_i64(*inst, "big"), 5000000000LL);
+    EXPECT_EQ(run_i64(*inst, "neg"), -5000000000LL);
+    EXPECT_EQ(run_i64(*inst, "top"), std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(run_i64(*inst, "edge"), 0);
+    EXPECT_EQ(run_i64(*inst, "mask"), 0xff);  // top lane of 0x00ff00ff00ff00ff
+  }
+}
+
 }  // namespace
 }  // namespace waran::wcc

@@ -49,13 +49,18 @@ uint32_t crc32_reference(const std::vector<uint8_t>& data) {
   return ~crc;
 }
 
+const std::vector<std::vector<uint8_t>>& crc32_inputs() {
+  static const std::vector<std::vector<uint8_t>> kInputs = {
+      {}, {'a'}, {'1', '2', '3', '4', '5', '6', '7', '8', '9'}, std::vector<uint8_t>(64, 0xff)};
+  return kInputs;
+}
+
 TEST(WProgram, Crc32MatchesReference) {
-  // W deliberately has no bitwise operators (they are rarely needed in
-  // scheduler logic), so the CRC plugin builds XOR and logical shifts from
-  // div/mod arithmetic — a worst-case stress of signed wraparound codegen.
+  // This CRC builds XOR and logical shifts from div/mod arithmetic alone,
+  // without W's bitwise operators: a worst-case stress of signed
+  // wraparound codegen. Crc32BitwiseMatchesReference is the direct form.
   const char* kPractical = R"(
-    // XOR via i64 addition with carry suppression is still awkward; the
-    // canonical W approach: process bits with div/mod only.
+    // Without bitwise operators, every bit is extracted with div/mod.
     fn bit(x: i32, k: i32) -> i32 {
       var v: i32 = x;
       var i: i32 = 0;
@@ -121,10 +126,49 @@ TEST(WProgram, Crc32MatchesReference) {
   auto p = plugin::Plugin::load(*bytes, {}, limits);
   ASSERT_TRUE(p.ok()) << p.error().message;
 
-  for (const std::vector<uint8_t>& data :
-       {std::vector<uint8_t>{}, std::vector<uint8_t>{'a'},
-        std::vector<uint8_t>{'1', '2', '3', '4', '5', '6', '7', '8', '9'},
-        std::vector<uint8_t>(64, 0xff)}) {
+  for (const std::vector<uint8_t>& data : crc32_inputs()) {
+    auto out = (*p)->call("run", data);
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    uint32_t got;
+    std::memcpy(&got, out->data(), 4);
+    EXPECT_EQ(got, crc32_reference(data)) << "len " << data.size();
+  }
+}
+
+TEST(WProgram, Crc32BitwiseMatchesReference) {
+  // The same CRC with & ^ >>>, under the default 2,000,000-fuel budget.
+  const char* kBitwise = R"(
+    export fn run() -> i32 {
+      var n: i32 = input_len();
+      input_read(0, 0, n);
+      var crc: i32 = -1;
+      var i: i32 = 0;
+      while (i < n) {
+        crc = crc ^ load8u(i);
+        var k: i32 = 0;
+        while (k < 8) {
+          crc = (crc >>> 1) ^ (-306674912 & -(crc & 1));   // 0xEDB88320
+          k = k + 1;
+        }
+        i = i + 1;
+      }
+      store32(4096, crc ^ -1);
+      output_write(4096, 4);
+      return 0;
+    }
+  )";
+  auto bytes = wcc::compile(kBitwise);
+  ASSERT_TRUE(bytes.ok()) << bytes.error().message;
+  auto p = plugin::Plugin::load(*bytes);
+  ASSERT_TRUE(p.ok()) << p.error().message;
+  ASSERT_EQ((*p)->limits().fuel_per_call, 2'000'000u);
+
+  std::vector<std::vector<uint8_t>> inputs = crc32_inputs();
+  Xoshiro256 rng(7);
+  std::vector<uint8_t> random(4000);
+  for (uint8_t& b : random) b = static_cast<uint8_t>(rng.next());
+  inputs.push_back(random);
+  for (const std::vector<uint8_t>& data : inputs) {
     auto out = (*p)->call("run", data);
     ASSERT_TRUE(out.ok()) << out.error().message;
     uint32_t got;

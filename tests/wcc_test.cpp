@@ -3,11 +3,13 @@
 // results. Also negative tests for type/semantic errors.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "plugin/plugin.h"
 #include "wasm/wasm.h"
 #include "wcc/compiler.h"
+#include "wcc/lexer.h"
 
 namespace waran {
 namespace {
@@ -490,6 +492,176 @@ TEST(WccErrors, IntegerLiteralOverflow) {
   auto r = wcc::compile("export fn f() -> i32 { return 3000000000; }");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().message.find("range"), std::string::npos);
+}
+
+}  // namespace
+}  // namespace waran
+
+// Bitwise operators: & | ^ << >> >>> on i32 and i64.
+namespace waran {
+namespace {
+
+int64_t run_i64(wasm::Instance& inst, const char* fn, std::vector<TypedValue> args) {
+  auto r = inst.call(fn, args);
+  EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().message);
+  if (!r.ok() || !r->has_value()) return INT64_MIN;
+  return (*r)->value.as_i64();
+}
+
+constexpr const char* kBitwiseOps = R"(
+  export fn and32(a: i32, b: i32) -> i32 { return a & b; }
+  export fn or32(a: i32, b: i32) -> i32 { return a | b; }
+  export fn xor32(a: i32, b: i32) -> i32 { return a ^ b; }
+  export fn shl32(a: i32, b: i32) -> i32 { return a << b; }
+  export fn shr32(a: i32, b: i32) -> i32 { return a >> b; }
+  export fn shru32(a: i32, b: i32) -> i32 { return a >>> b; }
+  export fn and64(a: i64, b: i64) -> i64 { return a & b; }
+  export fn or64(a: i64, b: i64) -> i64 { return a | b; }
+  export fn xor64(a: i64, b: i64) -> i64 { return a ^ b; }
+  export fn shl64(a: i64, b: i64) -> i64 { return a << b; }
+  export fn shr64(a: i64, b: i64) -> i64 { return a >> b; }
+  export fn shru64(a: i64, b: i64) -> i64 { return a >>> b; }
+)";
+
+TEST(WccBitwise, I32OperatorsMatchCpp) {
+  auto inst = compile_and_instantiate(kBitwiseOps);
+  ASSERT_NE(inst, nullptr);
+  const int32_t values[] = {0, 1, -1, INT32_MIN, INT32_MAX};
+  for (int32_t a : values) {
+    for (int32_t b : values) {
+      auto args = std::vector<TypedValue>{TypedValue::i32(a), TypedValue::i32(b)};
+      EXPECT_EQ(run_i32(*inst, "and32", args), a & b) << a << " & " << b;
+      EXPECT_EQ(run_i32(*inst, "or32", args), a | b) << a << " | " << b;
+      EXPECT_EQ(run_i32(*inst, "xor32", args), a ^ b) << a << " ^ " << b;
+    }
+    // Wasm masks the count to the operand width: 32 shifts by 0, 33 by 1.
+    for (int32_t n : {0, 1, 31, 32, 33}) {
+      auto args = std::vector<TypedValue>{TypedValue::i32(a), TypedValue::i32(n)};
+      const int k = n & 31;
+      EXPECT_EQ(run_i32(*inst, "shl32", args),
+                static_cast<int32_t>(static_cast<uint32_t>(a) << k)) << a << " << " << n;
+      EXPECT_EQ(run_i32(*inst, "shr32", args), a >> k) << a << " >> " << n;
+      EXPECT_EQ(run_i32(*inst, "shru32", args),
+                static_cast<int32_t>(static_cast<uint32_t>(a) >> k)) << a << " >>> " << n;
+    }
+  }
+}
+
+TEST(WccBitwise, I64OperatorsMatchCpp) {
+  auto inst = compile_and_instantiate(kBitwiseOps);
+  ASSERT_NE(inst, nullptr);
+  const int64_t values[] = {0, 1, -1, INT64_MIN, INT64_MAX};
+  for (int64_t a : values) {
+    for (int64_t b : values) {
+      auto args = std::vector<TypedValue>{TypedValue::i64(a), TypedValue::i64(b)};
+      EXPECT_EQ(run_i64(*inst, "and64", args), a & b) << a << " & " << b;
+      EXPECT_EQ(run_i64(*inst, "or64", args), a | b) << a << " | " << b;
+      EXPECT_EQ(run_i64(*inst, "xor64", args), a ^ b) << a << " ^ " << b;
+    }
+    for (int64_t n : {0, 1, 63, 64, 65}) {
+      auto args = std::vector<TypedValue>{TypedValue::i64(a), TypedValue::i64(n)};
+      const int k = static_cast<int>(n & 63);
+      EXPECT_EQ(run_i64(*inst, "shl64", args),
+                static_cast<int64_t>(static_cast<uint64_t>(a) << k)) << a << " << " << n;
+      EXPECT_EQ(run_i64(*inst, "shr64", args), a >> k) << a << " >> " << n;
+      EXPECT_EQ(run_i64(*inst, "shru64", args),
+                static_cast<int64_t>(static_cast<uint64_t>(a) >> k)) << a << " >>> " << n;
+    }
+  }
+}
+
+TEST(WccBitwise, ArithmeticVsLogicalShiftOnNegatives) {
+  auto inst = compile_and_instantiate(kBitwiseOps);
+  ASSERT_NE(inst, nullptr);
+  auto i32s = [](int32_t a, int32_t b) {
+    return std::vector<TypedValue>{TypedValue::i32(a), TypedValue::i32(b)};
+  };
+  auto i64s = [](int64_t a, int64_t b) {
+    return std::vector<TypedValue>{TypedValue::i64(a), TypedValue::i64(b)};
+  };
+  EXPECT_EQ(run_i32(*inst, "shr32", i32s(-16, 2)), -4);           // sign fills
+  EXPECT_EQ(run_i32(*inst, "shru32", i32s(-16, 2)), 0x3ffffffc);  // zero fills
+  EXPECT_EQ(run_i32(*inst, "shru32", i32s(-1, 31)), 1);
+  EXPECT_EQ(run_i64(*inst, "shr64", i64s(-16, 2)), -4);
+  EXPECT_EQ(run_i64(*inst, "shru64", i64s(-16, 2)), 0x3ffffffffffffffcLL);
+  EXPECT_EQ(run_i64(*inst, "shru64", i64s(-1, 63)), 1);
+}
+
+TEST(WccBitwise, PrecedenceTable) {
+  auto inst = compile_and_instantiate(R"(
+    // & binds tighter than ==, so this is (a & m) == 0.
+    export fn masked(a: i32, m: i32) -> i32 { return a & m == 0; }
+    // + binds tighter than <<: 1 << 3.
+    export fn shift() -> i32 { return 1 << 2 + 1; }
+    // & over ^ over |: a | (b ^ (c & d)).
+    export fn mixed(a: i32, b: i32, c: i32, d: i32) -> i32 { return a | b ^ c & d; }
+    // Shifts bind tighter than comparisons, looser than + -.
+    export fn cmp() -> i32 { return 8 >> 1 + 1 < 3; }
+  )");
+  ASSERT_NE(inst, nullptr);
+  EXPECT_EQ(run_i32(*inst, "masked", {TypedValue::i32(6), TypedValue::i32(1)}), 1);
+  EXPECT_EQ(run_i32(*inst, "shift"), 8);
+  // 1 | (2 ^ (1 & 1)) = 3; each of the other four groupings gives 0, 1 or 2.
+  EXPECT_EQ(run_i32(*inst, "mixed", {TypedValue::i32(1), TypedValue::i32(2),
+                                     TypedValue::i32(1), TypedValue::i32(1)}),
+            3);
+  EXPECT_EQ(run_i32(*inst, "cmp"), 1);  // (8 >> 2) < 3
+}
+
+TEST(WccBitwise, LexerSplitsSingleAndDoubleOperators) {
+  auto toks = wcc::lex("a & b && c | d || e ^ f << g >> h >>> i <= j >= k < l > m");
+  ASSERT_TRUE(toks.ok()) << toks.error().message;
+  std::vector<wcc::Tok> ops;
+  for (const wcc::Token& t : *toks) {
+    if (t.kind != wcc::Tok::kIdent && t.kind != wcc::Tok::kEof) ops.push_back(t.kind);
+  }
+  using wcc::Tok;
+  EXPECT_EQ(ops, (std::vector<Tok>{Tok::kAmp, Tok::kAmpAmp, Tok::kPipe, Tok::kPipePipe,
+                                   Tok::kCaret, Tok::kShl, Tok::kShr, Tok::kShrU, Tok::kLe,
+                                   Tok::kGe, Tok::kLt, Tok::kGt}));
+  // Logical operators keep their meaning next to the bitwise ones.
+  auto inst = compile_and_instantiate(
+      "export fn f(a: i32) -> i32 { return a & 2 != 0 && a | 1 == 7; }");
+  ASSERT_NE(inst, nullptr);
+  EXPECT_EQ(run_i32(*inst, "f", {TypedValue::i32(6)}), 1);
+  EXPECT_EQ(run_i32(*inst, "f", {TypedValue::i32(4)}), 0);
+}
+
+TEST(WccBitwise, F64OperandRejectedWithLine) {
+  auto r = wcc::compile(
+      "export fn f() -> i32 {\n"
+      "  var x: f64 = 1.0;\n"
+      "  var y: f64 = x >>> 2.0;\n"
+      "  return 0;\n"
+      "}\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("line 3"), std::string::npos) << r.error().message;
+  EXPECT_NE(r.error().message.find("'>>>'"), std::string::npos) << r.error().message;
+  EXPECT_FALSE(wcc::compile("export fn f() -> f64 { return 1.0 & 2.0; }").ok());
+}
+
+TEST(WccBitwise, MixedWidthShiftCountRejected) {
+  // No implicit conversions: an i64 shift count is written i64(n).
+  auto r = wcc::compile("export fn f(x: i64) -> i64 { return x << 8; }");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("mismatch"), std::string::npos) << r.error().message;
+  EXPECT_TRUE(wcc::compile("export fn f(x: i64) -> i64 { return x << i64(8); }").ok());
+}
+
+TEST(WccErrors, WideLiteralOnlyDirectlyInsideI64) {
+  // i64(5000000000) and i64(-5000000000) compile (WccOpt tests the values);
+  // a literal beyond i32 range anywhere else stays an error.
+  for (const char* src : {
+           "export fn f() -> i64 { var x: i64 = 5000000000; return x; }",
+           "export fn f() -> i64 { return i64(5000000000 + 1); }",
+           "export fn f() -> i32 { return i32(5000000000); }",
+           "export fn f() -> f64 { return f64(5000000000); }",
+           "export fn f() -> i32 { return -5000000000; }",
+       }) {
+    auto r = wcc::compile(src);
+    ASSERT_FALSE(r.ok()) << src;
+    EXPECT_NE(r.error().message.find("range"), std::string::npos) << r.error().message;
+  }
 }
 
 }  // namespace
