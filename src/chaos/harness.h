@@ -1,18 +1,21 @@
-// waran::chaos episode harness — stands up the full WA-RAN closed loop
-// (three MVNO slices with Wasm schedulers on the gNB MAC, E2-lite agent,
-// Duplex link, near-RT RIC with the SLA xApp), threads one FaultPlan
-// through every chaos hook in the stack, runs the loop for a seeded
-// episode, and then audits the global invariants:
+// waran::chaos episode harness — stands up the full WA-RAN closed loop on
+// an rt::GnbDeployment (N cells, each with the three MVNO slices' Wasm
+// schedulers, an E2-lite agent and its Duplex link, all reporting to one
+// near-RT RIC running the SLA xApp), threads one FaultPlan per cell through
+// every chaos hook in the stack, runs the loop for a seeded episode, and
+// then audits the global invariants:
 //
-//   1. The host never crashes: every plugin/link/timing fault is contained
-//      to a Status the loop tolerates.
+//   1. The host never crashes: every plugin/link/timing/lifecycle fault is
+//      contained to a Status the loop tolerates.
 //   2. Every injected fault surfaces as exactly one anomaly-journal entry
 //      of the matching kind (or is provably handled without one: denied
-//      grows, empty schedules, dropped frames).
-//   3. Conservation laws hold: PRB grants never exceed carrier capacity,
-//      and link frames balance (sent + duplicated == delivered + dropped).
+//      grows, empty schedules, dropped frames), and every breached SLO
+//      verdict as one kSloBreach entry.
+//   3. Conservation laws hold per cell: PRB grants never exceed carrier
+//      capacity, and link frames balance (sent + duplicated == delivered +
+//      dropped).
 //   4. Per-slot accounting balances across layers: SlotHealth, CallCostAcc
-//      and the metrics registry agree call for call.
+//      and the metrics registry agree call for call in every manager.
 //   5. The engine's warm call path stays allocation-free even while faults
 //      fire around it (measured via the heap probe when the embedding
 //      binary installs the counting operator new).
@@ -36,10 +39,9 @@ struct EpisodeOptions {
   uint32_t slots_per_round = 15; ///< MAC slots between indications
   PlanConfig plan;
   bool warm_path_probe = true;   ///< run the zero-alloc warm-call probe
-  /// Cells in the gNB (cells > 1 runs the episode against a threaded
-  /// rt::GnbDeployment with one FaultPlan per cell, scoped to the fault
-  /// kinds that are cell-local: scheduler output/call faults, slot
-  /// overruns, and per-link E2 faults).
+  /// Cells in the deployment, each on its own worker thread with its own
+  /// FaultPlan and every fault site; the RIC's xApp draws from cell 0's
+  /// plan. Any count runs the same code path (0 is treated as 1).
   uint32_t cells = 1;
   /// Run the episode on rt::Clock virtual time: the campaign executes as
   /// fast as the CPU allows (no wall-clock pacing or clock syscalls) and
@@ -58,9 +60,9 @@ struct EpisodeReport {
   uint64_t anomalies = 0;
   uint64_t contained_errors = 0;  ///< non-fatal Status errors the loop absorbed
   uint64_t warm_heap_allocs = 0;  ///< heap allocations during the warm probe
-  /// Multicell episodes run the obs SLO engine with one window per round;
-  /// chaos faults are expected to breach objectives, and the audit checks
-  /// the breach accounting is exact (journal entries == breached verdicts).
+  /// Episodes run the obs SLO engine with one window per round; chaos
+  /// faults are expected to breach objectives, and the audit checks the
+  /// breach accounting is exact (journal entries == breached verdicts).
   uint64_t slo_breach_windows = 0;  ///< evaluation windows flagged unhealthy
   uint64_t slo_breaches = 0;        ///< breached SLO verdicts across windows
   /// Flight-recorder bundle captured at the first unhealthy window (empty
@@ -72,8 +74,8 @@ struct EpisodeReport {
   std::vector<FaultPlan::Injection> injection_log;
 };
 
-/// Runs one seeded chaos episode against a fresh scenario and checks every
-/// invariant. Resets the global anomaly journal and metric values.
+/// Runs one seeded chaos episode against a fresh deployment and checks
+/// every invariant. Resets the global anomaly journal and metric values.
 EpisodeReport run_episode(const EpisodeOptions& options);
 
 struct CampaignReport {

@@ -1,6 +1,7 @@
 #include "obs/fleet.h"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -129,13 +130,15 @@ std::string CellTelemetry::to_json() const {
 
 namespace {
 
-constexpr AnomalyKind kAllAnomalyKinds[] = {
-    AnomalyKind::kTrap,          AnomalyKind::kFuelExhausted,
-    AnomalyKind::kDecline,       AnomalyKind::kQuarantine,
-    AnomalyKind::kSanitized,     AnomalyKind::kFrameRejected,
-    AnomalyKind::kSlotOverrun,   AnomalyKind::kLoadFailed,
-    AnomalyKind::kSloBreach,     AnomalyKind::kOther,
-};
+// Every kind, derived from the enum range kTrap..kOther (kOther is the
+// last enumerator), so a newly added kind cannot be left out of a cell's
+// anomaly count.
+static_assert(static_cast<size_t>(AnomalyKind::kTrap) == 0);
+constexpr auto kAllAnomalyKinds = [] {
+  std::array<AnomalyKind, static_cast<size_t>(AnomalyKind::kOther) + 1> kinds{};
+  for (size_t k = 0; k < kinds.size(); ++k) kinds[k] = static_cast<AnomalyKind>(k);
+  return kinds;
+}();
 
 }  // namespace
 

@@ -34,7 +34,7 @@ constexpr size_t kAnomalyTail = 32;  ///< journal records kept in the bundle
 
 }  // namespace
 
-std::string FlightRecorder::replay_command() const {
+std::string FlightRecorder::replay_command(uint64_t end_slot) const {
   char buf[192];
   if (ctx_.rounds > 0) {
     std::snprintf(buf, sizeof(buf),
@@ -44,8 +44,9 @@ std::string FlightRecorder::replay_command() const {
                   ctx_.virtual_time ? " --virtual-time" : "");
     return buf;
   }
-  std::snprintf(buf, sizeof(buf), "waran_obs --cells %u --seed %" PRIu64, ctx_.cells,
-                ctx_.seed);
+  std::snprintf(buf, sizeof(buf),
+                "waran_obs --cells %u --seed %" PRIu64 " --slots %" PRIu64 "%s", ctx_.cells,
+                ctx_.seed, end_slot, ctx_.virtual_time ? " --virtual-time" : "");
   return buf;
 }
 
@@ -70,7 +71,7 @@ std::string FlightRecorder::capture(std::string_view reason,
   out += buf;
   append_json_escaped(out, ctx_.scenario);
   out += "\"},\"replay\":\"";
-  append_json_escaped(out, replay_command());
+  append_json_escaped(out, replay_command(end_slot));
   out += "\",\"health\":";
   out += health.to_json();
 

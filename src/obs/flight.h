@@ -52,8 +52,9 @@ class FlightRecorder {
 
   const FlightContext& context() const { return ctx_; }
 
-  /// The replay command line embedded in every bundle.
-  std::string replay_command() const;
+  /// The replay command line embedded in every bundle. A scenario run
+  /// replays `end_slot` slots, on virtual time when the context is.
+  std::string replay_command(uint64_t end_slot) const;
 
   /// Builds the bundle. `end_slot` anchors the trace window (events with
   /// slot >= end_slot - trace_window_slots are kept); `tracks` may be empty

@@ -1,7 +1,7 @@
 #include "ran/mac.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "obs/anomaly.h"
@@ -24,7 +24,11 @@ GnbMac::GnbMac(MacConfig config) : config_(config), error_rng_(config.error_seed
 
 void GnbMac::add_slice(const SliceConfig& config,
                        std::unique_ptr<IntraSliceScheduler> scheduler) {
-  assert(!slices_.contains(config.slice_id));
+  // A second slice under a taken id would otherwise be dropped while its
+  // UEs joined the first one: refuse it in every build.
+  if (slices_.contains(config.slice_id)) {
+    throw std::invalid_argument("duplicate slice id " + std::to_string(config.slice_id));
+  }
   SliceState state;
   state.config = config;
   state.scheduler = std::move(scheduler);

@@ -73,7 +73,8 @@ class GnbMac {
 
   // --- Topology ------------------------------------------------------------
 
-  /// Registers a slice with its intra-slice scheduler. slice_id must be new.
+  /// Registers a slice with its intra-slice scheduler. slice_id must be new
+  /// (std::invalid_argument otherwise).
   void add_slice(const SliceConfig& config,
                  std::unique_ptr<IntraSliceScheduler> scheduler);
 

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -48,6 +49,16 @@ struct GnbDeployment::Cell {
 
 GnbDeployment::GnbDeployment(DeploymentConfig config) : config_(std::move(config)) {
   if (config_.cells == 0) config_.cells = 1;
+  // Slice ids key the MAC's slices and the fleet plane's labels; a
+  // duplicate would throw from GnbMac::add_slice, and construction never
+  // throws, so refuse the config here.
+  std::set<uint32_t> slice_ids;
+  for (const SliceSpec& s : config_.slices) {
+    if (!slice_ids.insert(s.slice_id).second) {
+      status_ = Error::invalid_argument("duplicate slice id " + std::to_string(s.slice_id));
+      return;
+    }
+  }
   if (config_.virtual_time) vguard_.emplace(0);
 
   for (uint32_t i = 0; i < config_.cells; ++i) {

@@ -1,7 +1,8 @@
 // waran::chaos — fault-plan unit tests plus the invariant-checked chaos
-// campaign. The campaign runs 200 consecutive seeded episodes of the full
-// gNB<->RIC loop with every fault site armed; any failure prints the seed
-// so `waran_chaos --seed <s>` replays it bit-for-bit. This TU installs the
+// campaign. The campaign runs consecutive seeded episodes of the full
+// gNB<->RIC deployment with every fault site armed — 200 on one cell, and
+// 25 on four threaded cells — and any failure prints the seed so
+// `waran_chaos --seed <s>` replays it bit-for-bit. This TU installs the
 // counting operator new (tests/heap_probe_guard.h), so each episode's
 // warm-path probe asserts the zero-allocation guarantee against real heap
 // traffic, not a stubbed counter.
@@ -9,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -254,26 +256,53 @@ TEST(ChaosEpisode, MultiCellEpisodeHoldsInvariants) {
 
 // --- The campaign -----------------------------------------------------------
 
-TEST(ChaosCampaign, TwoHundredConsecutiveSeededEpisodesHoldAllInvariants) {
-  constexpr uint64_t kBaseSeed = 1000;
-  constexpr uint32_t kEpisodes = 200;
-  CampaignReport camp = run_campaign(kBaseSeed, kEpisodes);
-  EXPECT_EQ(camp.episodes, kEpisodes);
+// One campaign input: consecutive seeds from base_seed on a deployment of
+// `cells` cells.
+struct CampaignShape {
+  uint64_t base_seed;
+  uint32_t episodes;
+  uint32_t cells;
+  bool virtual_time;
+};
+
+// Names the ctest entry (e.g. ".../4cells_25episodes_vtime").
+void PrintTo(const CampaignShape& s, std::ostream* os) {
+  *os << s.cells << (s.cells == 1 ? "cell_" : "cells_") << s.episodes << "episodes"
+      << (s.virtual_time ? "_vtime" : "");
+}
+
+class ChaosCampaign : public ::testing::TestWithParam<CampaignShape> {};
+
+TEST_P(ChaosCampaign, SeededEpisodesHoldAllInvariantsAndFireEveryKind) {
+  const CampaignShape shape = GetParam();
+  EpisodeOptions base;
+  base.cells = shape.cells;
+  base.virtual_time = shape.virtual_time;
+  CampaignReport camp = run_campaign(shape.base_seed, shape.episodes, base);
+  EXPECT_EQ(camp.episodes, shape.episodes);
   for (const EpisodeReport& r : camp.failed) {
-    ADD_FAILURE() << summarize(r) << "\n  replay: waran_chaos --seed " << r.seed;
+    ADD_FAILURE() << summarize(r) << "\n  replay: waran_chaos --seed " << r.seed
+                  << " --cells " << shape.cells
+                  << (shape.virtual_time ? " --virtual-time" : "");
   }
   EXPECT_EQ(camp.failures, 0u);
   EXPECT_GT(camp.injections, 0u);
   EXPECT_GT(camp.anomalies, 0u);
 
   // The campaign must actually exercise every fault kind — a fault site
-  // that silently stopped firing would hollow out the suite.
+  // that silently stopped firing would hollow out the suite. The lifecycle
+  // kinds (load failure, grow denial) must fire on a multi-cell deployment
+  // too, not only on one cell.
   for (size_t k = 0; k < kFaultKindCount; ++k) {
     EXPECT_GT(camp.injected_by_kind[k], 0u)
-        << "fault kind never fired across " << kEpisodes
+        << "fault kind never fired across " << shape.episodes
         << " episodes: " << to_string(static_cast<FaultKind>(k));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Topologies, ChaosCampaign,
+                         ::testing::Values(CampaignShape{1000, 200, 1, false},
+                                           CampaignShape{1000, 25, 4, true}));
 
 }  // namespace
 }  // namespace waran::chaos

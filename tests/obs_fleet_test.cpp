@@ -13,12 +13,15 @@
 //     inline.
 //   - A breached SLO lands kSloBreach journal entries, fires the breach
 //     hook, and yields a deterministic flight-recorder bundle.
+//   - A bundle's replay line names the run's slot count and clock.
+//   - A cell's anomaly count covers every AnomalyKind.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "analysis/analysis.h"
 #include "obs/anomaly.h"
 #include "obs/fleet.h"
 #include "obs/flight.h"
@@ -28,6 +31,8 @@
 #include "ric/e2lite.h"
 #include "ric/near_rt_ric.h"
 #include "rt/deployment.h"
+#include "wasm/wasm.h"
+#include "wasmbuilder/builder.h"
 
 namespace waran {
 namespace {
@@ -352,6 +357,56 @@ TEST(FleetPlane, BreachedSloJournalsAndCapturesFlightBundle) {
   EXPECT_NE(bundle.find("\"reason\":\"slo_breach\""), std::string::npos);
   EXPECT_NE(bundle.find("slo_breach"), std::string::npos);
   EXPECT_NE(bundle.find("\"replay\":"), std::string::npos);
+}
+
+TEST(FleetPlane, CellAnomaliesCountEveryKindIncludingAdmissionRejects) {
+  // A refused hot swap journals one kAdmissionReject in mac0; the cell's
+  // telemetry must count it like any other anomaly kind.
+  reset_global_obs();
+  rt::DeploymentConfig cfg = fleet_config(1, /*threaded=*/false);
+  cfg.admission = analysis::AdmissionMode::kEnforce;
+  rt::GnbDeployment dep(cfg);
+  ASSERT_TRUE(dep.status().ok()) << dep.status().error().message;
+  ASSERT_TRUE(dep.run_slots(10).ok());
+
+  // A self-recursive schedule() can never complete: admission refuses it.
+  wasmbuilder::ModuleBuilder mb;
+  mb.add_memory(1, 1);
+  mb.add_func(wasm::FuncType{{}, {wasm::ValType::kI32}}, "schedule").call(0).end();
+  ASSERT_FALSE(dep.sched_plugins(0).swap("stream-co", mb.build()).ok());
+
+  uint64_t journaled = 0;
+  for (const char* domain : {"mac0", "gnb0"}) {
+    for (size_t k = 0; k <= static_cast<size_t>(obs::AnomalyKind::kOther); ++k) {
+      journaled += obs::MetricsRegistry::global()
+                       .counter("waran_anomaly_total",
+                                {{"domain", domain},
+                                 {"kind", obs::to_string(static_cast<obs::AnomalyKind>(k))}})
+                       .value();
+    }
+  }
+  EXPECT_EQ(journaled, 1u);
+  EXPECT_EQ(dep.fleet().collect_cell(0).anomalies, journaled);
+}
+
+TEST(FlightRecorder, ScenarioReplayLineNamesSlotsAndClock) {
+  // The replay line must reproduce the run it came from: its slot count
+  // and, on virtual time, its clock.
+  reset_global_obs();
+  rt::GnbDeployment dep(fleet_config(2, /*threaded=*/true));
+  ASSERT_TRUE(dep.status().ok());
+  ASSERT_TRUE(dep.run_slots(300).ok());
+  const std::string bundle = dep.capture_flight_bundle("export");
+  EXPECT_NE(bundle.find("\"replay\":\"waran_obs --cells 2 --seed 11 --slots 300 "
+                        "--virtual-time\""),
+            std::string::npos)
+      << bundle.substr(0, 400);
+
+  obs::FlightContext real_time;
+  real_time.seed = 3;
+  real_time.virtual_time = false;
+  EXPECT_EQ(obs::FlightRecorder(real_time).replay_command(40),
+            "waran_obs --cells 1 --seed 3 --slots 40");
 }
 
 TEST(SloEngine, DefaultObjectivesPassOnAHealthyRun) {

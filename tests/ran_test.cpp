@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/anomaly.h"
@@ -191,6 +192,22 @@ TEST(Mac, RunSlotWithoutInterSchedulerFails) {
   auto st = mac.run_slot();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code, Error::Code::kState);
+}
+
+TEST(Mac, DuplicateSliceIdThrowsAndKeepsTheFirstSlice) {
+  // A second slice under a taken id must be refused in every build:
+  // silently dropping it would put its UEs in the first slice.
+  GnbMac mac(MacConfig{});
+  SliceConfig a;
+  a.slice_id = 1;
+  a.name = "a-co";
+  SliceConfig b = a;
+  b.name = "b-co";
+  mac.add_slice(a, std::make_unique<sched::RrScheduler>());
+  EXPECT_THROW(mac.add_slice(b, std::make_unique<sched::PfScheduler>()),
+               std::invalid_argument);
+  ASSERT_EQ(mac.slice_ids(), std::vector<uint32_t>{1});
+  EXPECT_EQ(mac.slice_config(1)->name, "a-co");
 }
 
 TEST(Mac, RemoveUeDetaches) {

@@ -293,6 +293,20 @@ TEST(GnbDeployment, SteadyStateSlotAllocationsArePinned) {
   }
 }
 
+TEST(GnbDeployment, DuplicateSliceIdsFailConstruction) {
+  // Two slices under one id would wire one MAC slice, an uncalled plugin
+  // and double-counted fleet telemetry; the config is refused instead.
+  reset_global_obs();
+  rt::DeploymentConfig cfg;
+  cfg.threaded = false;
+  cfg.virtual_time = true;
+  cfg.slices = {{1, "a-co", "rr", 4e6, 12, 2}, {1, "b-co", "pf", 4e6, 12, 2}};
+  rt::GnbDeployment dep(cfg);
+  ASSERT_FALSE(dep.status().ok());
+  EXPECT_EQ(dep.status().error().code, Error::Code::kInvalidArgument);
+  EXPECT_FALSE(dep.run_slots(1).ok());
+}
+
 TEST(GnbDeployment, UnsyncedModeRunsAllCells) {
   reset_global_obs();
   rt::DeploymentConfig cfg;

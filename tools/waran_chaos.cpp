@@ -12,11 +12,12 @@
 // measures real heap traffic.
 //
 //   waran_chaos --episodes 200 --virtual-time   # faster-than-real-time CI run
-//   waran_chaos --cells 4 --virtual-time        # threaded multi-cell episodes
+//   waran_chaos --cells 4 --virtual-time        # four cells per episode
 //
-// --virtual-time runs every episode on the rt::Clock virtual clock and
-// reports the wall-clock speedup (simulated seconds per real second).
-// --cells N > 1 runs each episode against a threaded N-cell deployment.
+// Every episode runs on a threaded rt::GnbDeployment; --cells sets its cell
+// count (default 1). --virtual-time runs every episode on the rt::Clock
+// virtual clock and reports the wall-clock speedup (simulated seconds per
+// real second).
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -46,14 +47,15 @@ void usage(const char* argv0) {
                "                       otherwise)\n"
                "  --rounds R           E2 report rounds per episode\n"
                "  --slots-per-round K  MAC slots between indications\n"
-               "  --cells C            cells per gNB; C > 1 runs each episode\n"
-               "                       on a threaded multi-cell deployment\n"
+               "  --cells C            cells per episode's deployment, one\n"
+               "                       worker thread and fault plan each\n"
+               "                       (default 1)\n"
                "  --virtual-time       run on the rt virtual clock (no wall\n"
                "                       pacing) and report the speedup\n"
                "  --no-probe           skip the zero-alloc warm-path probe\n"
                "  --flight-dir DIR     write flight-recorder bundles from\n"
-               "                       breaching or failing multicell episodes\n"
-               "                       to DIR/flight_<seed>.json\n"
+               "                       breaching or failing episodes to\n"
+               "                       DIR/flight_<seed>.json\n"
                "  --verbose            print the injection log per episode\n",
                argv0);
 }
@@ -161,7 +163,10 @@ int main(int argc, char** argv) {
     if (!r.passed) {
       ++failures;
       print_episode(r, /*with_log=*/true);
-      std::printf("  replay: %s --seed %" PRIu64 "\n", argv[0], r.seed);
+      std::printf("  replay: %s --seed %" PRIu64 " --rounds %u --slots-per-round %u"
+                  " --cells %u%s\n",
+                  argv[0], r.seed, opts.rounds, opts.slots_per_round, opts.cells,
+                  opts.virtual_time ? " --virtual-time" : "");
     } else if (verbose || episodes == 1) {
       print_episode(r, verbose);
     }
@@ -182,9 +187,7 @@ int main(int argc, char** argv) {
   std::printf("  injections: %" PRIu64 "   anomalies: %" PRIu64
               "   failures: %u\n",
               injections, anomalies, failures);
-  if (base.cells > 1) {
-    std::printf("  slo breach windows: %" PRIu64 "\n", slo_breach_windows);
-  }
+  std::printf("  slo breach windows: %" PRIu64 "\n", slo_breach_windows);
   if (base.virtual_time) {
     // Episodes run at 1 simulated second per MAC slot (slot_us = 1'000'000).
     // total_slots counts every cell's slots; elapsed simulated time is the
