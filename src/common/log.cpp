@@ -10,8 +10,6 @@ namespace log_detail {
 
 namespace {
 
-std::atomic<TraceHook> g_trace_hook{nullptr};
-
 // Override table: rarely mutated, read under mutex only when at least one
 // override exists (log_enabled's fast path skips it entirely otherwise).
 std::mutex& overrides_mu() {
@@ -50,13 +48,6 @@ void emit(LogLevel lvl, std::string_view component, std::string_view msg) {
   std::fprintf(stderr, "[%s] %.*s: %.*s\n", names[static_cast<int>(lvl)],
                static_cast<int>(component.size()), component.data(),
                static_cast<int>(msg.size()), msg.data());
-  if (TraceHook hook = g_trace_hook.load(std::memory_order_acquire)) {
-    hook(lvl, component, msg);
-  }
-}
-
-void set_trace_hook(TraceHook hook) {
-  g_trace_hook.store(hook, std::memory_order_release);
 }
 
 }  // namespace log_detail

@@ -7,9 +7,7 @@
 // constructed or evaluated for a disabled component. Per-component level
 // overrides (set_log_level("mac", kDebug)) add a map lookup only once any
 // override exists; with none registered the guard stays two instructions.
-//
-// Emitted lines go to stderr and, when obs::route_logs_to_trace(true) has
-// installed the hook, into the trace ring as instant events.
+// Emitted lines go to stderr.
 #pragma once
 
 #include <atomic>
@@ -28,11 +26,6 @@ std::atomic<int>& override_count_ref(); // number of per-component overrides
 /// the global level for components without one.
 bool component_enabled(LogLevel lvl, std::string_view component);
 void emit(LogLevel lvl, std::string_view component, std::string_view msg);
-
-using TraceHook = void (*)(LogLevel, std::string_view, std::string_view);
-/// Installs (or clears, with nullptr) a secondary sink for emitted lines.
-/// Used by obs::route_logs_to_trace; not part of the public logging API.
-void set_trace_hook(TraceHook hook);
 }  // namespace log_detail
 
 inline void set_log_level(LogLevel lvl) {

@@ -76,40 +76,24 @@ class RateMeter {
   void evict(double t) const;
 };
 
-/// Aggregates per-call cost records — fuel used, instructions retired, wall
-/// time, peak interpreter stack depth — as reported by the engine's
-/// CallStats. One accumulator per plugin slot gives the evaluation harness
-/// exact p50/p99 execution times plus fuel/depth envelopes per plugin.
+/// Aggregates per-call cost records — fuel used and wall time — as reported
+/// by the engine's CallStats. One accumulator per plugin slot gives the
+/// evaluation harness exact p50/p99 execution times plus the slot's fuel
+/// total; every crossing is one wall sample, so calls() counts them.
 class CallCostAcc {
  public:
-  void add(uint64_t fuel_used, uint64_t instrs, uint64_t wall_ns, uint32_t peak_depth) {
-    ++calls_;
+  void add(uint64_t fuel_used, uint64_t wall_ns) {
     total_fuel_ += fuel_used;
-    total_instrs_ += instrs;
-    if (peak_depth > max_peak_depth_) max_peak_depth_ = peak_depth;
     wall_ns_.add(static_cast<double>(wall_ns));
   }
 
-  uint64_t calls() const { return calls_; }
+  uint64_t calls() const { return wall_ns_.count(); }
   uint64_t total_fuel() const { return total_fuel_; }
-  uint64_t total_instrs() const { return total_instrs_; }
-  uint32_t max_peak_depth() const { return max_peak_depth_; }
   /// Wall-time distribution in nanoseconds (exact order statistics).
   const QuantileAcc& wall_ns() const { return wall_ns_; }
 
-  void clear() {
-    calls_ = 0;
-    total_fuel_ = 0;
-    total_instrs_ = 0;
-    max_peak_depth_ = 0;
-    wall_ns_.clear();
-  }
-
  private:
-  uint64_t calls_ = 0;
   uint64_t total_fuel_ = 0;
-  uint64_t total_instrs_ = 0;
-  uint32_t max_peak_depth_ = 0;
   QuantileAcc wall_ns_;
 };
 

@@ -3,55 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
+#include <span>
 
 #include "obs/trace.h"
 
 namespace waran::obs {
-
-// ---------------------------------------------------------------------------
-// HistState
-
-HistState HistState::from(const Histogram& h) {
-  HistState s;
-  for (size_t k = 0; k < Histogram::kBuckets; ++k) s.buckets[k] = h.bucket_count(k);
-  s.sum = h.sum();
-  s.count = h.count();
-  return s;
-}
-
-void HistState::merge(const HistState& o) {
-  for (size_t k = 0; k < Histogram::kBuckets; ++k) buckets[k] += o.buckets[k];
-  sum += o.sum;
-  count += o.count;
-}
-
-void HistState::subtract(const HistState& base) {
-  for (size_t k = 0; k < Histogram::kBuckets; ++k) buckets[k] -= base.buckets[k];
-  sum -= base.sum;
-  count -= base.count;
-}
-
-uint64_t HistState::quantile(double q) const {
-  // Mirrors Histogram::quantile bit for bit: nearest rank (1-based, ceil),
-  // reported as the containing bucket's upper bound minus one.
-  const uint64_t n = count;
-  if (n == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(n)));
-  if (rank < 1) rank = 1;
-  if (rank > n) rank = n;
-  uint64_t cum = 0;
-  for (size_t k = 0; k < Histogram::kBuckets; ++k) {
-    cum += buckets[k];
-    if (cum >= rank) return k == 0 ? 0 : Histogram::bucket_upper_bound(k) - 1;
-  }
-  return Histogram::bucket_upper_bound(Histogram::kBuckets - 1);
-}
 
 // ---------------------------------------------------------------------------
 // CellTelemetry
@@ -59,23 +17,7 @@ uint64_t HistState::quantile(double q) const {
 void CellTelemetry::merge(const CellTelemetry& o) {
   cell = std::min(cell, o.cell);
   cells_merged += o.cells_merged;
-  slots += o.slots;
-  slot_overruns += o.slot_overruns;
-  prb_granted += o.prb_granted;
-  prb_capacity += o.prb_capacity;
-  slots_scheduled += o.slots_scheduled;
-  sched_faults += o.sched_faults;
-  sanitized_allocs += o.sanitized_allocs;
-  plugin_calls += o.plugin_calls;
-  plugin_traps += o.plugin_traps;
-  plugin_fuel_exhausted += o.plugin_fuel_exhausted;
-  plugin_declines += o.plugin_declines;
-  plugin_fuel_used += o.plugin_fuel_used;
-  quarantines += o.quarantines;
-  frames_rejected += o.frames_rejected;
-  anomalies += o.anomalies;
-  trace_writes += o.trace_writes;
-  trace_dropped += o.trace_dropped;
+  for (const TelemetryCounter& c : kTelemetryCounters) this->*c.member += o.*c.member;
   slot_wall_ns.merge(o.slot_wall_ns);
   sched_wall_ns.merge(o.sched_wall_ns);
 }
@@ -96,28 +38,15 @@ void append_hist_json(std::string& out, const char* name, const HistState& h) {
 std::string CellTelemetry::to_json() const {
   std::string out;
   out.reserve(640);
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"gnb\":%u,\"cell\":%u,\"cells_merged\":%u,\"slots\":%" PRIu64
-                ",\"slot_overruns\":%" PRIu64 ",\"prb_granted\":%" PRIu64
-                ",\"prb_capacity\":%" PRIu64 ",\"slots_scheduled\":%" PRIu64,
-                gnb, cell, cells_merged, slots, slot_overruns, prb_granted,
-                prb_capacity, slots_scheduled);
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "{\"gnb\":%u,\"cell\":%u,\"cells_merged\":%u", gnb,
+                cell, cells_merged);
   out += buf;
-  std::snprintf(buf, sizeof(buf),
-                ",\"sched_faults\":%" PRIu64 ",\"sanitized_allocs\":%" PRIu64
-                ",\"plugin_calls\":%" PRIu64 ",\"plugin_traps\":%" PRIu64
-                ",\"plugin_fuel_exhausted\":%" PRIu64 ",\"plugin_declines\":%" PRIu64
-                ",\"plugin_fuel_used\":%" PRIu64,
-                sched_faults, sanitized_allocs, plugin_calls, plugin_traps,
-                plugin_fuel_exhausted, plugin_declines, plugin_fuel_used);
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                ",\"quarantines\":%" PRIu64 ",\"frames_rejected\":%" PRIu64
-                ",\"anomalies\":%" PRIu64 ",\"trace_writes\":%" PRIu64
-                ",\"trace_dropped\":%" PRIu64 ",",
-                quarantines, frames_rejected, anomalies, trace_writes, trace_dropped);
-  out += buf;
+  for (const TelemetryCounter& c : kTelemetryCounters) {
+    std::snprintf(buf, sizeof(buf), ",\"%s\":%" PRIu64, c.name, this->*c.member);
+    out += buf;
+  }
+  out += ',';
   append_hist_json(out, "slot_wall_ns", slot_wall_ns);
   out += ',';
   append_hist_json(out, "sched_wall_ns", sched_wall_ns);
@@ -198,7 +127,6 @@ FleetAggregator::FleetAggregator(std::vector<FleetCellSpec> specs)
       }
     }
     h.ring = spec.ring;
-    totals_[i].gnb = spec.gnb;
     totals_[i].cell = spec.cell;
     window_base_[i] = totals_[i];
   }
@@ -208,28 +136,19 @@ const CellTelemetry& FleetAggregator::collect_cell(size_t i) {
   const FleetCellSpec& spec = specs_[i];
   const CellHandles& h = handles_[i];
   CellTelemetry& t = totals_[i];
-  t.gnb = spec.gnb;
+  for (const TelemetryCounter& c : kTelemetryCounters) t.*c.member = 0;
   t.cell = spec.cell;
   t.cells_merged = 1;
   t.slots = h.slots->value();
   t.slot_overruns = h.overruns->value();
   t.prb_capacity = t.slots * spec.n_prbs;
   t.slot_wall_ns = HistState::from(*h.slot_wall);
-  t.prb_granted = 0;
-  t.slots_scheduled = 0;
-  t.sched_faults = 0;
-  t.sanitized_allocs = 0;
   for (const SliceHandles& sh : h.slices) {
     t.prb_granted += sh.prb_granted->value();
     t.sched_faults += sh.sched_faults->value();
     t.sanitized_allocs += sh.sanitized->value();
     t.slots_scheduled += sh.slots_scheduled->value();
   }
-  t.plugin_calls = 0;
-  t.plugin_traps = 0;
-  t.plugin_fuel_exhausted = 0;
-  t.plugin_declines = 0;
-  t.plugin_fuel_used = 0;
   t.sched_wall_ns = HistState{};
   for (const SlotHandles& sh : h.slots_h) {
     t.plugin_calls += sh.calls->value();
@@ -239,9 +158,6 @@ const CellTelemetry& FleetAggregator::collect_cell(size_t i) {
     t.plugin_fuel_used += sh.fuel_used->value();
     if (sh.sched) t.sched_wall_ns.merge(HistState::from(*sh.wall));
   }
-  t.quarantines = 0;
-  t.frames_rejected = 0;
-  t.anomalies = 0;
   for (const AnomalyHandle& ah : h.anomalies) {
     const uint64_t v = ah.c->value();
     t.anomalies += v;
@@ -251,9 +167,6 @@ const CellTelemetry& FleetAggregator::collect_cell(size_t i) {
   if (h.ring != nullptr) {
     t.trace_writes = h.ring->writes();
     t.trace_dropped = h.ring->dropped();
-  } else {
-    t.trace_writes = 0;
-    t.trace_dropped = 0;
   }
   return t;
 }
@@ -263,62 +176,53 @@ void FleetAggregator::begin_window() { window_base_ = totals_; }
 CellTelemetry FleetAggregator::cell_window(size_t i) const {
   CellTelemetry t = totals_[i];
   const CellTelemetry& b = window_base_[i];
-  t.slots -= b.slots;
-  t.slot_overruns -= b.slot_overruns;
-  t.prb_granted -= b.prb_granted;
-  t.prb_capacity -= b.prb_capacity;
-  t.slots_scheduled -= b.slots_scheduled;
-  t.sched_faults -= b.sched_faults;
-  t.sanitized_allocs -= b.sanitized_allocs;
-  t.plugin_calls -= b.plugin_calls;
-  t.plugin_traps -= b.plugin_traps;
-  t.plugin_fuel_exhausted -= b.plugin_fuel_exhausted;
-  t.plugin_declines -= b.plugin_declines;
-  t.plugin_fuel_used -= b.plugin_fuel_used;
-  t.quarantines -= b.quarantines;
-  t.frames_rejected -= b.frames_rejected;
-  t.anomalies -= b.anomalies;
-  t.trace_writes -= b.trace_writes;
-  // trace_dropped is not monotone across a window (it saturates at
-  // head - capacity); report the absolute value instead of a delta.
+  for (const TelemetryCounter& c : kTelemetryCounters) {
+    // trace_dropped is not monotone across a window (it saturates at
+    // head - capacity); report the absolute value instead of a delta.
+    if (c.member != &CellTelemetry::trace_dropped) t.*c.member -= b.*c.member;
+  }
   t.slot_wall_ns.subtract(b.slot_wall_ns);
   t.sched_wall_ns.subtract(b.sched_wall_ns);
   return t;
 }
 
-CellTelemetry FleetAggregator::gnb_rollup(uint32_t gnb, bool window) const {
-  CellTelemetry out;
-  out.gnb = gnb;
-  out.cell = std::numeric_limits<uint32_t>::max();
-  out.cells_merged = 0;
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].gnb != gnb) continue;
-    out.merge(window ? cell_window(i) : totals_[i]);
-  }
-  return out;
-}
+namespace {
 
-CellTelemetry FleetAggregator::fleet_rollup(bool window) const {
+// The identity of merge(): no cells, no lowest member id yet.
+CellTelemetry empty_rollup() {
   CellTelemetry out;
   out.cell = std::numeric_limits<uint32_t>::max();
   out.cells_merged = 0;
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    out.merge(window ? cell_window(i) : totals_[i]);
-  }
   return out;
 }
 
-std::string FleetAggregator::to_json() const {
+// {"cells":[...each summary...],"fleet":{...their rollup...}} — the one
+// writer behind FleetAggregator::to_json and FleetView::to_json.
+std::string rollup_json(std::span<const CellTelemetry> cells) {
+  CellTelemetry fleet = empty_rollup();
   std::string out = "{\"cells\":[";
-  for (size_t i = 0; i < totals_.size(); ++i) {
+  for (size_t i = 0; i < cells.size(); ++i) {
     if (i > 0) out += ',';
-    out += totals_[i].to_json();
+    out += cells[i].to_json();
+    fleet.merge(cells[i]);
   }
   out += "],\"fleet\":";
-  out += fleet_rollup().to_json();
+  out += fleet.to_json();
   out += '}';
   return out;
 }
+
+}  // namespace
+
+CellTelemetry FleetAggregator::fleet_rollup(bool window) const {
+  CellTelemetry out = empty_rollup();
+  for (size_t i = 0; i < specs_.size(); ++i) {
+    out.merge(window ? cell_window(i) : totals_[i]);
+  }
+  return out;
+}
+
+std::string FleetAggregator::to_json() const { return rollup_json(totals_); }
 
 // ---------------------------------------------------------------------------
 // FleetView
@@ -333,63 +237,17 @@ const CellTelemetry* FleetView::cell(uint32_t gnb, uint32_t cell) const {
   return it == cells_.end() ? nullptr : &it->second;
 }
 
-CellTelemetry FleetView::gnb_rollup(uint32_t gnb) const {
-  CellTelemetry out;
-  out.gnb = gnb;
-  out.cell = std::numeric_limits<uint32_t>::max();
-  out.cells_merged = 0;
-  for (const auto& [key, t] : cells_) {
-    if (key.first == gnb) out.merge(t);
-  }
-  return out;
-}
-
-CellTelemetry FleetView::fleet_rollup() const {
-  CellTelemetry out;
-  out.cell = std::numeric_limits<uint32_t>::max();
-  out.cells_merged = 0;
-  for (const auto& [key, t] : cells_) out.merge(t);
-  return out;
-}
-
 std::string FleetView::to_json() const {
-  std::string out = "{\"cells\":[";
-  bool first = true;
-  for (const auto& [key, t] : cells_) {
-    if (!first) out += ',';
-    first = false;
-    out += t.to_json();
-  }
-  out += "],\"fleet\":";
-  out += fleet_rollup().to_json();
-  out += '}';
-  return out;
+  std::vector<CellTelemetry> cells;
+  cells.reserve(cells_.size());
+  for (const auto& [key, t] : cells_) cells.push_back(t);
+  return rollup_json(cells);
 }
 
 // ---------------------------------------------------------------------------
 // Merged cross-cell Chrome trace
 
 namespace {
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 struct MergedEvent {
   TraceEvent ev;

@@ -19,7 +19,7 @@
 //                    preallocated CellTelemetry with zero heap allocation —
 //                    safe to run on the cell's own worker thread every
 //                    report period (bench/abl_obs asserts the zero-alloc
-//                    contract). Rollups go cell -> gNB -> deployment.
+//                    contract). Rollups go cell -> deployment.
 //
 //   FleetView        the consumer side: keyed (gnb, cell) latest-summary
 //                    store the NearRtRic maintains from telemetry blocks
@@ -48,31 +48,11 @@ namespace waran::obs {
 
 class TraceRing;
 
-/// Exact snapshot of a log2 Histogram: plain counters, mergeable bucket by
-/// bucket. quantile() mirrors Histogram::quantile (nearest rank, bucket
-/// upper bound minus one) so a merged state answers exactly what a single
-/// combined histogram would.
-struct HistState {
-  uint64_t buckets[Histogram::kBuckets] = {};
-  uint64_t sum = 0;
-  uint64_t count = 0;
-
-  static HistState from(const Histogram& h);
-  void merge(const HistState& o);
-  /// Subtracts an earlier snapshot of the same histogram (window delta).
-  void subtract(const HistState& base);
-  uint64_t quantile(double q) const;
-  double mean() const {
-    return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
-  }
-  bool operator==(const HistState&) const = default;
-};
-
 /// One cell's telemetry summary (or a rollup of several — see merge()).
 /// Flat POD so it crosses the E2 wire as fixed-width little-endian fields
 /// and compares exactly with operator==.
 struct CellTelemetry {
-  uint32_t gnb = 0;
+  uint32_t gnb = 0;  ///< 0: a deployment is one gNB (kept in the E2 block and JSON)
   uint32_t cell = 0;
   uint32_t cells_merged = 1;  ///< 1 for a leaf; sum of leaves in a rollup
 
@@ -106,17 +86,46 @@ struct CellTelemetry {
 
   /// Sums counters and merges histogram buckets exactly. The result
   /// represents the union: cells_merged accumulates, cell keeps the lowest
-  /// member id (display only; rollups are identified by gnb/cells_merged).
+  /// member id (display only; rollups are identified by cells_merged).
   void merge(const CellTelemetry& o);
   bool operator==(const CellTelemetry&) const = default;
   std::string to_json() const;
+};
+
+/// One u64 counter of CellTelemetry: its JSON name and its member.
+struct TelemetryCounter {
+  const char* name;
+  uint64_t CellTelemetry::*member;
+};
+
+/// Every u64 counter of CellTelemetry, in declaration order — the only
+/// list of them. merge(), to_json(), FleetAggregator's window deltas and
+/// the E2 telemetry block (ric/e2lite.cpp) all walk this table, so a
+/// counter added here is merged, exported and carried on the wire alike.
+inline constexpr TelemetryCounter kTelemetryCounters[] = {
+    {"slots", &CellTelemetry::slots},
+    {"slot_overruns", &CellTelemetry::slot_overruns},
+    {"prb_granted", &CellTelemetry::prb_granted},
+    {"prb_capacity", &CellTelemetry::prb_capacity},
+    {"slots_scheduled", &CellTelemetry::slots_scheduled},
+    {"sched_faults", &CellTelemetry::sched_faults},
+    {"sanitized_allocs", &CellTelemetry::sanitized_allocs},
+    {"plugin_calls", &CellTelemetry::plugin_calls},
+    {"plugin_traps", &CellTelemetry::plugin_traps},
+    {"plugin_fuel_exhausted", &CellTelemetry::plugin_fuel_exhausted},
+    {"plugin_declines", &CellTelemetry::plugin_declines},
+    {"plugin_fuel_used", &CellTelemetry::plugin_fuel_used},
+    {"quarantines", &CellTelemetry::quarantines},
+    {"frames_rejected", &CellTelemetry::frames_rejected},
+    {"anomalies", &CellTelemetry::anomalies},
+    {"trace_writes", &CellTelemetry::trace_writes},
+    {"trace_dropped", &CellTelemetry::trace_dropped},
 };
 
 /// Static description of one cell the aggregator should cover. Slot/slice
 /// label sets must match what the deployment registered (GnbMac::add_slice,
 /// PluginManager metric labels) or the counters read as permanent zeros.
 struct FleetCellSpec {
-  uint32_t gnb = 0;
   uint32_t cell = 0;
   std::string mac_domain;    ///< PluginManager domain of the schedulers ("mac0")
   std::string agent_domain;  ///< GnbAgent domain ("gnb0"); "" = no E2 agent
@@ -147,8 +156,7 @@ class FleetAggregator {
   /// Totals minus the window base: what happened inside this window.
   CellTelemetry cell_window(size_t i) const;
 
-  /// Rollups (merge of leaf summaries; `window` selects window deltas).
-  CellTelemetry gnb_rollup(uint32_t gnb, bool window = false) const;
+  /// Merge of every cell's summary (`window` selects window deltas).
   CellTelemetry fleet_rollup(bool window = false) const;
 
   const FleetCellSpec& spec(size_t i) const { return specs_[i]; }
@@ -201,8 +209,6 @@ class FleetView {
   size_t size() const { return cells_.size(); }
   uint64_t updates() const { return updates_; }
   const CellTelemetry* cell(uint32_t gnb, uint32_t cell) const;
-  CellTelemetry gnb_rollup(uint32_t gnb) const;
-  CellTelemetry fleet_rollup() const;
   bool operator==(const FleetView& o) const { return cells_ == o.cells_; }
   std::string to_json() const;
   void clear() {

@@ -1,5 +1,6 @@
 #include "obs/flight.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -9,26 +10,6 @@
 namespace waran::obs {
 
 namespace {
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 constexpr size_t kAnomalyTail = 32;  ///< journal records kept in the bundle
 
@@ -86,17 +67,26 @@ std::string FlightRecorder::capture(std::string_view reason,
   }
   out += ']';
 
-  // Journal tail, newest last.
-  const std::vector<AnomalyRecord> journal = AnomalyJournal::global().snapshot();
+  // Journal tail, newest last, in canonical order. Cells journal
+  // concurrently, so arrival order (and the journal's seq) depends on
+  // thread interleaving; a stable sort by (slot, domain) keeps each
+  // single-writer domain's own order and makes the tail a pure function of
+  // the run. A record's seq here is its index in that order.
+  std::vector<AnomalyRecord> journal = AnomalyJournal::global().snapshot();
+  std::stable_sort(journal.begin(), journal.end(),
+                   [](const AnomalyRecord& a, const AnomalyRecord& b) {
+                     if (a.slot != b.slot) return a.slot < b.slot;
+                     return a.domain < b.domain;
+                   });
   const size_t start = journal.size() > kAnomalyTail ? journal.size() - kAnomalyTail : 0;
   out += ",\"anomalies\":[";
   for (size_t i = start; i < journal.size(); ++i) {
     const AnomalyRecord& r = journal[i];
     if (i > start) out += ',';
     std::snprintf(buf, sizeof(buf),
-                  "{\"seq\":%" PRIu64 ",\"slot\":%" PRIu64 ",\"t_ns\":%" PRIu64
+                  "{\"seq\":%zu,\"slot\":%" PRIu64 ",\"t_ns\":%" PRIu64
                   ",\"kind\":\"%s\",\"domain\":\"",
-                  r.seq, r.slot, r.t_ns, to_string(r.kind));
+                  i, r.slot, r.t_ns, to_string(r.kind));
     out += buf;
     append_json_escaped(out, r.domain);
     out += "\",\"source\":\"";

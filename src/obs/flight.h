@@ -12,14 +12,20 @@
 //   health        the breaching HealthReport, verdict by verdict.
 //   cells         every cell's window delta and running totals (exact
 //                 histogram state included via the telemetry JSON).
-//   anomalies     the journal tail (newest last) around the breach.
+//   anomalies     the journal tail around the breach, in canonical
+//                 (slot, domain) order, newest last.
 //   trace_window  the last N slots of every cell's trace ring, tagged with
 //                 the cell's merged-trace pid.
 //
 // The bundle is a pure function of deployment state that is itself
 // deterministic under virtual time, so capturing the same breach twice
 // yields byte-identical bundles — asserted by tests/obs_fleet_test.cpp and
-// relied on by the chaos harness's replay contract.
+// relied on by the chaos harness's replay contract. The one input that is
+// not deterministic is the journal's arrival order: the cells of a
+// threaded deployment journal concurrently. So the anomaly tail is sorted
+// by (slot, domain) before it is cut, each domain has a single writer and
+// keeps its own order, and `seq` is a record's index in that order rather
+// than its arrival number.
 #pragma once
 
 #include <cstdint>

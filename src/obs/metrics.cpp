@@ -21,7 +21,37 @@ uint64_t Histogram::bucket_upper_bound(size_t k) {
 }
 
 uint64_t Histogram::quantile(double q) const {
-  const uint64_t n = count();
+  return HistState::from(*this).quantile(q);
+}
+
+void Histogram::reset() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+}
+
+HistState HistState::from(const Histogram& h) {
+  HistState s;
+  for (size_t k = 0; k < Histogram::kBuckets; ++k) s.buckets[k] = h.bucket_count(k);
+  s.sum = h.sum();
+  s.count = h.count();
+  return s;
+}
+
+void HistState::merge(const HistState& o) {
+  for (size_t k = 0; k < Histogram::kBuckets; ++k) buckets[k] += o.buckets[k];
+  sum += o.sum;
+  count += o.count;
+}
+
+void HistState::subtract(const HistState& base) {
+  for (size_t k = 0; k < Histogram::kBuckets; ++k) buckets[k] -= base.buckets[k];
+  sum -= base.sum;
+  count -= base.count;
+}
+
+uint64_t HistState::quantile(double q) const {
+  const uint64_t n = count;
   if (n == 0) return 0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
@@ -30,17 +60,31 @@ uint64_t Histogram::quantile(double q) const {
   if (rank < 1) rank = 1;
   if (rank > n) rank = n;
   uint64_t cum = 0;
-  for (size_t k = 0; k < kBuckets; ++k) {
-    cum += bucket_count(k);
-    if (cum >= rank) return k == 0 ? 0 : bucket_upper_bound(k) - 1;
+  for (size_t k = 0; k < Histogram::kBuckets; ++k) {
+    cum += buckets[k];
+    if (cum >= rank) return k == 0 ? 0 : Histogram::bucket_upper_bound(k) - 1;
   }
-  return bucket_upper_bound(kBuckets - 1);
+  return Histogram::bucket_upper_bound(Histogram::kBuckets - 1);
 }
 
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
+void append_json_escaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -70,21 +114,6 @@ std::string render_labels(Labels labels) {
   }
   out += '}';
   return out;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -195,26 +224,29 @@ std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string counters, gauges, histograms;
   char buf[160];
+  // Opens one `"name":` member in `out`, after a comma unless it is first.
+  auto open_member = [](std::string& out, const Entry& e) {
+    if (!out.empty()) out += ',';
+    out += '"';
+    append_json_escaped(out, e.base + e.labels);
+    out += '"';
+  };
   for (const auto& [key, e] : entries_) {
-    std::string name = e.base + e.labels;
     switch (e.kind) {
       case Kind::kCounter:
-        if (!counters.empty()) counters += ',';
-        append_json_string(counters, name);
+        open_member(counters, e);
         std::snprintf(buf, sizeof(buf), ":%" PRIu64, e.counter->value());
         counters += buf;
         break;
       case Kind::kGauge:
-        if (!gauges.empty()) gauges += ',';
-        append_json_string(gauges, name);
+        open_member(gauges, e);
         std::snprintf(buf, sizeof(buf), ":%lld",
                       static_cast<long long>(e.gauge->value()));
         gauges += buf;
         break;
       case Kind::kHistogram: {
         const Histogram& h = *e.histogram;
-        if (!histograms.empty()) histograms += ',';
-        append_json_string(histograms, name);
+        open_member(histograms, e);
         std::snprintf(buf, sizeof(buf),
                       ":{\"count\":%" PRIu64 ",\"sum\":%" PRIu64
                       ",\"p50\":%" PRIu64 ",\"p99\":%" PRIu64 ",\"buckets\":[",

@@ -72,9 +72,7 @@ class Histogram {
   }
   /// Exclusive upper bound of bucket k: 2^k (UINT64_MAX for k = 64).
   static uint64_t bucket_upper_bound(size_t k);
-  /// Nearest-rank quantile estimate, reported as the upper bound of the
-  /// bucket containing that rank (an over-estimate by at most 2x). q in
-  /// [0,1]; 0 when empty.
+  /// Nearest-rank quantile estimate (HistState::quantile over a snapshot).
   uint64_t quantile(double q) const;
   void reset();
 
@@ -83,6 +81,33 @@ class Histogram {
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> count_{0};
 };
+
+/// Exact snapshot of a log2 Histogram: plain counters, mergeable bucket by
+/// bucket, so a merged state answers exactly what a single combined
+/// histogram would. This is the one log2 quantile implementation;
+/// Histogram::quantile reads a snapshot through it.
+struct HistState {
+  uint64_t buckets[Histogram::kBuckets] = {};
+  uint64_t sum = 0;
+  uint64_t count = 0;
+
+  static HistState from(const Histogram& h);
+  void merge(const HistState& o);
+  /// Subtracts an earlier snapshot of the same histogram (window delta).
+  void subtract(const HistState& base);
+  /// Nearest-rank quantile estimate, reported as the upper bound of the
+  /// bucket containing that rank (an over-estimate by at most 2x). q in
+  /// [0,1]; 0 when empty.
+  uint64_t quantile(double q) const;
+  double mean() const {
+    return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
+  }
+  bool operator==(const HistState&) const = default;
+};
+
+/// Appends `s` escaped as the body of a JSON string (no surrounding
+/// quotes). Every obs JSON writer escapes its strings through this.
+void append_json_escaped(std::string& out, std::string_view s);
 
 /// A label set, rendered in sorted Prometheus form.
 using Labels = std::initializer_list<std::pair<std::string_view, std::string_view>>;

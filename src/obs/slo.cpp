@@ -77,12 +77,11 @@ HealthReport SloEngine::evaluate(const FleetAggregator& agg,
   report.window_end_slot = window_end_slot;
   report.window_index = windows_++;
   for (const SloSpec& spec : slos_) {
-    auto judge = [&](const CellTelemetry& t, uint32_t gnb, uint32_t cell) {
+    auto judge = [&](const CellTelemetry& t, uint32_t cell) {
       if (is_floor(spec.metric) && t.prb_capacity == 0) return;  // idle window
       SloVerdict v;
       v.slo = spec.name;
       v.metric = spec.metric;
-      v.gnb = gnb;
       v.cell = cell;
       v.observed = metric_value(spec.metric, t);
       v.threshold = spec.threshold;
@@ -107,11 +106,10 @@ HealthReport SloEngine::evaluate(const FleetAggregator& agg,
       report.verdicts.push_back(std::move(v));
     };
     if (spec.scope == SloScope::kFleet) {
-      judge(agg.fleet_rollup(/*window=*/true), /*gnb=*/0,
-            std::numeric_limits<uint32_t>::max());
+      judge(agg.fleet_rollup(/*window=*/true), std::numeric_limits<uint32_t>::max());
     } else {
       for (size_t i = 0; i < agg.cells(); ++i) {
-        judge(agg.cell_window(i), agg.spec(i).gnb, agg.spec(i).cell);
+        judge(agg.cell_window(i), agg.spec(i).cell);
       }
     }
   }
@@ -135,7 +133,7 @@ std::string HealthReport::to_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"slo\":\"";
-    out += v.slo;  // spec names are identifier-like; no escaping needed
+    append_json_escaped(out, v.slo);
     if (v.cell == std::numeric_limits<uint32_t>::max()) {
       std::snprintf(buf, sizeof(buf), "\",\"metric\":\"%s\",\"scope\":\"fleet\"",
                     to_string(v.metric));

@@ -54,7 +54,7 @@ std::vector<SloSpec> default_slos(uint64_t slot_budget_ns);
 struct SloVerdict {
   std::string slo;  ///< SloSpec::name
   SloMetric metric = SloMetric::kSlotOverrunRate;
-  uint32_t gnb = 0;
+  uint32_t gnb = 0;   ///< 0: a deployment is one gNB (kept in the JSON)
   uint32_t cell = 0;  ///< UINT32_MAX for fleet-scope verdicts
   double observed = 0.0;
   double threshold = 0.0;

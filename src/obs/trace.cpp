@@ -1,10 +1,8 @@
 #include "obs/trace.h"
 
 #include <bit>
-#include <cstdio>
 #include <cstring>
 
-#include "common/log.h"
 #include "rt/clock.h"
 
 namespace waran::obs {
@@ -15,26 +13,6 @@ namespace {
 // binding; the defaults preserve the single-threaded behavior.
 thread_local uint64_t t_current_slot = 0;
 thread_local TraceRing* t_current_ring = nullptr;
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -49,7 +27,6 @@ const char* to_string(TraceCat cat) {
     case TraceCat::kTransport: return "transport";
     case TraceCat::kRic: return "ric";
     case TraceCat::kAgent: return "agent";
-    case TraceCat::kLog: return "log";
     case TraceCat::kAnomaly: return "anomaly";
     case TraceCat::kOther: return "other";
   }
@@ -135,59 +112,6 @@ std::vector<TraceEvent> TraceRing::snapshot() const {
   out.reserve(n);
   for (uint64_t i = h - n; i < h; ++i) out.push_back(buf_[i & mask_]);
   return out;
-}
-
-std::string TraceRing::export_chrome_trace() const {
-  std::vector<TraceEvent> events = snapshot();
-  std::string out;
-  out.reserve(events.size() * 120 + 64);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  char buf[192];
-  for (const TraceEvent& ev : events) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"";
-    append_json_escaped(out, ev.name);
-    out += "\",\"cat\":\"";
-    out += to_string(static_cast<TraceCat>(ev.cat));
-    // All spans land on one pid/tid: the slot loop is single-threaded, so
-    // complete events nest purely by timestamp containment in Perfetto.
-    std::snprintf(buf, sizeof(buf),
-                  "\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":1,\"tid\":1", ev.phase,
-                  static_cast<double>(ev.t_ns) / 1000.0);
-    out += buf;
-    if (ev.phase == 'X') {
-      std::snprintf(buf, sizeof(buf), ",\"dur\":%.3f",
-                    static_cast<double>(ev.dur_ns) / 1000.0);
-      out += buf;
-    }
-    if (ev.phase == 'i') out += ",\"s\":\"t\"";
-    std::snprintf(buf, sizeof(buf), ",\"args\":{\"slot\":%llu,\"arg\":%u}}",
-                  static_cast<unsigned long long>(ev.slot), ev.arg);
-    out += buf;
-  }
-  out += "]}";
-  return out;
-}
-
-namespace {
-
-void log_trace_hook(LogLevel lvl, std::string_view component, std::string_view msg) {
-  (void)lvl;
-  // The instant event name carries the component; the message itself is
-  // truncated into the name after a ':' when it fits, else dropped (the
-  // ring stores fixed-size events; stderr still has the full line).
-  char name[26];
-  std::snprintf(name, sizeof(name), "%.8s: %.14s", std::string(component).c_str(),
-                std::string(msg).c_str());
-  TraceRing::current().instant(TraceCat::kLog, name);
-}
-
-}  // namespace
-
-void route_logs_to_trace(bool on) {
-  log_detail::set_trace_hook(on ? &log_trace_hook : nullptr);
 }
 
 }  // namespace waran::obs

@@ -7,7 +7,7 @@
 // that are merged at export.
 // Layers record *complete* spans (begin timestamp + duration, Chrome phase
 // 'X') through the RAII ObsSpan helper, or instant events (phase 'i') for
-// logs and anomalies. Every event carries the current MAC slot number
+// anomalies. Every event carries the current MAC slot number
 // (obs::set_current_slot, maintained by the slot loop), so a trace can be
 // cut along slot boundaries — the unit the 5G deadline is defined over.
 //
@@ -38,7 +38,6 @@ enum class TraceCat : uint8_t {
   kTransport,  ///< Duplex frame send/receive
   kRic,        ///< near-RT RIC dispatch
   kAgent,      ///< gNB agent indication/poll
-  kLog,        ///< WARAN_LOG lines routed into the ring
   kAnomaly,    ///< trap/fuel/deadline journal entries
   kOther,
 };
@@ -116,12 +115,9 @@ class TraceRing {
 
   /// Retained events, oldest first. Not synchronized with concurrent
   /// writers (snapshot from the thread that drives the scenario, or after
-  /// quiescence).
+  /// quiescence). export_merged_chrome_trace (obs/fleet.h) writes one or
+  /// more rings as Chrome trace JSON.
   std::vector<TraceEvent> snapshot() const;
-
-  /// Chrome trace_event JSON ({"traceEvents":[...]}), loadable in
-  /// chrome://tracing and Perfetto. Timestamps are microseconds.
-  std::string export_chrome_trace() const;
 
   /// Drops all retained events (capacity and enabled state kept).
   void clear() { head_.store(0, std::memory_order_relaxed); }
@@ -167,9 +163,5 @@ class ObsSpan {
   uint32_t arg_ = 0;
   uint64_t t0_ = 0;
 };
-
-/// Routes WARAN_LOG lines at or above the current log level into the ring
-/// as instant events (category kLog), in addition to stderr.
-void route_logs_to_trace(bool on);
 
 }  // namespace waran::obs

@@ -130,7 +130,7 @@ Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
     // nothing — but it still counts as a call so the accounting invariant
     // (health.calls == cost.calls() == calls_total) holds.
     result = *intercept.fail;
-    s.cost.add(0, 0, 0, 0);
+    s.cost.add(0, 0);
     s.m_wall_ns->add(0);
   } else {
     CallOverrides overrides;
@@ -142,7 +142,7 @@ Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
     // offline p50/p99) and the metrics registry (for live exposition) —
     // including faulting calls, whose partial cost still counts.
     const wasm::CallStats& cs = s.plugin->last_call_stats();
-    s.cost.add(cs.fuel_used, cs.instrs_retired, cs.wall_ns, cs.peak_stack_depth);
+    s.cost.add(cs.fuel_used, cs.wall_ns);
     s.m_fuel_used->add(cs.fuel_used);
     s.m_instrs->add(cs.instrs_retired);
     s.m_wall_ns->add(cs.wall_ns);

@@ -88,7 +88,11 @@ class PluginManager {
   Status remove(const std::string& slot);
 
   /// Calls `fn` on the plugin in `slot`. Fault accounting + quarantine are
-  /// applied here; a quarantined slot returns kState immediately.
+  /// applied here; a quarantined slot returns kState immediately. This is
+  /// the only code that counts a sandbox crossing: SlotHealth, the slot's
+  /// CallCostAcc and its registry instruments are all fed here, and every
+  /// other per-plugin figure (the agent's and RIC's fuel totals) is read
+  /// back from them.
   Result<std::vector<uint8_t>> call(const std::string& slot, const std::string& fn,
                                     std::span<const uint8_t> input);
 
@@ -96,10 +100,11 @@ class PluginManager {
   std::vector<std::string> slot_names() const;
 
   const SlotHealth* health(const std::string& slot) const;
-  /// Per-slot call-cost distribution (fuel, instructions, wall time, stack
-  /// depth), accumulated from the engine's CallStats on every call —
-  /// including faulting ones, whose partial cost still counts against the
-  /// slot. Null if the slot does not exist.
+  /// Per-slot call-cost ledger (fuel total, exact wall-time samples),
+  /// accumulated from the engine's CallStats on every call — including
+  /// faulting ones, whose partial cost still counts against the slot. A
+  /// refused call (quarantine) never reaches it. Null if the slot does not
+  /// exist.
   const CallCostAcc* cost(const std::string& slot) const;
   /// Lifts quarantine manually (operator intervention).
   Status reset_quarantine(const std::string& slot);

@@ -41,16 +41,6 @@ struct PluginLimits {
   analysis::AdmissionMode admission = analysis::AdmissionMode::kOff;
 };
 
-/// Lifetime call statistics, exposed for the evaluation harness.
-struct PluginStats {
-  uint64_t calls = 0;
-  uint64_t traps = 0;             ///< sandbox faults (OOB, unreachable, ...)
-  uint64_t fuel_exhaustions = 0;  ///< deadline overruns
-  uint64_t declines = 0;          ///< plugin-declared rejections (nonzero status)
-  uint64_t instructions_retired = 0;
-  std::string last_error;
-};
-
 /// One-call budget overrides, tightening (or loosening) the slot's standing
 /// PluginLimits for a single sandbox crossing. The chaos harness uses this
 /// to force *real* engine-level fuel/deadline exhaustion on schedule; the
@@ -73,14 +63,16 @@ class Plugin {
   /// Calls exported `fn` with `input` available via the ABI; returns the
   /// bytes the plugin wrote with output_write. The exported function must
   /// have type () -> i32 and return 0; a nonzero return is a plugin-declared
-  /// failure. `overrides` tightens the per-call budgets for this call only.
+  /// failure (kState). Sandbox faults return kTrap or kFuelExhausted; the
+  /// call's cost is in last_call_stats() either way. Counting calls and
+  /// faults is the PluginManager's job. `overrides` tightens the per-call
+  /// budgets for this call only.
   Result<std::vector<uint8_t>> call(const std::string& fn, std::span<const uint8_t> input,
                                     const CallOverrides& overrides = {});
 
   /// True if the module exports function `fn`.
   bool has_export(const std::string& fn) const;
 
-  const PluginStats& stats() const { return stats_; }
   const PluginLimits& limits() const { return limits_; }
 
   /// Adjusts the per-call fuel budget at runtime (driven by FuelGovernor).
@@ -115,7 +107,6 @@ class Plugin {
   std::unique_ptr<wasm::Instance> instance_;
   Exchange exchange_;
   PluginLimits limits_;
-  PluginStats stats_;
   wasm::CallStats last_call_stats_;
 };
 

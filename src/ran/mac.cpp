@@ -44,14 +44,6 @@ void GnbMac::add_slice(const SliceConfig& config,
   slices_.emplace(config.slice_id, std::move(state));
 }
 
-Status GnbMac::set_intra_scheduler(uint32_t slice_id,
-                                   std::unique_ptr<IntraSliceScheduler> scheduler) {
-  auto it = slices_.find(slice_id);
-  if (it == slices_.end()) return Error::not_found("no such slice");
-  it->second.scheduler = std::move(scheduler);
-  return {};
-}
-
 void GnbMac::set_inter_scheduler(std::unique_ptr<InterSliceScheduler> scheduler) {
   inter_ = std::move(scheduler);
 }
@@ -361,11 +353,6 @@ std::vector<uint32_t> GnbMac::slice_ids() const {
   ids.reserve(slices_.size());
   for (const auto& [id, _] : slices_) ids.push_back(id);
   return ids;
-}
-
-IntraSliceScheduler* GnbMac::intra_scheduler(uint32_t slice_id) {
-  auto it = slices_.find(slice_id);
-  return it == slices_.end() ? nullptr : it->second.scheduler.get();
 }
 
 }  // namespace waran::ran

@@ -78,12 +78,6 @@ class GnbMac {
   void add_slice(const SliceConfig& config,
                  std::unique_ptr<IntraSliceScheduler> scheduler);
 
-  /// Hot-swaps the intra-slice scheduler (the MAC-level face of the WA-RAN
-  /// plugin swap; with a Wasm scheduler the plugin manager swap is used
-  /// instead and this is not needed).
-  Status set_intra_scheduler(uint32_t slice_id,
-                             std::unique_ptr<IntraSliceScheduler> scheduler);
-
   void set_inter_scheduler(std::unique_ptr<InterSliceScheduler> scheduler);
 
   /// Switches link adaptation between the 64QAM and 256QAM CQI/MCS tables
@@ -120,8 +114,6 @@ class GnbMac {
   const SliceStats* slice_stats(uint32_t slice_id) const;
   const SliceConfig* slice_config(uint32_t slice_id) const;
   std::vector<uint32_t> slice_ids() const;
-
-  IntraSliceScheduler* intra_scheduler(uint32_t slice_id);
 
   /// Fault injection (waran::chaos): extra nanoseconds charged to the slot
   /// wall-clock before the overrun check, standing in for a host-side stall

@@ -1,5 +1,7 @@
 #include "ric/e2lite.h"
 
+#include <iterator>
+
 #include "common/bytes.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -27,12 +29,13 @@ struct E2Metrics {
   }
 };
 
-// Telemetry block body: 3 u32 ids + 17 u64 counters + 2 histogram states
-// of (65 buckets + sum + count) u64s each. Field order matches the
-// CellTelemetry declaration; both sides are fixed-width little endian so
-// the summary round-trips exactly (histogram buckets included).
+// Telemetry block body: 3 u32 ids + the u64 counters of
+// obs::kTelemetryCounters + 2 histogram states of (65 buckets + sum +
+// count) u64s each. Field order matches the CellTelemetry declaration;
+// both sides are fixed-width little endian so the summary round-trips
+// exactly (histogram buckets included).
 constexpr uint32_t kTelemetryLen =
-    12 + 17 * 8 + 2 * (obs::Histogram::kBuckets + 2) * 8;
+    12 + std::size(obs::kTelemetryCounters) * 8 + 2 * (obs::Histogram::kBuckets + 2) * 8;
 
 // Encoded size of an indication, so it is written into one exact-size buffer.
 size_t indication_size(const IndicationReport& report) {
@@ -65,23 +68,7 @@ void write_telemetry(ByteWriter& w, const obs::CellTelemetry& t) {
   w.u32le(t.gnb);
   w.u32le(t.cell);
   w.u32le(t.cells_merged);
-  w.u64le(t.slots);
-  w.u64le(t.slot_overruns);
-  w.u64le(t.prb_granted);
-  w.u64le(t.prb_capacity);
-  w.u64le(t.slots_scheduled);
-  w.u64le(t.sched_faults);
-  w.u64le(t.sanitized_allocs);
-  w.u64le(t.plugin_calls);
-  w.u64le(t.plugin_traps);
-  w.u64le(t.plugin_fuel_exhausted);
-  w.u64le(t.plugin_declines);
-  w.u64le(t.plugin_fuel_used);
-  w.u64le(t.quarantines);
-  w.u64le(t.frames_rejected);
-  w.u64le(t.anomalies);
-  w.u64le(t.trace_writes);
-  w.u64le(t.trace_dropped);
+  for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) w.u64le(t.*c.member);
   write_hist(w, t.slot_wall_ns);
   write_hist(w, t.sched_wall_ns);
 }
@@ -98,17 +85,9 @@ Result<obs::CellTelemetry> read_telemetry(ByteReader& r) {
   t.gnb = gnb;
   t.cell = cell;
   t.cells_merged = merged;
-  uint64_t* const counters[] = {
-      &t.slots,          &t.slot_overruns,        &t.prb_granted,
-      &t.prb_capacity,   &t.slots_scheduled,      &t.sched_faults,
-      &t.sanitized_allocs, &t.plugin_calls,       &t.plugin_traps,
-      &t.plugin_fuel_exhausted, &t.plugin_declines, &t.plugin_fuel_used,
-      &t.quarantines,    &t.frames_rejected,      &t.anomalies,
-      &t.trace_writes,   &t.trace_dropped,
-  };
-  for (uint64_t* c : counters) {
+  for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) {
     WARAN_TRY(v, r.u64le());
-    *c = v;
+    t.*c.member = v;
   }
   WARAN_CHECK_OK(read_hist(r, t.slot_wall_ns));
   WARAN_CHECK_OK(read_hist(r, t.sched_wall_ns));

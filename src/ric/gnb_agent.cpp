@@ -72,12 +72,14 @@ wasm::Linker GnbAgent::control_host_functions() {
   return linker;
 }
 
-void GnbAgent::account_plugin(const std::string& slot) {
-  plugin::Plugin* p = plugins_.plugin(slot);
-  if (p == nullptr) return;
-  const wasm::CallStats& cs = p->last_call_stats();
-  stats_.plugin_fuel_used += cs.fuel_used;
-  stats_.plugin_wall_ns += cs.wall_ns;
+AgentStats GnbAgent::stats() const {
+  AgentStats s = stats_;
+  for (const char* slot : {"comm", "ctl"}) {
+    if (const CallCostAcc* cost = plugins_.cost(slot)) {
+      s.plugin_fuel_used += cost->total_fuel();
+    }
+  }
+  return s;
 }
 
 Status GnbAgent::load_control_plugin(std::span<const uint8_t> module_bytes) {
@@ -123,7 +125,6 @@ Status GnbAgent::send_indication() {
 
   std::vector<uint8_t> payload = encode_indication(report);
   auto frame = plugins_.call("comm", "frame", payload);
-  account_plugin("comm");
   if (!frame.ok()) return frame.error();
   link_.send(side_, std::move(*frame));
   ++stats_.indications_sent;
@@ -136,7 +137,6 @@ Status GnbAgent::poll() {
                       static_cast<uint32_t>(frame->size()));
     ++stats_.frames_received;
     auto payload = plugins_.call("comm", "unframe", *frame);
-    account_plugin("comm");
     if (!payload.ok()) {
       // The sandbox rejected the frame (bad magic/length/checksum): drop it
       // before any host-side parsing touches it.
@@ -153,7 +153,6 @@ Status GnbAgent::poll() {
     }
     if (!plugins_.has("ctl")) continue;
     auto applied = plugins_.call("ctl", "apply_control", *payload);
-    account_plugin("ctl");
     if (!applied.ok()) {
       ++stats_.frames_rejected;
       WARAN_LOG(kDebug, "agent", "control plugin fault: " << applied.error().message);

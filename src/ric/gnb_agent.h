@@ -30,11 +30,9 @@ struct AgentStats {
   uint64_t cqi_table_updates = 0;
   uint64_t handovers = 0;
   uint64_t period_updates = 0;
-  // Aggregate comm+ctl plugin execution cost on the gNB's critical path,
-  // from the engine's per-call CallStats (the slot-budget share the
-  // sandboxed wire/control plugins consumed).
+  // Fuel the sandboxed comm + ctl plugins consumed on the gNB's critical
+  // path: the sum of those slots' CallCostAcc totals, filled by stats().
   uint64_t plugin_fuel_used = 0;
-  uint64_t plugin_wall_ns = 0;
 };
 
 class GnbAgent {
@@ -80,7 +78,9 @@ class GnbAgent {
   /// applies control messages through the control plugin.
   Status poll();
 
-  const AgentStats& stats() const { return stats_; }
+  /// Counters as of now, with plugin_fuel_used read from the manager's
+  /// comm + ctl cost ledgers.
+  AgentStats stats() const;
   uint32_t cqi_table_index() const { return cqi_table_index_; }
   uint32_t cell_id() const { return cell_id_; }
 
@@ -107,7 +107,6 @@ class GnbAgent {
 
  private:
   wasm::Linker control_host_functions();
-  void account_plugin(const std::string& slot);
 
   uint32_t cell_id_;
   ran::GnbMac& mac_;

@@ -68,12 +68,14 @@ Result<uint32_t> NearRtRic::add_xapp(const std::string& name,
   return static_cast<uint32_t>(xapps_.size() - 1);
 }
 
-void NearRtRic::account_xapp(const std::string& slot) {
-  plugin::Plugin* p = plugins_.plugin(slot);
-  if (p == nullptr) return;
-  const wasm::CallStats& cs = p->last_call_stats();
-  stats_.xapp_fuel_used += cs.fuel_used;
-  stats_.xapp_wall_ns += cs.wall_ns;
+RicStats NearRtRic::stats() const {
+  RicStats s = stats_;
+  for (const std::string& slot : xapps_) {
+    if (const CallCostAcc* cost = plugins_.cost(slot)) {
+      s.xapp_fuel_used += cost->total_fuel();
+    }
+  }
+  return s;
 }
 
 Status NearRtRic::dispatch_indication(std::span<const uint8_t> payload, LinkRef& origin) {
@@ -92,7 +94,6 @@ Status NearRtRic::dispatch_indication(std::span<const uint8_t> payload, LinkRef&
   std::vector<ControlAction> aggregated;
   for (const std::string& slot : xapps_) {
     auto out = plugins_.call(slot, "on_indication", payload);
-    account_xapp(slot);
     if (!out.ok()) {
       ++stats_.xapp_faults;
       WARAN_LOG(kDebug, "ric", slot << " fault: " << out.error().message);
@@ -138,7 +139,6 @@ void NearRtRic::deliver_messages() {
         plugin::Plugin* p = plugins_.plugin(xapps_[i]);
         if (p == nullptr || !p->has_export("on_message")) continue;
         auto r = plugins_.call(xapps_[i], "on_message", msg);
-        account_xapp(xapps_[i]);
         if (!r.ok()) {
           ++stats_.xapp_faults;
         } else {

@@ -31,10 +31,9 @@ struct RicStats {
   uint64_t actions_sent = 0;
   uint64_t xapp_faults = 0;       // xApp call errors + undecodable outputs
   uint64_t messages_delivered = 0;
-  // Aggregate xApp execution cost, from the engine's per-call CallStats:
-  // how much of the near-RT budget the sandboxed xApps actually consumed.
+  // Fuel the sandboxed xApps consumed of the near-RT budget: the sum of
+  // the registered xApp slots' CallCostAcc totals, filled by stats().
   uint64_t xapp_fuel_used = 0;
-  uint64_t xapp_wall_ns = 0;
 };
 
 class NearRtRic {
@@ -60,7 +59,9 @@ class NearRtRic {
   /// inter-xApp messaging, and ships aggregated control actions.
   Status poll();
 
-  const RicStats& stats() const { return stats_; }
+  /// Counters as of now, with xapp_fuel_used read from the xApp slots'
+  /// cost ledgers.
+  RicStats stats() const;
   plugin::PluginManager& plugins() { return plugins_; }
   const std::vector<std::string>& xapp_names() const { return xapps_; }
 
@@ -94,7 +95,6 @@ class NearRtRic {
 
   Status dispatch_indication(std::span<const uint8_t> payload, LinkRef& origin);
   void deliver_messages();
-  void account_xapp(const std::string& slot);
 
   std::vector<LinkRef> links_;
   plugin::PluginManager plugins_;

@@ -147,7 +147,6 @@ GnbDeployment::GnbDeployment(DeploymentConfig config) : config_(std::move(config
     specs.reserve(cells_.size());
     for (const auto& cp : cells_) {
       obs::FleetCellSpec spec;
-      spec.gnb = config_.gnb_id;
       spec.cell = cp->id;
       spec.mac_domain = "mac" + std::to_string(cp->id);
       spec.agent_domain = "gnb" + std::to_string(cp->id);

@@ -87,9 +87,6 @@ struct DeploymentConfig {
   /// the deployment also owns a coordinator-side "ric" ring of the same
   /// capacity, so RIC dispatch spans land in the merged trace too.
   size_t trace_capacity = 0;
-  /// This deployment's gNB id in the fleet hierarchy (one deployment = one
-  /// gNB today; federation PRs will differentiate).
-  uint32_t gnb_id = 0;
   /// Slots per SLO evaluation window (0 disables the SLO engine). Windows
   /// are evaluated by the coordinator at barrier-stepped run_slots
   /// boundaries only (run_slots_unsynced never evaluates: free-running

@@ -1,15 +1,15 @@
 // The WA-RAN bridge: an IntraSliceScheduler whose decisions come from a
-// Wasm plugin slot. Each schedule() call serializes the request with the
-// configured codec, crosses the sandbox boundary through the plugin ABI,
-// and decodes the plugin's response — the exact data path the paper's
-// Fig. 5d execution-time measurement covers ("includes the overhead of
-// data serialization and de-serialization on the gNB host").
+// Wasm plugin slot. Each schedule() call serializes the request in the flat
+// wire format (codec/wire.h), crosses the sandbox boundary into the slot's
+// `schedule` export through the plugin ABI, and decodes the plugin's
+// response — the exact data path the paper's Fig. 5d execution-time
+// measurement covers ("includes the overhead of data serialization and
+// de-serialization on the gNB host"). The slot's cost ledger is the
+// manager's: PluginManager::cost(slot).
 #pragma once
 
-#include <memory>
 #include <string>
 
-#include "codec/codec.h"
 #include "plugin/manager.h"
 #include "ran/scheduler_iface.h"
 
@@ -19,31 +19,17 @@ class WasmIntraScheduler final : public ran::IntraSliceScheduler {
  public:
   /// `manager` must outlive this scheduler. `slot` names the plugin slot
   /// (swappable at runtime via the manager without touching the MAC).
-  WasmIntraScheduler(plugin::PluginManager& manager, std::string slot,
-                     codec::CodecKind codec_kind = codec::CodecKind::kWire,
-                     std::string entrypoint = "schedule")
-      : manager_(manager),
-        slot_(std::move(slot)),
-        entry_(std::move(entrypoint)),
-        codec_(codec::make_codec(codec_kind)),
-        name_("wasm:" + slot_) {}
+  WasmIntraScheduler(plugin::PluginManager& manager, std::string slot)
+      : manager_(manager), slot_(std::move(slot)), name_("wasm:" + slot_) {}
 
   Result<codec::SchedResponse> schedule(const codec::SchedRequest& req) override;
 
   const char* name() const override { return name_.c_str(); }
   const std::string& slot() const { return slot_; }
 
-  /// Call-cost distribution of this scheduler's plugin slot (fuel,
-  /// instructions, exact p50/p99 wall time, peak interpreter stack depth),
-  /// accumulated by the manager from the engine's CallStats. This is the
-  /// number Fig. 5d reports: sandbox crossing plus codec work per decision.
-  const CallCostAcc* cost() const { return manager_.cost(slot_); }
-
  private:
   plugin::PluginManager& manager_;
   std::string slot_;
-  std::string entry_;
-  std::unique_ptr<codec::Codec> codec_;
   std::string name_;
 };
 

@@ -13,15 +13,19 @@
 //     inline.
 //   - A breached SLO lands kSloBreach journal entries, fires the breach
 //     hook, and yields a deterministic flight-recorder bundle.
-//   - A bundle's replay line names the run's slot count and clock.
+//   - A bundle's replay line names the run's slot count and clock, and
+//     its anomaly tail does not depend on the journal's arrival order.
 //   - A cell's anomaly count covers every AnomalyKind.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/analysis.h"
+#include "codec/json.h"
 #include "obs/anomaly.h"
 #include "obs/fleet.h"
 #include "obs/flight.h"
@@ -31,6 +35,7 @@
 #include "ric/e2lite.h"
 #include "ric/near_rt_ric.h"
 #include "rt/deployment.h"
+#include "sched/plugins.h"
 #include "wasm/wasm.h"
 #include "wasmbuilder/builder.h"
 
@@ -107,6 +112,8 @@ TEST(HistState, EmptyQuantileIsZero) {
 // ---------------------------------------------------------------------------
 // CellTelemetry merge + E2 wire round-trip
 
+// Every counter holds a distinct value, so swapping any two of them in
+// merge() or on the wire changes the result.
 obs::CellTelemetry sample_telemetry(uint32_t cell) {
   obs::CellTelemetry t;
   t.gnb = 3;
@@ -120,10 +127,10 @@ obs::CellTelemetry sample_telemetry(uint32_t cell) {
   t.sanitized_allocs = 1;
   t.plugin_calls = 321;
   t.plugin_traps = 5;
-  t.plugin_fuel_exhausted = 2;
-  t.plugin_declines = 1;
+  t.plugin_fuel_exhausted = 6;
+  t.plugin_declines = 7;
   t.plugin_fuel_used = 987654;
-  t.quarantines = 1;
+  t.quarantines = 8;
   t.frames_rejected = 3;
   t.anomalies = 11;
   t.trace_writes = 4096;
@@ -140,9 +147,19 @@ obs::CellTelemetry sample_telemetry(uint32_t cell) {
 }
 
 TEST(CellTelemetry, MergeSumsCountersAndBuckets) {
-  obs::CellTelemetry a = sample_telemetry(0);
+  const obs::CellTelemetry a0 = sample_telemetry(0);
+  std::set<uint64_t> distinct;
+  for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) {
+    distinct.insert(a0.*c.member);
+  }
+  ASSERT_EQ(distinct.size(), std::size(obs::kTelemetryCounters));
+
+  obs::CellTelemetry a = a0;
   const obs::CellTelemetry b = sample_telemetry(1);
   a.merge(b);
+  for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) {
+    EXPECT_EQ(a.*c.member, a0.*c.member + b.*c.member) << c.name;
+  }
   EXPECT_EQ(a.cells_merged, 2u);
   EXPECT_EQ(a.cell, 0u);  // keeps the lowest member id
   EXPECT_EQ(a.slots, (100u + 0) + (100u + 1));
@@ -171,6 +188,9 @@ TEST(E2Telemetry, TelemetryBlockRoundTripsBitForBit) {
   auto decoded = ric::decode_indication(wire);
   ASSERT_TRUE(decoded.ok()) << decoded.error().message;
   ASSERT_TRUE(decoded->telemetry.has_value());
+  for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) {
+    EXPECT_EQ((*decoded->telemetry).*c.member, (*report.telemetry).*c.member) << c.name;
+  }
   EXPECT_EQ(*decoded->telemetry, *report.telemetry);
   EXPECT_EQ(*decoded, report);
 }
@@ -245,8 +265,6 @@ TEST(FleetPlane, RollupHierarchyIsExact) {
   EXPECT_EQ(fleet.cells_merged, 3u);
   EXPECT_EQ(fleet.slots, 3u * 30u);
   EXPECT_EQ(fleet.prb_capacity, 3u * 30u * cfg.mac.n_prbs);
-  // gNB rollup == fleet rollup while the deployment is a single gNB.
-  EXPECT_EQ(dep.fleet().gnb_rollup(cfg.gnb_id), fleet);
   // Manual merge of the per-cell leaves must agree with the rollup.
   obs::CellTelemetry manual = dep.fleet().cell_total(0);
   manual.merge(dep.fleet().cell_total(1));
@@ -407,6 +425,78 @@ TEST(FlightRecorder, ScenarioReplayLineNamesSlotsAndClock) {
   real_time.virtual_time = false;
   EXPECT_EQ(obs::FlightRecorder(real_time).replay_command(40),
             "waran_obs --cells 1 --seed 3 --slots 40");
+}
+
+TEST(FlightRecorder, AnomalyTailIsIndependentOfArrivalOrder) {
+  // Cells journal concurrently, so the same records can arrive in any
+  // interleaving; the bundle's anomaly tail must not depend on it.
+  rt::VirtualClockGuard clock(5000);
+  const obs::FleetAggregator agg({});
+  const obs::FlightRecorder recorder(obs::FlightContext{});
+  auto capture = [&](bool mac0_first) {
+    reset_global_obs();
+    obs::set_current_slot(7);
+    auto record = [](const char* domain, const char* detail) {
+      obs::AnomalyJournal::global().record(obs::AnomalyKind::kTrap, domain, "s", detail);
+    };
+    if (mac0_first) {
+      record("mac0", "a");
+      record("mac1", "c");
+      record("mac0", "b");
+      record("mac1", "d");
+    } else {
+      record("mac1", "c");
+      record("mac1", "d");
+      record("mac0", "a");
+      record("mac0", "b");
+    }
+    return recorder.capture("test", obs::HealthReport{}, agg, {}, /*end_slot=*/8);
+  };
+  const std::string a = capture(/*mac0_first=*/true);
+  const std::string b = capture(/*mac0_first=*/false);
+  EXPECT_EQ(a, b);
+  // Canonical order: (slot, domain), each domain in its own order, and
+  // seq is the index in that order.
+  EXPECT_LT(a.find("\"seq\":1,"), a.find("\"detail\":\"b\""));
+  EXPECT_LT(a.find("\"detail\":\"b\""), a.find("\"seq\":2,"));
+  EXPECT_LT(a.find("\"seq\":2,"), a.find("\"detail\":\"c\""));
+}
+
+TEST(FlightRecorder, ThreadedBundleEqualsInlineWhenEveryCellJournals) {
+  // Every cell's scheduler traps in the same slots, so the four cells
+  // journal concurrently; the threaded run's bundle must still equal the
+  // inline run's byte for byte.
+  auto bundle = [](bool threaded) {
+    reset_global_obs();
+    rt::GnbDeployment dep(fleet_config(4, threaded));
+    EXPECT_TRUE(dep.status().ok());
+    EXPECT_TRUE(dep.run_slots(20).ok());
+    auto oob = sched::plugins::faulty("oob");
+    EXPECT_TRUE(oob.ok());
+    for (uint32_t c = 0; c < dep.cells(); ++c) {
+      EXPECT_TRUE(dep.sched_plugins(c).swap("stream-co", *oob).ok());
+    }
+    EXPECT_TRUE(dep.run_slots(20).ok());
+    return dep.capture_flight_bundle("test");
+  };
+  const std::string threaded = bundle(/*threaded=*/true);
+  const std::string inline_run = bundle(/*threaded=*/false);
+  // Each cell journaled its traps and quarantine; the last cell's are in
+  // the tail.
+  EXPECT_NE(threaded.find("\"domain\":\"mac3\",\"source\":\"stream-co\""),
+            std::string::npos);
+  EXPECT_EQ(threaded, inline_run);
+}
+
+TEST(SloEngine, HealthReportEscapesSloNames) {
+  obs::HealthReport report;
+  obs::SloVerdict v;
+  v.slo = "p99 \"tight\"";
+  v.metric = obs::SloMetric::kSlotWallP99Ns;
+  report.verdicts.push_back(v);
+  auto parsed = codec::Json::parse(report.to_json());
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_EQ((*parsed)["verdicts"].as_array()[0]["slo"].as_string(), "p99 \"tight\"");
 }
 
 TEST(SloEngine, DefaultObjectivesPassOnAHealthyRun) {

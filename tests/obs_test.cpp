@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "codec/json.h"
-#include "common/log.h"
 #include "obs/anomaly.h"
+#include "obs/fleet.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -29,10 +29,7 @@ class ObsTest : public ::testing::Test {
     set_current_slot(0);
   }
   void TearDown() override {
-    route_logs_to_trace(false);
     TraceRing::instance().disable();
-    clear_log_level_overrides();
-    set_log_level(LogLevel::kWarn);
   }
 };
 
@@ -99,18 +96,21 @@ TEST_F(ObsTest, ChromeTraceExportParsesAsJson) {
   set_current_slot(7);
   ring.record(TraceCat::kMac, "slot", 1000, 500, 7);
   ring.record(TraceCat::kWasm, "run \"quoted\"", 1100, 200, 0);
-  ring.instant(TraceCat::kAnomaly, "trap");
+  ring.record(TraceCat::kAnomaly, "trap", 1200, 0, 0, 'i');
 
-  auto parsed = codec::Json::parse(ring.export_chrome_trace());
+  // One track: the process_name metadata event, then the ring's events.
+  auto parsed = codec::Json::parse(export_merged_chrome_trace({{"cell0", 1, &ring}}));
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   const codec::Json& events = (*parsed)["traceEvents"];
   ASSERT_TRUE(events.is_array());
-  ASSERT_EQ(events.size(), 3u);
-  const codec::Json& first = events.as_array()[0];
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.as_array()[0]["ph"].as_string(), "M");
+  const codec::Json& first = events.as_array()[1];
   EXPECT_EQ(first["name"].as_string(), "slot");
   EXPECT_EQ(first["ph"].as_string(), "X");
   EXPECT_EQ(first["args"]["slot"].as_number(), 7.0);
-  EXPECT_EQ(events.as_array()[2]["ph"].as_string(), "i");
+  EXPECT_EQ(events.as_array()[2]["name"].as_string(), "run \"quoted\"");
+  EXPECT_EQ(events.as_array()[3]["ph"].as_string(), "i");
 }
 
 TEST_F(ObsTest, HistogramPowerOfTwoBoundaries) {
@@ -254,18 +254,6 @@ TEST_F(ObsTest, AnomalyRecordFeedsMetricsAndTrace) {
   EXPECT_NE(prom.find("waran_anomaly_total{domain=\"ric\",kind=\"trap\"} 1"),
             std::string::npos)
       << prom;
-}
-
-TEST_F(ObsTest, LogLinesRouteIntoTraceRing) {
-  TraceRing::instance().enable(16);
-  route_logs_to_trace(true);
-  set_log_level(LogLevel::kWarn);
-  WARAN_LOG(kError, "obs_test", "routed line");
-  route_logs_to_trace(false);
-  auto events = TraceRing::instance().snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].cat, static_cast<uint8_t>(TraceCat::kLog));
-  EXPECT_EQ(events[0].phase, 'i');
 }
 
 }  // namespace

@@ -510,6 +510,53 @@ TEST_F(ClosedLoop, FaultyXappIsContainedOthersKeepWorking) {
   EXPECT_GT(agent_->stats().quota_updates, 0u);  // SLA actions still landed
 }
 
+TEST_F(ClosedLoop, RefusedCallsAddNoFuel) {
+  // The agent's and RIC's fuel totals are read back from the managers' cost
+  // ledgers, so a call the manager refuses before the sandbox — quarantine
+  // or an injected failure — adds nothing. (Re-reading a slot's last
+  // CallStats after a refusal would count the previous call's fuel again.)
+  auto bad = wcc::compile("export fn on_indication() -> i32 { trap(); return 0; }");
+  ASSERT_TRUE(bad.ok());
+  ASSERT_TRUE(ric_->add_xapp("bad", *bad).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(agent_->send_indication().ok());
+    ASSERT_TRUE(ric_->poll().ok());
+    ASSERT_TRUE(agent_->poll().ok());
+  }
+  // Quarantined after 3 trapping calls; the other 7 were refused.
+  EXPECT_TRUE(ric_->plugins().health("xapp:bad")->quarantined);
+  const CallCostAcc* xapp = ric_->xapp_cost("bad");
+  ASSERT_NE(xapp, nullptr);
+  EXPECT_EQ(xapp->calls(), 3u);
+  EXPECT_EQ(xapp->total_fuel(), 3u);
+  EXPECT_EQ(ric_->stats().xapp_fuel_used, 3u);
+
+  const CallCostAcc* comm = agent_->plugin_cost("comm");
+  const CallCostAcc* ctl = agent_->plugin_cost("ctl");
+  ASSERT_NE(comm, nullptr);
+  ASSERT_NE(ctl, nullptr);
+  EXPECT_EQ(comm->calls(), 10u);  // one frame per indication, nothing back
+  const uint64_t agent_fuel = agent_->stats().plugin_fuel_used;
+  EXPECT_GT(agent_fuel, 0u);
+  EXPECT_EQ(agent_fuel, comm->total_fuel() + ctl->total_fuel());
+
+  // Fail every comm call before it enters the sandbox: 3 injected faults,
+  // then quarantine refuses the other 7. None of them costs fuel.
+  agent_->plugins().set_call_interceptor([](const std::string& slot, const std::string&) {
+    plugin::PluginManager::CallIntercept intercept;
+    if (slot == "comm") intercept.fail = Error::trap("injected comm fault");
+    return intercept;
+  });
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_FALSE(agent_->send_indication().ok());
+    ASSERT_TRUE(ric_->poll().ok());
+    ASSERT_TRUE(agent_->poll().ok());
+  }
+  EXPECT_TRUE(agent_->plugins().health("comm")->quarantined);
+  EXPECT_EQ(comm->total_fuel() + ctl->total_fuel(), agent_fuel);
+  EXPECT_EQ(agent_->stats().plugin_fuel_used, agent_fuel);
+}
+
 TEST_F(ClosedLoop, XappHotSwapChangesPolicyLive) {
   auto sla = plugin_sources::sla_xapp();
   ASSERT_TRUE(sla.ok());
