@@ -1,7 +1,8 @@
 // Ablation — observability overhead: what does waran::obs cost on the
-// metered dispatch path? The contract (src/obs/trace.h) is that disabled
-// tracing adds one relaxed load + branch per span site: no clock reads, no
-// ring writes, no heap allocations. That is asserted here structurally —
+// metered dispatch path? The contract (src/obs/trace.h) is that with no
+// trace ring bound — how production runs — a span site costs a
+// thread-local read and a branch: no clock reads, no ring writes, no heap
+// allocations. That is asserted here structurally —
 // real operator-new counts via heap_probe plus the ring's write counter —
 // so a regression aborts the bench instead of hiding in timing noise. The
 // timed arms then report the enabled-mode cost (clock reads + 56-byte ring
@@ -68,15 +69,14 @@ void BM_TracedDispatch(benchmark::State& state) {
   std::vector<TypedValue> args =
       {TypedValue::i32(static_cast<int32_t>(state.range(0)))};
 
-  obs::TraceRing& ring = obs::TraceRing::instance();
-  if (traced) {
-    ring.enable(1 << 14);
-  } else {
-    ring.disable();
-  }
+  // The traced arm binds an enabled ring; the untraced arm binds none, as
+  // production runs.
+  obs::TraceRing ring;
+  if (traced) ring.enable(1 << 14);
+  obs::TraceRing::bind_current(traced ? &ring : nullptr);
 
-  // Warm up, then assert the disabled-mode contract: across 64 warm calls
-  // the obs layer must make ZERO heap allocations and ZERO ring writes.
+  // Warm up, then assert the off-path contract: across 64 warm calls the
+  // obs layer must make ZERO heap allocations and ZERO ring writes.
   for (int i = 0; i < 4; ++i) {
     if (!inst->call("work", args, opts, &stats).ok()) std::abort();
   }
@@ -96,7 +96,7 @@ void BM_TracedDispatch(benchmark::State& state) {
   }
   if (!traced && warm_writes != 0) {
     std::fprintf(stderr,
-                 "disabled tracing wrote %llu ring events across 64 warm "
+                 "untraced calls wrote %llu ring events across 64 warm "
                  "calls — the off path must be inert\n",
                  static_cast<unsigned long long>(warm_writes));
     std::abort();
@@ -110,7 +110,7 @@ void BM_TracedDispatch(benchmark::State& state) {
     auto r = inst->call("work", args, opts, &stats);
     benchmark::DoNotOptimize(r);
   }
-  ring.disable();
+  obs::TraceRing::bind_current(nullptr);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(stats.instrs_retired));
   state.counters["warm_heap_allocs"] = static_cast<double>(warm_allocs);
@@ -118,9 +118,9 @@ void BM_TracedDispatch(benchmark::State& state) {
 }
 
 void BM_SpanDisabled(benchmark::State& state) {
-  // Floor cost of one span site with tracing off: a relaxed load + branch
-  // on construction and another on destruction.
-  obs::TraceRing::instance().disable();
+  // Floor cost of one span site with no ring bound: a thread-local read and
+  // a branch on construction, another branch on destruction.
+  obs::TraceRing::bind_current(nullptr);
   for (auto _ : state) {
     obs::ObsSpan span(obs::TraceCat::kOther, "bench");
     benchmark::DoNotOptimize(&span);
@@ -129,12 +129,14 @@ void BM_SpanDisabled(benchmark::State& state) {
 
 void BM_SpanEnabled(benchmark::State& state) {
   // Full span cost with tracing on: two clock reads + one ring store.
-  obs::TraceRing::instance().enable(1 << 14);
+  obs::TraceRing ring;
+  ring.enable(1 << 14);
+  obs::TraceRing::bind_current(&ring);
   for (auto _ : state) {
     obs::ObsSpan span(obs::TraceCat::kOther, "bench");
     benchmark::DoNotOptimize(&span);
   }
-  obs::TraceRing::instance().disable();
+  obs::TraceRing::bind_current(nullptr);
 }
 
 void BM_CounterAdd(benchmark::State& state) {

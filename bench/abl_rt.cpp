@@ -2,9 +2,9 @@
 //
 // BM_MultiCellSlots stands up an rt::GnbDeployment with N cells (one
 // CellExecutor worker thread per cell, shared near-RT RIC) on virtual time
-// and drives it free-running (run_slots_unsynced — no per-slot barrier), so
-// the measurement is pure slot-processing throughput: every cell's MAC +
-// three Wasm MVNO schedulers + E2 agent, with no wall-clock pacing.
+// and drives it with run_slots, the barrier-stepped loop every deployment
+// runs: every cell's MAC + three Wasm MVNO schedulers + E2 agent, the
+// per-slot barrier and the RIC turn, with no wall-clock pacing.
 //
 // items_per_second counts MAC slots across all cells, so on a machine with
 // >= N cores an N-cell run should approach N x the 1-cell rate. main()
@@ -43,7 +43,7 @@ void BM_MultiCellSlots(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    auto st = dep.run_slots_unsynced(kSlotsPerIter);
+    auto st = dep.run_slots(kSlotsPerIter);
     if (!st.ok()) {
       state.SkipWithError(st.error().message.c_str());
       return;
@@ -96,7 +96,7 @@ void BM_UeStress(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    auto st = dep.run_slots_unsynced(kSlotsPerIter);
+    auto st = dep.run_slots(kSlotsPerIter);
     if (!st.ok()) {
       state.SkipWithError(st.error().message.c_str());
       return;

@@ -58,14 +58,6 @@ Status verify_func(const wasm::Module& m, const wasm::TranslatedFunc& tf);
 /// defined-function index of the first failure.
 Status verify_module(const wasm::Module& m, const wasm::TranslatedModule& tm);
 
-/// Installs verify_func as the wasm layer's stream firewall
-/// (wasm::set_stream_firewall): translate() then rejects any lowering that
-/// breaks an invariant, turning a miscompile into an immediate error
-/// instead of a differential-oracle divergence. Idempotent; meant for
-/// debug/fuzz drivers, tests and waranc — the production hot path keeps
-/// the hook null.
-void install_stream_firewall();
-
 // --- Abstract interpreter (per-function worst-case bounds) -----------------
 
 /// "Not statically finite": a loop, recursion, or an indirect call.
@@ -112,10 +104,9 @@ Result<ModuleAnalysis> analyze(const wasm::Module& m, const wasm::TranslatedModu
 
 // --- Admission -------------------------------------------------------------
 
-/// Where admission analysis runs on PluginManager::install/swap.
+/// Whether admission analysis runs on PluginManager::install/swap.
 enum class AdmissionMode : uint8_t {
-  kOff = 0,  ///< no analysis (the pre-PR-10 behaviour)
-  kWarn,     ///< analyze and keep the report; never reject
+  kOff = 0,  ///< no analysis
   kEnforce,  ///< reject plugins whose static bounds exceed the budget
 };
 

@@ -470,8 +470,4 @@ Status verify_module(const wasm::Module& m, const wasm::TranslatedModule& tm) {
   return {};
 }
 
-void install_stream_firewall() {
-  wasm::set_stream_firewall(&verify_func);
-}
-
 }  // namespace waran::analysis

@@ -150,8 +150,4 @@ bool FaultPlan::draw_grow_denial() {
   return true;
 }
 
-Xoshiro256 FaultPlan::derive_stream(uint64_t salt) const {
-  return Xoshiro256(splitmix(seed_ ^ splitmix(salt)));
-}
-
 }  // namespace waran::chaos

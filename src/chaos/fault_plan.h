@@ -142,10 +142,6 @@ class FaultPlan {
   };
   const std::vector<Injection>& log() const { return log_; }
 
-  /// Derives an independent deterministic stream for scenario randomness
-  /// (channel seeds, payload jitter) that shares the master seed.
-  Xoshiro256 derive_stream(uint64_t salt) const;
-
  private:
   enum Site : size_t { kSiteCall = 0, kSiteSched, kSiteSlot, kSiteLink, kSiteLoad, kSiteGrow, kSiteCount };
 

@@ -219,13 +219,13 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
   auto& reg = obs::MetricsRegistry::global();
   reg.reset_values();
 
-  // One plan per cell, derived deterministically from the master seed, so
-  // each cell's fault schedule is independent and the whole episode still
-  // replays from `--seed` alone.
+  // One plan per cell at the default PlanConfig rates, derived
+  // deterministically from the master seed, so each cell's fault schedule
+  // is independent and the whole episode still replays from `--seed` alone.
   std::vector<std::unique_ptr<FaultPlan>> plans;
   for (uint32_t i = 0; i < cells; ++i) {
-    plans.push_back(std::make_unique<FaultPlan>(
-        options.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)), options.plan));
+    plans.push_back(
+        std::make_unique<FaultPlan>(options.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1))));
   }
 
   rt::DeploymentConfig dc;

@@ -37,7 +37,6 @@ struct EpisodeOptions {
   uint64_t seed = 1;
   uint32_t rounds = 6;           ///< E2 report rounds per episode
   uint32_t slots_per_round = 15; ///< MAC slots between indications
-  PlanConfig plan;
   bool warm_path_probe = true;   ///< run the zero-alloc warm-call probe
   /// Cells in the deployment, each on its own worker thread with its own
   /// FaultPlan and every fault site; the RIC's xApp draws from cell 0's

@@ -51,10 +51,4 @@ Result<SchedRequest> decode_request(std::span<const uint8_t> bytes);
 std::vector<uint8_t> encode_response(const SchedResponse& resp);
 Result<SchedResponse> decode_response(std::span<const uint8_t> bytes);
 
-/// Upper bound of an encoded response for `n_ues` UEs — used to size the
-/// plugin output window.
-inline constexpr uint32_t response_size(uint32_t n_allocs) {
-  return kRespHeaderSize + n_allocs * kAllocRecordSize;
-}
-
 }  // namespace waran::codec::wire

@@ -2,12 +2,6 @@
 
 namespace waran {
 
-Status ByteReader::seek(size_t p) {
-  if (p > data_.size()) return Error::invalid_argument("seek past end");
-  pos_ = p;
-  return {};
-}
-
 Result<uint8_t> ByteReader::u8() {
   if (pos_ >= data_.size()) return Error::decode("unexpected end of input");
   return data_[pos_++];
@@ -185,10 +179,6 @@ void ByteWriter::sleb(int64_t v) {
 void ByteWriter::name(std::string_view s) {
   uleb32(static_cast<uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void ByteWriter::patch_u32le(size_t at, uint32_t v) {
-  std::memcpy(buf_.data() + at, &v, 4);
 }
 
 void write_uleb32_padded(std::vector<uint8_t>& out, size_t at, uint32_t v) {

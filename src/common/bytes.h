@@ -24,9 +24,6 @@ class ByteReader {
   size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }
 
-  /// Repositions the cursor. `p` must be <= size.
-  Status seek(size_t p);
-
   Result<uint8_t> u8();
   Result<uint16_t> u16le();
   Result<uint32_t> u32le();
@@ -87,10 +84,6 @@ class ByteWriter {
 
   void bytes(std::span<const uint8_t> b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
   void name(std::string_view s);
-
-  /// Overwrites 4 bytes at `at` with a *padded* 5-byte... no: fixed u32le.
-  /// Used for patching little-endian placeholders.
-  void patch_u32le(size_t at, uint32_t v);
 
  private:
   std::vector<uint8_t> buf_;

@@ -31,9 +31,6 @@ void emit(LogLevel lvl, std::string_view component, std::string_view msg);
 inline void set_log_level(LogLevel lvl) {
   log_detail::level_ref().store(static_cast<int>(lvl), std::memory_order_relaxed);
 }
-inline LogLevel log_level() {
-  return static_cast<LogLevel>(log_detail::level_ref().load(std::memory_order_relaxed));
-}
 
 /// Per-component override: `set_log_level("mac", LogLevel::kDebug)` makes
 /// the MAC chatty while everything else stays at the global level.

@@ -91,8 +91,6 @@ class [[nodiscard]] Status {
   Status() = default;
   Status(Error err) : err_(std::move(err)), failed_(true) {}  // NOLINT
 
-  static Status ok_status() { return Status(); }
-
   bool ok() const { return !failed_; }
   explicit operator bool() const { return ok(); }
   const Error& error() const { assert(failed_); return err_; }

@@ -1,7 +1,8 @@
 // Statistics helpers for the evaluation harness: an exact quantile
 // accumulator (the paper reports 50th/99th percentile execution times via
-// Boost Accumulators; we keep all samples and compute exact order statistics)
-// and a windowed rate meter (bit/s over a sliding window, as iperf3 reports).
+// Boost Accumulators; we keep all samples and compute exact order statistics),
+// a windowed rate meter (bit/s over a sliding window, as iperf3 reports) and
+// the per-plugin call-cost ledger.
 #pragma once
 
 #include <cstddef>
@@ -78,23 +79,42 @@ class RateMeter {
 
 /// Aggregates per-call cost records — fuel used and wall time — as reported
 /// by the engine's CallStats. One accumulator per plugin slot gives the
-/// evaluation harness exact p50/p99 execution times plus the slot's fuel
-/// total; every crossing is one wall sample, so calls() counts them.
+/// evaluation harness the slot's exact call count and fuel total, and exact
+/// p50/p99 execution times over its most recent kWallWindow calls. The
+/// window is reserved once, at the slot's first call, so no later call
+/// allocates and a slot's memory stays flat however long a deployment runs.
+/// (Reserving it at construction would put every slot's window into each
+/// deployment's set-up, which a slot that never runs does not need.)
 class CallCostAcc {
  public:
+  static constexpr size_t kWallWindow = 4096;
+
   void add(uint64_t fuel_used, uint64_t wall_ns) {
+    const double v = static_cast<double>(wall_ns);
+    if (wall_window_.size() < kWallWindow) {
+      if (calls_ == 0) wall_window_.reserve(kWallWindow);
+      wall_window_.push_back(v);
+    } else {
+      wall_window_[calls_ % kWallWindow] = v;  // overwrite the oldest sample
+    }
+    ++calls_;
     total_fuel_ += fuel_used;
-    wall_ns_.add(static_cast<double>(wall_ns));
   }
 
-  uint64_t calls() const { return wall_ns_.count(); }
+  uint64_t calls() const { return calls_; }
   uint64_t total_fuel() const { return total_fuel_; }
-  /// Wall-time distribution in nanoseconds (exact order statistics).
-  const QuantileAcc& wall_ns() const { return wall_ns_; }
+  /// Wall-time distribution in nanoseconds over the window: the most recent
+  /// min(calls(), kWallWindow) calls, as exact order statistics.
+  QuantileAcc wall_ns() const {
+    QuantileAcc acc;
+    for (double v : wall_window_) acc.add(v);
+    return acc;
+  }
 
  private:
+  uint64_t calls_ = 0;
   uint64_t total_fuel_ = 0;
-  QuantileAcc wall_ns_;
+  std::vector<double> wall_window_;  // ring; the oldest sample is at calls_ % size
 };
 
 }  // namespace waran

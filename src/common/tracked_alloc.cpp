@@ -25,8 +25,6 @@ Result<uint64_t> TrackedHeap::allocate(size_t bytes) {
   uint64_t h = next_handle_++;
   blocks_.emplace(h, bytes);
   live_bytes_ += bytes;
-  total_allocated_ += bytes;
-  ++alloc_count_;
   return h;
 }
 
@@ -37,7 +35,6 @@ Status TrackedHeap::free(uint64_t handle) {
   }
   live_bytes_ -= it->second;
   blocks_.erase(it);
-  ++free_count_;
   return {};
 }
 

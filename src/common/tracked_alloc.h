@@ -28,9 +28,6 @@ class TrackedHeap {
 
   size_t live_bytes() const { return live_bytes_; }
   size_t live_allocations() const { return blocks_.size(); }
-  uint64_t total_allocated() const { return total_allocated_; }
-  uint64_t alloc_count() const { return alloc_count_; }
-  uint64_t free_count() const { return free_count_; }
 
   /// Drops everything, as process teardown would.
   void reset();
@@ -39,9 +36,6 @@ class TrackedHeap {
   std::unordered_map<uint64_t, size_t> blocks_;
   uint64_t next_handle_ = 1;
   size_t live_bytes_ = 0;
-  uint64_t total_allocated_ = 0;
-  uint64_t alloc_count_ = 0;
-  uint64_t free_count_ = 0;
 };
 
 /// Process-wide *real*-heap probe for zero-allocation assertions (the

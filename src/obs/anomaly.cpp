@@ -32,8 +32,9 @@ void AnomalyJournal::record(AnomalyKind kind, std::string_view domain,
   MetricsRegistry::global().counter(
       "waran_anomaly_total", {{"domain", domain}, {"kind", to_string(kind)}})
       .add();
-  TraceRing::current().instant(TraceCat::kAnomaly, source.empty() ? to_string(kind)
-                                                                  : source);
+  if (TraceRing* ring = TraceRing::current()) {
+    ring->instant(TraceCat::kAnomaly, source.empty() ? to_string(kind) : source);
+  }
   AnomalyRecord rec;
   rec.t_ns = now_ns();
   rec.slot = current_slot();

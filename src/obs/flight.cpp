@@ -11,7 +11,8 @@ namespace waran::obs {
 
 namespace {
 
-constexpr size_t kAnomalyTail = 32;  ///< journal records kept in the bundle
+constexpr size_t kAnomalyTail = 32;        ///< journal records kept in the bundle
+constexpr uint32_t kTraceWindowSlots = 16;  ///< trailing slots of trace kept
 
 }  // namespace
 
@@ -99,12 +100,11 @@ std::string FlightRecorder::capture(std::string_view reason,
 
   // Last-N-slot trace window across every track, in ring order per track
   // (the merged exporter owns global ordering; the bundle keeps provenance).
-  const uint64_t cutoff =
-      end_slot > trace_window_slots_ ? end_slot - trace_window_slots_ : 0;
+  const uint64_t cutoff = end_slot > kTraceWindowSlots ? end_slot - kTraceWindowSlots : 0;
   std::snprintf(buf, sizeof(buf),
                 ",\"trace_window\":{\"window_slots\":%u,\"from_slot\":%" PRIu64
                 ",\"to_slot\":%" PRIu64 ",\"events\":[",
-                trace_window_slots_, cutoff, end_slot);
+                kTraceWindowSlots, cutoff, end_slot);
   out += buf;
   bool first = true;
   for (const MergedTrack& tr : tracks) {

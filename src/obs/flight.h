@@ -14,8 +14,8 @@
 //                 histogram state included via the telemetry JSON).
 //   anomalies     the journal tail around the breach, in canonical
 //                 (slot, domain) order, newest last.
-//   trace_window  the last N slots of every cell's trace ring, tagged with
-//                 the cell's merged-trace pid.
+//   trace_window  the last 16 slots of every cell's trace ring, tagged
+//                 with the cell's merged-trace pid.
 //
 // The bundle is a pure function of deployment state that is itself
 // deterministic under virtual time, so capturing the same breach twice
@@ -53,8 +53,7 @@ struct FlightContext {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightContext ctx, uint32_t trace_window_slots = 8)
-      : ctx_(std::move(ctx)), trace_window_slots_(trace_window_slots) {}
+  explicit FlightRecorder(FlightContext ctx) : ctx_(std::move(ctx)) {}
 
   const FlightContext& context() const { return ctx_; }
 
@@ -63,8 +62,8 @@ class FlightRecorder {
   std::string replay_command(uint64_t end_slot) const;
 
   /// Builds the bundle. `end_slot` anchors the trace window (events with
-  /// slot >= end_slot - trace_window_slots are kept); `tracks` may be empty
-  /// when tracing is off.
+  /// slot >= end_slot - 16 are kept); `tracks` may be empty when tracing is
+  /// off.
   std::string capture(std::string_view reason, const HealthReport& health,
                       const FleetAggregator& agg,
                       const std::vector<MergedTrack>& tracks,
@@ -72,7 +71,6 @@ class FlightRecorder {
 
  private:
   FlightContext ctx_;
-  uint32_t trace_window_slots_;
 };
 
 }  // namespace waran::obs

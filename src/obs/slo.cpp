@@ -90,7 +90,6 @@ HealthReport SloEngine::evaluate(const FleetAggregator& agg,
       if (v.breached) {
         report.healthy = false;
         ++report.breaches;
-        ++total_breaches_;
         char detail[160];
         std::snprintf(detail, sizeof(detail),
                       "%s %s=%.6g %s threshold %.6g (slots %" PRIu64 "-%" PRIu64 ")",
@@ -113,7 +112,6 @@ HealthReport SloEngine::evaluate(const FleetAggregator& agg,
       }
     }
   }
-  last_ = report;
   return report;
 }
 

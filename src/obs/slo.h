@@ -86,14 +86,9 @@ class SloEngine {
   HealthReport evaluate(const FleetAggregator& agg, uint64_t window_start_slot,
                         uint64_t window_end_slot);
 
-  const HealthReport& last_report() const { return last_; }
-  uint64_t total_breaches() const { return total_breaches_; }
-
  private:
   std::vector<SloSpec> slos_;
-  HealthReport last_;
   uint64_t windows_ = 0;
-  uint64_t total_breaches_ = 0;
 };
 
 }  // namespace waran::obs

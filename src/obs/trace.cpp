@@ -10,7 +10,7 @@ namespace waran::obs {
 namespace {
 
 // Per-thread: every cell worker maintains its own slot counter and ring
-// binding; the defaults preserve the single-threaded behavior.
+// binding; a thread with no ring bound records nothing.
 thread_local uint64_t t_current_slot = 0;
 thread_local TraceRing* t_current_ring = nullptr;
 
@@ -39,14 +39,7 @@ void set_current_slot(uint64_t slot) { t_current_slot = slot; }
 
 uint64_t current_slot() { return t_current_slot; }
 
-TraceRing& TraceRing::instance() {
-  static TraceRing ring;
-  return ring;
-}
-
-TraceRing& TraceRing::current() {
-  return t_current_ring != nullptr ? *t_current_ring : instance();
-}
+TraceRing* TraceRing::current() { return t_current_ring; }
 
 void TraceRing::bind_current(TraceRing* ring) { t_current_ring = ring; }
 

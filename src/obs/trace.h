@@ -1,22 +1,23 @@
 // waran::obs trace ring — slot-aligned span tracing for the whole stack.
 //
-// A lock-free, fixed-capacity ring of POD span events. There is one
-// process-wide default ring (instance()); a multi-cell deployment gives
-// each cell its own ring and binds it per worker thread (bind_current), so
-// concurrent cells produce independent, deterministic per-cell streams
-// that are merged at export.
+// A lock-free, fixed-capacity ring of POD span events. Recording goes to
+// the ring bound to the calling thread (bind_current), and nowhere when
+// none is: a multi-cell deployment gives each cell its own ring and binds
+// it per worker thread, so concurrent cells produce independent,
+// deterministic per-cell streams that are merged at export.
 // Layers record *complete* spans (begin timestamp + duration, Chrome phase
 // 'X') through the RAII ObsSpan helper, or instant events (phase 'i') for
 // anomalies. Every event carries the current MAC slot number
 // (obs::set_current_slot, maintained by the slot loop), so a trace can be
 // cut along slot boundaries — the unit the 5G deadline is defined over.
 //
-// Cost model: when tracing is disabled (the default) the only per-span work
-// is one relaxed atomic load and a branch — no clock read, no ring write,
-// no heap allocation. bench/abl_obs asserts this on the metered dispatch
-// loop. When enabled, recording is one fetch_add and a 56-byte store; the
-// ring never allocates after enable() and wrap-around overwrites the oldest
-// events (newest are always retained).
+// Cost model: with no ring bound (the default) or the bound ring disabled,
+// the only per-span work is a thread-local read and a branch or two — no
+// clock read, no ring write, no heap allocation. bench/abl_obs asserts
+// this on the metered dispatch loop. When enabled, recording is one
+// fetch_add and a 56-byte store; the ring never allocates after enable()
+// and wrap-around overwrites the oldest events (newest are always
+// retained).
 #pragma once
 
 #include <atomic>
@@ -70,19 +71,18 @@ uint64_t current_slot();
 
 class TraceRing {
  public:
-  /// Per-cell rings are plain objects; the process-wide default ring is
-  /// instance(). Arm with enable() before use either way.
+  /// Rings are plain objects; arm one with enable() and bind it to the
+  /// recording thread with bind_current().
   TraceRing() = default;
 
-  static TraceRing& instance();
-
-  /// The calling thread's bound ring — instance() unless bind_current()
-  /// pointed the thread elsewhere. All span/instant recording goes through
-  /// this, so a multi-cell deployment gets one deterministic event stream
-  /// per cell instead of a nondeterministic interleaving in a shared ring.
-  static TraceRing& current();
-  /// Binds `ring` as this thread's recording target (nullptr rebinds
-  /// instance()). The deployment brackets every cell task with this.
+  /// The calling thread's bound ring, or null when none is bound. All
+  /// span/instant recording goes through this, so a multi-cell deployment
+  /// gets one deterministic event stream per cell instead of a
+  /// nondeterministic interleaving in a shared ring.
+  static TraceRing* current();
+  /// Binds `ring` as this thread's recording target (nullptr unbinds, and
+  /// the thread records nothing). The deployment brackets every cell task
+  /// with this.
   static void bind_current(TraceRing* ring);
 
   /// Arms the ring with `capacity` entries (rounded up to a power of two).
@@ -129,16 +129,17 @@ class TraceRing {
   std::atomic<bool> enabled_{false};
 };
 
-/// RAII complete-span recorder. Construction when tracing is disabled costs
-/// one relaxed load + branch; nothing else happens until destruction, which
-/// is again a single branch. `name` must outlive the span (all call sites
-/// pass literals or strings owned by the instrumented object).
+/// RAII complete-span recorder. Construction with no enabled ring bound
+/// costs a thread-local read and a branch or two; nothing else happens
+/// until destruction, which is again a single branch. `name` must outlive
+/// the span (all call sites pass literals or strings owned by the
+/// instrumented object).
 class ObsSpan {
  public:
   ObsSpan(TraceCat cat, std::string_view name, uint32_t arg = 0) {
-    TraceRing& ring = TraceRing::current();
-    if (ring.enabled()) {
-      ring_ = &ring;
+    TraceRing* ring = TraceRing::current();
+    if (ring != nullptr && ring->enabled()) {
+      ring_ = ring;
       cat_ = cat;
       name_ = name;
       arg_ = arg;
@@ -152,9 +153,6 @@ class ObsSpan {
   }
   ObsSpan(const ObsSpan&) = delete;
   ObsSpan& operator=(const ObsSpan&) = delete;
-
-  /// Updates the argument mid-span (e.g. byte count known only at the end).
-  void set_arg(uint32_t arg) { arg_ = arg; }
 
  private:
   TraceRing* ring_ = nullptr;  // non-null iff armed

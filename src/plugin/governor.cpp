@@ -50,11 +50,6 @@ uint64_t FuelGovernor::allocation(const std::string& slot) const {
   return it == slots_.end() ? 0 : it->second.allocation;
 }
 
-double FuelGovernor::demand_estimate(const std::string& slot) const {
-  auto it = slots_.find(slot);
-  return it == slots_.end() ? 0.0 : it->second.demand_ewma;
-}
-
 void FuelGovernor::apply(PluginManager& manager) {
   rebalance();
   for (const auto& [name, s] : slots_) {

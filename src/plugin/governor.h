@@ -55,7 +55,6 @@ class FuelGovernor {
   /// (slots missing from the manager are skipped).
   void apply(PluginManager& manager);
 
-  double demand_estimate(const std::string& slot) const;
   const Config& config() const { return config_; }
 
  private:

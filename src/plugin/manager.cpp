@@ -54,19 +54,14 @@ Result<std::shared_ptr<Plugin>> PluginManager::load_checked(
   last_admission_ = analysis::admit(inst.module(), *inst.translation(), budget);
   if (!last_admission_->admitted) {
     const std::string reason = last_admission_->reject_reason();
-    if (default_limits_.admission == analysis::AdmissionMode::kEnforce) {
-      obs::AnomalyJournal::global().record(obs::AnomalyKind::kAdmissionReject,
-                                           domain_, slot, reason);
-      obs::MetricsRegistry::global()
-          .counter("waran_plugin_admission_rejects_total",
-                   {{"domain", domain_}, {"slot", slot}})
-          .add();
-      WARAN_LOG(kWarn, "plugin",
-                "admission rejected slot '" << slot << "': " << reason);
-      return Error::limit_exceeded("admission rejected: " + reason);
-    }
-    WARAN_LOG(kWarn, "plugin", "admission would reject slot '"
-                                   << slot << "' (warn mode): " << reason);
+    obs::AnomalyJournal::global().record(obs::AnomalyKind::kAdmissionReject,
+                                         domain_, slot, reason);
+    obs::MetricsRegistry::global()
+        .counter("waran_plugin_admission_rejects_total",
+                 {{"domain", domain_}, {"slot", slot}})
+        .add();
+    WARAN_LOG(kWarn, "plugin", "admission rejected slot '" << slot << "': " << reason);
+    return Error::limit_exceeded("admission rejected: " + reason);
   }
   return plugin;
 }

@@ -43,19 +43,15 @@ struct SlotHealth {
 
 class PluginManager {
  public:
+  /// With `default_limits.admission == kEnforce`, every install/swap runs
+  /// admission-time static analysis (analysis/analysis.h): the plugin's
+  /// translated streams are verified and every export's static fuel/frame
+  /// bounds are checked against the slot budget (fuel_per_call + the engine
+  /// call-depth limit) before the slot ever runs. A plugin that must exceed
+  /// it fails install/swap with kLimitExceeded — one kAdmissionReject
+  /// anomaly, zero calls.
   explicit PluginManager(PluginLimits default_limits = {})
       : default_limits_(default_limits) {}
-
-  /// Switches every *future* install/swap to admission-time static
-  /// analysis (analysis/analysis.h): the plugin's translated streams are
-  /// verified and every export's static fuel/frame bounds are checked
-  /// against the slot budget (fuel_per_call + the engine call-depth limit)
-  /// before the slot ever runs. kEnforce makes install/swap fail with
-  /// kLimitExceeded — one kAdmissionReject anomaly, zero calls; kWarn only
-  /// keeps the report.
-  void set_admission(analysis::AdmissionMode mode) {
-    default_limits_.admission = mode;
-  }
 
   /// Admission report of the plugin currently in `slot` (null when the
   /// slot does not exist or was installed with admission off).

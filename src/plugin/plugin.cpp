@@ -160,13 +160,12 @@ Result<std::vector<uint8_t>> Plugin::call(const std::string& fn,
   exchange_.log.clear();
 
   // Per-call policy: fuel_per_call maps directly onto CallOptions (0 means
-  // unmetered in both vocabularies), and the optional wall-clock deadline
+  // unmetered in both vocabularies), and an overridden wall-clock deadline
   // rides along. The instance restores its fuel state after the call.
   wasm::CallOptions options;
   options.fuel = overrides.fuel.value_or(limits_.fuel_per_call);
-  uint64_t deadline_ns = overrides.deadline_ns.value_or(limits_.deadline_ns_per_call);
-  if (deadline_ns > 0) {
-    options.deadline = std::chrono::nanoseconds(deadline_ns);
+  if (overrides.deadline_ns.value_or(0) > 0) {
+    options.deadline = std::chrono::nanoseconds(*overrides.deadline_ns);
   }
 
   auto result = instance_->call(fn, {}, options, &last_call_stats_);

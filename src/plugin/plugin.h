@@ -25,19 +25,16 @@ namespace waran::plugin {
 struct PluginLimits {
   /// Fuel units (≈ interpreted instructions) per call; 0 disables metering.
   uint64_t fuel_per_call = 2'000'000;
-  /// Wall-clock budget per call in nanoseconds; 0 disables the deadline.
-  /// Overruns surface as fuel exhaustion (the paper's slot-budget guard).
-  uint64_t deadline_ns_per_call = 0;
   /// Largest input payload the host will pass in.
   uint32_t max_input_bytes = 1 << 20;
   /// Largest output payload the host will accept.
   uint32_t max_output_bytes = 1 << 20;
   /// Consecutive faults before the manager quarantines the plugin (§6A).
   uint32_t quarantine_after_faults = 3;
-  /// Admission-time static analysis (analysis/analysis.h): PluginManager
-  /// verifies the translated streams and checks every export's static
-  /// fuel/frame bounds against this slot budget before the first call.
-  /// kEnforce refuses plugins that *must* exceed it; kWarn only reports.
+  /// Admission-time static analysis (analysis/analysis.h): with kEnforce,
+  /// PluginManager verifies the translated streams and checks every
+  /// export's static fuel/frame bounds against this slot budget before the
+  /// first call, refusing plugins that *must* exceed it.
   analysis::AdmissionMode admission = analysis::AdmissionMode::kOff;
 };
 
@@ -46,8 +43,10 @@ struct PluginLimits {
 /// to force *real* engine-level fuel/deadline exhaustion on schedule; the
 /// FuelGovernor path keeps using set_fuel_per_call for standing changes.
 struct CallOverrides {
-  std::optional<uint64_t> fuel;         ///< fuel budget for this call only
-  std::optional<uint64_t> deadline_ns;  ///< wall-clock budget for this call only
+  std::optional<uint64_t> fuel;  ///< fuel budget for this call only
+  /// Wall-clock budget for this call only; an overrun surfaces as fuel
+  /// exhaustion. Without it a call has no deadline.
+  std::optional<uint64_t> deadline_ns;
 };
 
 /// One loaded plugin instance.

@@ -28,7 +28,7 @@ Channel Channel::pinned_mcs(uint32_t mcs) {
 void Channel::step() {
   if (pinned_) return;
   // AR(1): x' = mean + rho (x - mean) + sqrt(1 - rho^2) sigma n
-  double rho = params_.correlation;
+  constexpr double rho = 0.98;
   double innovation = std::sqrt(1.0 - rho * rho) * params_.sigma_db * rng_.normal();
   snr_db_ = params_.mean_snr_db + rho * (snr_db_ - params_.mean_snr_db) + innovation;
   cqi_ = cqi_from_snr_db(snr_db_);

@@ -15,10 +15,10 @@ namespace waran::ran {
 
 class Channel {
  public:
+  /// The SNR process moves with a per-slot AR(1) coefficient of 0.98.
   struct FadingParams {
     double mean_snr_db = 18.0;
-    double sigma_db = 3.0;       ///< stationary std-dev of the SNR process
-    double correlation = 0.98;   ///< per-slot AR(1) coefficient
+    double sigma_db = 3.0;  ///< stationary std-dev of the SNR process
   };
 
   /// Fading channel with the given seed (deterministic).
@@ -38,7 +38,6 @@ class Channel {
   uint32_t cqi() const { return cqi_; }
   uint32_t mcs() const { return mcs_; }
   double snr_db() const { return snr_db_; }
-  bool is_pinned() const { return pinned_; }
 
   /// Block error probability of a transport block sent at the current MCS
   /// under the current SNR (logistic around the MCS's switching threshold;

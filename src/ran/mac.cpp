@@ -10,6 +10,11 @@
 
 namespace waran::ran {
 
+namespace {
+// HARQ retransmissions of one transport block before it is dropped.
+constexpr uint32_t kMaxHarqAttempts = 4;
+}  // namespace
+
 GnbMac::GnbMac(MacConfig config) : config_(config), error_rng_(config.error_seed) {
   auto& reg = obs::MetricsRegistry::global();
   m_slots_ = &reg.counter("waran_mac_slots_total");
@@ -158,7 +163,7 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedResponse& resp)
       if (error_rng_.uniform() < p_fail) {
         ue.harq_retry();
         ++slice.stats.harq_retx;
-        if (ue.harq_attempts() > config_.max_harq_attempts) {
+        if (ue.harq_attempts() > kMaxHarqAttempts) {
           ue.harq_finish();  // give up; upper layers would recover
           ++slice.stats.tb_drops;
         }

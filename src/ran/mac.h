@@ -37,10 +37,9 @@ struct MacConfig {
   /// Transport-block errors drawn from the channel's BLER. Off by default
   /// (the paper's experiments assume the link-adaptation operating point).
   bool channel_errors = false;
-  /// With channel_errors: stop-and-wait HARQ with chase combining; without
-  /// it a failed TB is simply lost.
+  /// With channel_errors: stop-and-wait HARQ with chase combining, dropping
+  /// a TB after 4 retransmissions; without it a failed TB is simply lost.
   bool enable_harq = true;
-  uint32_t max_harq_attempts = 4;
   uint64_t error_seed = 0x5eed;
 
   /// Cell identity in a multi-cell gNB deployment (rt::GnbDeployment).

@@ -85,8 +85,6 @@ class UeContext {
     return bits;
   }
 
-  void set_pf_time_constant(double slots) { pf_tc_ = slots; }
-
  private:
   static constexpr uint32_t kMaxBufferBytes = 8 << 20;
 

@@ -122,7 +122,6 @@ Status NearRtRic::dispatch_indication(std::span<const uint8_t> payload, LinkRef&
     stats_.actions_sent += aggregated.size();
     RicMetrics::get().actions.add(aggregated.size());
   }
-  last_actions_ = std::move(aggregated);
   return {};
 }
 

@@ -63,16 +63,12 @@ class NearRtRic {
   /// cost ledgers.
   RicStats stats() const;
   plugin::PluginManager& plugins() { return plugins_; }
-  const std::vector<std::string>& xapp_names() const { return xapps_; }
 
   /// Per-xApp call-cost distribution (p50/p99 wall time, fuel, stack
   /// depth), by registration name. Null for unknown names.
   const CallCostAcc* xapp_cost(const std::string& name) const {
     return plugins_.cost("xapp:" + name);
   }
-
-  /// Last batch of actions shipped (for tests/benches).
-  const std::vector<ControlAction>& last_actions() const { return last_actions_; }
 
   /// The RIC's reconstructed fleet view, rebuilt purely from the telemetry
   /// blocks that survived the wire (frame -> unframe -> decode). After a
@@ -101,7 +97,6 @@ class NearRtRic {
   std::vector<std::string> xapps_;             // slot names in dispatch order
   std::vector<std::deque<std::vector<uint8_t>>> inboxes_;
   RicStats stats_;
-  std::vector<ControlAction> last_actions_;
   obs::FleetView fleet_view_;
 };
 

@@ -77,9 +77,6 @@ GnbDeployment::GnbDeployment(DeploymentConfig config) : config_(std::move(config
     cell->mac->set_inter_scheduler(std::move(quotas));
 
     plugin::PluginLimits sched_limits;
-    if (config_.sched_fuel_per_call > 0) {
-      sched_limits.fuel_per_call = config_.sched_fuel_per_call;
-    }
     sched_limits.admission = config_.admission;
     cell->sched_plugins = std::make_unique<plugin::PluginManager>(sched_limits);
     cell->sched_plugins->set_domain(mc.domain);
@@ -173,11 +170,8 @@ GnbDeployment::GnbDeployment(DeploymentConfig config) : config_(std::move(config
   }
 
   if (config_.slo_window_slots > 0) {
-    std::vector<obs::SloSpec> slos =
-        config_.slos.empty()
-            ? obs::default_slos(static_cast<uint64_t>(config_.mac.slot_us) * 1000)
-            : config_.slos;
-    slo_ = std::make_unique<obs::SloEngine>(std::move(slos));
+    slo_ = std::make_unique<obs::SloEngine>(
+        obs::default_slos(static_cast<uint64_t>(config_.mac.slot_us) * 1000));
   }
 
   flight_ctx_.seed = config_.seed;
@@ -300,55 +294,6 @@ Status GnbDeployment::run_slots(uint32_t n) {
   return {};
 }
 
-Status GnbDeployment::run_slots_unsynced(uint32_t n) {
-  if (!status_.ok()) return status_;
-  const uint32_t period = config_.report_period_slots;
-  for (auto& cp : cells_) {
-    Cell* c = cp.get();
-    c->executor->post([c, n, period] {
-      obs::TraceRing::bind_current(c->ring.get());
-      for (uint32_t k = 0; k < n; ++k) {
-        Status st = c->mac->run_slot();
-        if (!st.ok()) {
-          if (c->status.ok()) c->status = st;
-          break;
-        }
-        if (period > 0 && c->mac->slot() % period == 0) {
-          Status sent = c->agent->send_indication();
-          (void)sent;
-        }
-      }
-      obs::TraceRing::bind_current(nullptr);
-    });
-  }
-  for (auto& cp : cells_) cp->executor->wait_idle();
-
-  // Settle the E2 loop once: RIC turn, then control application per cell.
-  if (period > 0) {
-    obs::TraceRing::bind_current(ric_ring_.get());
-    Status rs = ric_->poll();
-    (void)rs;
-    obs::TraceRing::bind_current(nullptr);
-    for (auto& cp : cells_) {
-      Cell* c = cp.get();
-      c->executor->post([c] {
-        obs::TraceRing::bind_current(c->ring.get());
-        obs::set_current_slot(c->mac->slot());
-        Status ps = c->agent->poll();
-        (void)ps;
-        obs::TraceRing::bind_current(nullptr);
-      });
-    }
-    for (auto& cp : cells_) cp->executor->wait_idle();
-  }
-
-  slots_run_ += n;
-  for (auto& cp : cells_) {
-    if (!cp->status.ok()) return cp->status;
-  }
-  return {};
-}
-
 ran::GnbMac& GnbDeployment::mac(uint32_t cell) { return *cells_.at(cell)->mac; }
 ric::GnbAgent& GnbDeployment::agent(uint32_t cell) { return *cells_.at(cell)->agent; }
 ric::Duplex& GnbDeployment::link(uint32_t cell) { return *cells_.at(cell)->link; }
@@ -388,7 +333,7 @@ std::string GnbDeployment::export_merged_trace() const {
 }
 
 std::string GnbDeployment::capture_flight_bundle(std::string_view reason) const {
-  obs::FlightRecorder recorder(flight_ctx_, /*trace_window_slots=*/16);
+  obs::FlightRecorder recorder(flight_ctx_);
   return recorder.capture(reason, last_health_, *fleet_, trace_tracks(),
                           slots_run_);
 }

@@ -7,19 +7,11 @@
 // AnomalyJournal atomics/mutex, Duplex's internal lock, the RIC driven only
 // by the coordinator thread).
 //
-// Two execution modes:
-//
-//   run_slots(n)          barrier-stepped: all cells execute slot k
-//                         concurrently, park at the executors' idle
-//                         barrier, then the coordinator polls the RIC and
-//                         advances the virtual clock. With virtual_time
-//                         this is fully deterministic — same config + seed
-//                         => bit-identical metrics snapshot, trace hashes
-//                         and journal, threaded or not (see digest()).
-//
-//   run_slots_unsynced(n) free-running: each cell runs its n slots
-//                         back-to-back with no per-slot barrier — the
-//                         scaling configuration bench/abl_rt.cpp measures.
+// run_slots(n) steps every cell in lockstep: all cells execute slot k
+// concurrently, park at the executors' idle barrier, then the coordinator
+// polls the RIC and advances the virtual clock. With virtual_time this is
+// fully deterministic — same config + seed => bit-identical metrics
+// snapshot, trace hashes and journal, threaded or not (see digest()).
 //
 // Construction never throws: wiring failures land in status() and the
 // deployment refuses to run.
@@ -87,22 +79,16 @@ struct DeploymentConfig {
   /// the deployment also owns a coordinator-side "ric" ring of the same
   /// capacity, so RIC dispatch spans land in the merged trace too.
   size_t trace_capacity = 0;
-  /// Slots per SLO evaluation window (0 disables the SLO engine). Windows
-  /// are evaluated by the coordinator at barrier-stepped run_slots
-  /// boundaries only (run_slots_unsynced never evaluates: free-running
-  /// cells have no common window edge).
+  /// Slots per SLO evaluation window (0 disables the SLO engine). The
+  /// coordinator judges obs::default_slos(slot budget) at the window's
+  /// run_slots barrier.
   uint32_t slo_window_slots = 0;
-  /// Objectives; empty = obs::default_slos(slot budget).
-  std::vector<obs::SloSpec> slos;
   /// Admission-time static analysis for the per-cell scheduler plugins
   /// (analysis/analysis.h): verify translated streams and check each
-  /// export's static fuel/frame bounds against the slot budget at
+  /// export's static fuel/frame bounds against the PluginLimits budget at
   /// install/swap. kEnforce makes construction fail (status()) on an
   /// over-budget scheduler — one kAdmissionReject anomaly, zero calls.
   analysis::AdmissionMode admission = analysis::AdmissionMode::kOff;
-  /// Per-call fuel budget for scheduler plugins; 0 keeps the PluginLimits
-  /// default. Admission (when enabled) checks static min-fuel against it.
-  uint64_t sched_fuel_per_call = 0;
   /// MAC template; cell, domain and error_seed are overridden per cell.
   ran::MacConfig mac;
   std::vector<SliceSpec> slices = default_mvno_slices();
@@ -130,9 +116,6 @@ class GnbDeployment {
 
   /// Barrier-stepped execution (deterministic under virtual time).
   Status run_slots(uint32_t n);
-  /// Free-running execution: no per-slot barrier; the E2 loop settles once
-  /// at the end. Maximizes parallel slot throughput for the scaling bench.
-  Status run_slots_unsynced(uint32_t n);
 
   // --- Shard access. Between run_slots calls the workers are parked at
   // --- the idle barrier, so the coordinator may touch any shard safely.
@@ -142,7 +125,6 @@ class GnbDeployment {
   plugin::PluginManager& sched_plugins(uint32_t cell);
   CellExecutor& executor(uint32_t cell);
   obs::TraceRing* trace_ring(uint32_t cell);  ///< null if trace_capacity == 0
-  obs::TraceRing* ric_trace_ring() { return ric_ring_.get(); }
   ric::NearRtRic& ric() { return *ric_; }
 
   // --- Fleet telemetry plane (obs/fleet.h). The aggregator is always on:

@@ -21,16 +21,29 @@ constexpr uint8_t kSectionCode = 10;
 constexpr uint8_t kSectionData = 11;
 constexpr uint8_t kSectionDataCount = 12;
 
+// Resource bounds: generous for RAN plugins (which are tiny) yet far below
+// anything dangerous for an edge node.
+constexpr uint32_t kMaxTypes = 1024;
+constexpr uint32_t kMaxImports = 512;
+constexpr uint32_t kMaxFunctions = 4096;
+constexpr uint32_t kMaxGlobals = 1024;
+constexpr uint32_t kMaxExports = 1024;
+constexpr uint32_t kMaxElemSegments = 256;
+constexpr uint32_t kMaxDataSegments = 256;
+constexpr uint32_t kMaxLocals = 4096;        // per function, params included
+constexpr uint32_t kMaxBodyInstrs = 262144;  // per function
+constexpr uint32_t kMaxParams = 64;
+constexpr uint32_t kMaxResults = 1;
+constexpr uint32_t kMaxBrTableTargets = 4096;
+
 class Decoder {
  public:
-  Decoder(std::span<const uint8_t> bytes, const DecodeLimits& limits)
-      : r_(bytes), limits_(limits) {}
+  explicit Decoder(std::span<const uint8_t> bytes) : r_(bytes) {}
 
   Result<Module> run();
 
  private:
   ByteReader r_;
-  const DecodeLimits& limits_;
   Module m_;
   uint32_t declared_func_count_ = 0;  // from the function section
 
@@ -149,7 +162,7 @@ Result<ConstExpr> Decoder::const_expr(ByteReader& s) {
 Status Decoder::decode_type_section(ByteReader& s) {
   auto count = s.uleb32();
   if (!count.ok()) return count.error();
-  if (*count > limits_.max_types) return Error::limit_exceeded("too many types");
+  if (*count > kMaxTypes) return Error::limit_exceeded("too many types");
   m_.types.reserve(*count);
   for (uint32_t i = 0; i < *count; ++i) {
     auto form = s.u8();
@@ -158,7 +171,7 @@ Status Decoder::decode_type_section(ByteReader& s) {
     FuncType ft;
     auto np = s.uleb32();
     if (!np.ok()) return np.error();
-    if (*np > limits_.max_params) return Error::limit_exceeded("too many parameters");
+    if (*np > kMaxParams) return Error::limit_exceeded("too many parameters");
     ft.params.reserve(*np);
     for (uint32_t j = 0; j < *np; ++j) {
       auto t = val_type(s);
@@ -167,7 +180,7 @@ Status Decoder::decode_type_section(ByteReader& s) {
     }
     auto nr = s.uleb32();
     if (!nr.ok()) return nr.error();
-    if (*nr > limits_.max_results) {
+    if (*nr > kMaxResults) {
       return Error::unsupported("multi-value results not supported");
     }
     for (uint32_t j = 0; j < *nr; ++j) {
@@ -183,7 +196,7 @@ Status Decoder::decode_type_section(ByteReader& s) {
 Status Decoder::decode_import_section(ByteReader& s) {
   auto count = s.uleb32();
   if (!count.ok()) return count.error();
-  if (*count > limits_.max_imports) return Error::limit_exceeded("too many imports");
+  if (*count > kMaxImports) return Error::limit_exceeded("too many imports");
   for (uint32_t i = 0; i < *count; ++i) {
     Import imp;
     auto mod = s.name();
@@ -244,7 +257,7 @@ Status Decoder::decode_import_section(ByteReader& s) {
 Status Decoder::decode_function_section(ByteReader& s) {
   auto count = s.uleb32();
   if (!count.ok()) return count.error();
-  if (*count > limits_.max_functions) return Error::limit_exceeded("too many functions");
+  if (*count > kMaxFunctions) return Error::limit_exceeded("too many functions");
   declared_func_count_ = *count;
   m_.func_type_indices.reserve(*count);
   for (uint32_t i = 0; i < *count; ++i) {
@@ -287,7 +300,7 @@ Status Decoder::decode_memory_section(ByteReader& s) {
 Status Decoder::decode_global_section(ByteReader& s) {
   auto count = s.uleb32();
   if (!count.ok()) return count.error();
-  if (*count > limits_.max_globals) return Error::limit_exceeded("too many globals");
+  if (*count > kMaxGlobals) return Error::limit_exceeded("too many globals");
   for (uint32_t i = 0; i < *count; ++i) {
     Global g;
     auto gt = global_type(s);
@@ -304,7 +317,7 @@ Status Decoder::decode_global_section(ByteReader& s) {
 Status Decoder::decode_export_section(ByteReader& s) {
   auto count = s.uleb32();
   if (!count.ok()) return count.error();
-  if (*count > limits_.max_exports) return Error::limit_exceeded("too many exports");
+  if (*count > kMaxExports) return Error::limit_exceeded("too many exports");
   for (uint32_t i = 0; i < *count; ++i) {
     Export e;
     auto nm = s.name();
@@ -332,7 +345,7 @@ Status Decoder::decode_start_section(ByteReader& s) {
 Status Decoder::decode_element_section(ByteReader& s) {
   auto count = s.uleb32();
   if (!count.ok()) return count.error();
-  if (*count > limits_.max_elem_segments) return Error::limit_exceeded("too many element segments");
+  if (*count > kMaxElemSegments) return Error::limit_exceeded("too many element segments");
   for (uint32_t i = 0; i < *count; ++i) {
     ElemSegment seg;
     auto flags = s.uleb32();
@@ -344,7 +357,7 @@ Status Decoder::decode_element_section(ByteReader& s) {
     seg.offset = *off;
     auto n = s.uleb32();
     if (!n.ok()) return n.error();
-    if (*n > limits_.max_functions) return Error::limit_exceeded("element segment too large");
+    if (*n > kMaxFunctions) return Error::limit_exceeded("element segment too large");
     seg.func_indices.reserve(*n);
     for (uint32_t j = 0; j < *n; ++j) {
       auto fi = s.uleb32();
@@ -359,7 +372,7 @@ Status Decoder::decode_element_section(ByteReader& s) {
 Status Decoder::decode_data_section(ByteReader& s) {
   auto count = s.uleb32();
   if (!count.ok()) return count.error();
-  if (*count > limits_.max_data_segments) return Error::limit_exceeded("too many data segments");
+  if (*count > kMaxDataSegments) return Error::limit_exceeded("too many data segments");
   for (uint32_t i = 0; i < *count; ++i) {
     DataSegment seg;
     auto flags = s.uleb32();
@@ -390,7 +403,7 @@ Result<Code> Decoder::func_body(ByteReader& s, size_t n_params) {
     auto t = val_type(s);
     if (!t.ok()) return t.error();
     total_locals += *n;
-    if (total_locals > limits_.max_locals) return Error::limit_exceeded("too many locals");
+    if (total_locals > kMaxLocals) return Error::limit_exceeded("too many locals");
     code.locals.insert(code.locals.end(), *n, *t);
   }
 
@@ -398,7 +411,7 @@ Result<Code> Decoder::func_body(ByteReader& s, size_t n_params) {
   uint32_t depth = 0;
   bool done = false;
   while (!done) {
-    if (code.body.size() >= limits_.max_body_instrs) {
+    if (code.body.size() >= kMaxBodyInstrs) {
       return Error::limit_exceeded("function body too large");
     }
     auto b0 = s.u8();
@@ -460,7 +473,7 @@ Result<Code> Decoder::func_body(ByteReader& s, size_t n_params) {
         BrTable bt;
         auto n = s.uleb32();
         if (!n.ok()) return n.error();
-        if (*n > limits_.max_br_table_targets) return Error::limit_exceeded("br_table too large");
+        if (*n > kMaxBrTableTargets) return Error::limit_exceeded("br_table too large");
         bt.targets.reserve(*n);
         for (uint32_t j = 0; j < *n; ++j) {
           auto t = s.uleb32();
@@ -722,8 +735,8 @@ Status Decoder::decode_code_section(ByteReader& s) {
 
 }  // namespace
 
-Result<Module> decode_module(std::span<const uint8_t> bytes, const DecodeLimits& limits) {
-  Decoder d(bytes, limits);
+Result<Module> decode_module(std::span<const uint8_t> bytes) {
+  Decoder d(bytes);
   return d.run();
 }
 

@@ -15,26 +15,9 @@
 
 namespace waran::wasm {
 
-/// Embedder-imposed resource bounds, applied while decoding so a hostile
-/// module cannot balloon memory before validation even starts. Defaults are
-/// generous for RAN plugins (which are tiny) yet far below anything
-/// dangerous for an edge node.
-struct DecodeLimits {
-  uint32_t max_types = 1024;
-  uint32_t max_imports = 512;
-  uint32_t max_functions = 4096;
-  uint32_t max_globals = 1024;
-  uint32_t max_exports = 1024;
-  uint32_t max_elem_segments = 256;
-  uint32_t max_data_segments = 256;
-  uint32_t max_locals = 4096;          // per function, params included
-  uint32_t max_body_instrs = 262144;   // per function
-  uint32_t max_params = 64;
-  uint32_t max_results = 1;
-  uint32_t max_br_table_targets = 4096;
-};
-
-Result<Module> decode_module(std::span<const uint8_t> bytes,
-                             const DecodeLimits& limits = {});
+/// Decodes `bytes` under fixed resource bounds (decoder.cpp), applied while
+/// decoding so a hostile module cannot balloon memory before validation
+/// even starts.
+Result<Module> decode_module(std::span<const uint8_t> bytes);
 
 }  // namespace waran::wasm

@@ -90,14 +90,7 @@ Result<std::unique_ptr<Instance>> Instance::instantiate(
     inst->translated_ = std::move(*tr);
   }
 
-  Dispatch d = options.dispatch;
-  if (d == Dispatch::kDefault) {
-    d = WARAN_HAS_THREADED_DISPATCH ? Dispatch::kThreaded : Dispatch::kSwitch;
-  }
-#if !WARAN_HAS_THREADED_DISPATCH
-  if (d == Dispatch::kThreaded) d = Dispatch::kSwitch;
-#endif
-  inst->dispatch_ = d;
+  inst->dispatch_ = WARAN_HAS_THREADED_DISPATCH ? options.dispatch : Dispatch::kSwitch;
 
   // Resolve imports. WA-RAN hosts only expose functions; table/memory/global
   // imports are rejected at instantiation (decoded for completeness).

@@ -38,12 +38,12 @@
 
 namespace waran::wasm {
 
-/// Interpreter dispatch strategy. kDefault resolves to threaded
-/// (computed-goto) when the toolchain supports it, else the switch loop;
-/// kSwitch forces the portable loop — differential tests use it as the
-/// oracle against the threaded hot path. Both execute observably identical
-/// semantics (results, traps, fuel, stats).
-enum class Dispatch : uint8_t { kDefault = 0, kThreaded, kSwitch };
+/// Interpreter dispatch strategy. kThreaded (computed goto) falls back to
+/// the switch loop where the toolchain lacks it; kSwitch forces the
+/// portable loop — differential tests use it as the oracle against the
+/// threaded hot path. Both execute observably identical semantics
+/// (results, traps, fuel, stats).
+enum class Dispatch : uint8_t { kThreaded, kSwitch };
 
 struct InstanceOptions {
   /// Opaque pointer surfaced to host functions via HostContext::user_data.
@@ -52,14 +52,14 @@ struct InstanceOptions {
   /// interpreter state, not native stack, so this can be raised into the
   /// tens of thousands without risking the host stack.
   uint32_t max_call_depth = 256;
-  Dispatch dispatch = Dispatch::kDefault;
+  Dispatch dispatch = Dispatch::kThreaded;
 };
 
 /// Per-call execution policy, threaded from the embedder (PluginManager,
 /// RIC, scheduler) down to the interpreter.
 struct CallOptions {
   /// Fuel budget for this call only: nullopt inherits the instance-level
-  /// set_fuel()/disable_fuel() state, a positive value arms metering with
+  /// set_fuel() state, a positive value arms metering with
   /// exactly that budget (and restores the prior state afterwards), and 0
   /// runs the call unmetered.
   std::optional<uint64_t> fuel;
@@ -122,7 +122,6 @@ class Instance {
     fuel_ = fuel;
     fuel_enabled_ = true;
   }
-  void disable_fuel() { fuel_enabled_ = false; }
   uint64_t fuel() const { return fuel_; }
   bool fuel_enabled() const { return fuel_enabled_; }
 
@@ -140,7 +139,7 @@ class Instance {
   /// static frame needs against this).
   uint32_t max_call_depth() const { return max_call_depth_; }
 
-  /// The dispatch strategy actually in use (kDefault resolved).
+  /// The dispatch strategy actually in use (kThreaded resolved).
   Dispatch dispatch() const { return dispatch_; }
 
   /// The translated micro-op module this instance executes — the module's

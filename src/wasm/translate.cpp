@@ -1,23 +1,10 @@
 #include "wasm/translate.h"
 
-#include <atomic>
 #include <cstring>
 
 #include "wasm/types.h"
 
 namespace waran::wasm {
-
-namespace {
-std::atomic<StreamFirewall> g_stream_firewall{nullptr};
-}  // namespace
-
-void set_stream_firewall(StreamFirewall fw) {
-  g_stream_firewall.store(fw, std::memory_order_relaxed);
-}
-
-StreamFirewall stream_firewall() {
-  return g_stream_firewall.load(std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -813,12 +800,6 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
   }
 
   tf.max_stack = max_height > code.max_stack ? max_height : code.max_stack;
-  if (StreamFirewall fw = stream_firewall()) {
-    if (Status st = fw(m, tf); !st.ok()) {
-      return Error::internal("stream firewall rejected lowering of defined func " +
-                             std::to_string(defined_index) + ": " + st.error().message);
-    }
-  }
   return tf;
 }
 

@@ -186,15 +186,4 @@ Result<std::shared_ptr<const TranslatedModule>> translate(const Module& m);
 /// the fly when this was not called.
 Status translate_module(Module& m);
 
-/// Miscompile firewall hook. When set (waran::analysis installs its stream
-/// verifier here; see analysis/analysis.h), translate_function() checks its
-/// own output, so a bad lowering fails at translation time instead of
-/// surfacing as a runtime divergence. Null (the default) skips all checks —
-/// the production hot path pays nothing. The hook must be thread-safe and
-/// is read with relaxed atomics; install it once at startup, before
-/// translation runs on other threads.
-using StreamFirewall = Status (*)(const Module&, const TranslatedFunc&);
-void set_stream_firewall(StreamFirewall fw);
-StreamFirewall stream_firewall();
-
 }  // namespace waran::wasm

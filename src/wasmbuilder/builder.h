@@ -90,12 +90,6 @@ class FunctionBuilder {
   FunctionBuilder& memory_copy();
   FunctionBuilder& memory_fill();
 
-  /// Raw escape hatch for malformed-module tests.
-  FunctionBuilder& raw_byte(uint8_t b) {
-    body_.u8(b);
-    return *this;
-  }
-
   /// Serialized body (locals + instructions); `end()` for the function'
   /// closing delimiter must already have been emitted by the caller.
   std::vector<uint8_t> finish() const;

@@ -222,8 +222,7 @@ Status Compiler::collect_signatures() {
 Result<std::vector<uint8_t>> Compiler::run() {
   WARAN_CHECK_OK(collect_signatures());
 
-  mb_.add_memory(options_.memory_pages_min, options_.memory_pages_max,
-                 options_.export_memory ? "memory" : "");
+  mb_.add_memory(/*min_pages=*/4, /*max_pages=*/64, "memory");
 
   for (const GlobalDecl& g : prog_.globals) {
     if (globals_.contains(g.name)) {

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -40,13 +39,11 @@ struct CompileOptions {
   /// branches — see wcc/optimizer.h). Type checking always happens on the
   /// unoptimized program, so diagnostics are identical either way.
   bool optimize = true;
-  uint32_t memory_pages_min = 4;
-  std::optional<uint32_t> memory_pages_max = 64;
-  bool export_memory = true;
 };
 
-/// Compiles W source to a wasm binary module. The output always passes the
-/// engine's validator (the test suite enforces this).
+/// Compiles W source to a wasm binary module with one linear memory of 4 to
+/// 64 pages, exported as "memory". The output always passes the engine's
+/// validator (the test suite enforces this).
 Result<std::vector<uint8_t>> compile(std::string_view source,
                                      const CompileOptions& options = {});
 

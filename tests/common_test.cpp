@@ -186,6 +186,37 @@ TEST(QuantileAcc, AddAfterQueryResorts) {
   EXPECT_DOUBLE_EQ(acc.quantile(0.0), 1.0);
 }
 
+TEST(CallCostAcc, CountsExactlyAndKeepsAWindowOfWallSamples) {
+  // A slot that outlives its wall window: calls() and total_fuel() stay
+  // exact, only the most recent kWallWindow wall samples are stored, and
+  // the quantiles over them are exact — also after a query mid-run.
+  constexpr uint64_t kCalls = 100'000;
+  const uint64_t window = CallCostAcc::kWallWindow;
+  auto wall = [](uint64_t i) { return (i * 2654435761ULL) % 1000003; };
+  CallCostAcc acc;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    acc.add(/*fuel_used=*/i % 7, wall(i));
+    if (i == kCalls / 2) {
+      EXPECT_EQ(acc.wall_ns().count(), window);
+    }
+  }
+  uint64_t fuel = 0;
+  for (uint64_t i = 0; i < kCalls; ++i) fuel += i % 7;
+  EXPECT_EQ(acc.calls(), kCalls);
+  EXPECT_EQ(acc.total_fuel(), fuel);
+
+  QuantileAcc expect;
+  for (uint64_t i = kCalls - window; i < kCalls; ++i) {
+    expect.add(static_cast<double>(wall(i)));
+  }
+  const QuantileAcc got = acc.wall_ns();
+  ASSERT_EQ(got.count(), window);
+  for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(got.quantile(q), expect.quantile(q)) << q;
+  }
+  EXPECT_DOUBLE_EQ(got.mean(), expect.mean());
+}
+
 TEST(RateMeter, WindowedRate) {
   RateMeter m(1.0);
   m.add(0.0, 1000);

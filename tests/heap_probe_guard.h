@@ -52,6 +52,25 @@ void operator delete[](void* p, std::size_t) noexcept {
   waran::heap_probe::note_free();
   std::free(p);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to a sanitizer runtime's own definitions, their blocks would be
+// released by the free() above.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  waran::heap_probe::note_alloc(n);
+  return std::malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  waran::heap_probe::note_alloc(n);
+  return std::malloc(n);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  waran::heap_probe::note_free();
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  waran::heap_probe::note_free();
+  std::free(p);
+}
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop

@@ -446,12 +446,10 @@ wasm::Linker stub_linker(const wasm::Module& m) {
 }
 
 TEST(InterpDifferential, VerifierAcceptsTierStreams) {
-  // With the stream firewall installed, every tier-1 lowering self-checks
-  // against the verifier: the module's shared translation
-  // (translate_module) and the private lowering an instance makes when the
-  // embedder skipped it. Both are re-verified explicitly here for every
+  // Every tier-1 lowering passes the stream verifier: the module's shared
+  // translation (translate_module) and the private lowering an instance
+  // makes when the embedder skipped it. Both are verified for every
   // scheduler, and the privately lowered pair must still run identically.
-  analysis::install_stream_firewall();
   for (const char* kind : {"rr", "pf", "mt"}) {
     auto bytes = sched::plugins::scheduler(kind);
     ASSERT_TRUE(bytes.ok()) << kind;
@@ -589,9 +587,7 @@ TEST(InterpDifferential, ValidatedMutantsMatch) {
   // stubbed host ABI and a tight fuel budget, and require identical
   // observable behavior — the differential analogue of
   // Fuzz.ValidatedMutantsAreSafeToRun, widened across the plugin corpus
-  // and deeper corruption. The stream firewall stays installed so every
-  // lowering is verified in-line.
-  analysis::install_stream_firewall();
+  // and deeper corruption. Every lowering is verified explicitly.
   int kind_index = 0;
   for (const char* kind : {"rr", "pf", "mt"}) {
     auto seed_module = sched::plugins::scheduler(kind);
@@ -611,14 +607,8 @@ TEST(InterpDifferential, ValidatedMutantsMatch) {
       if (!wasm::validate_module(*decoded).ok()) continue;
 
       // Every validated mutant's lowering must pass the stream verifier.
-      // Translation may legally reject a mutant on representation limits,
-      // but never because its own output failed the firewall.
-      Status tr = wasm::translate_module(*decoded);
-      if (!tr.ok()) {
-        ASSERT_EQ(tr.error().message.find("stream firewall"), std::string::npos)
-            << tr.error().message;
-        continue;
-      }
+      // Translation may legally reject a mutant on representation limits.
+      if (!wasm::translate_module(*decoded).ok()) continue;
       Status v = analysis::verify_module(*decoded, *decoded->translated);
       ASSERT_TRUE(v.ok()) << kind << " mutant round " << round << ": "
                           << v.error().message;

@@ -340,19 +340,23 @@ TEST(FleetPlane, MergedTraceDeclaresPerCellDrops) {
 
 TEST(FleetPlane, BreachedSloJournalsAndCapturesFlightBundle) {
   reset_global_obs();
-  rt::DeploymentConfig cfg = fleet_config(2, /*threaded=*/true);
-  // A floor no real run can meet (PRB utilization > 150%): every window
-  // must breach, at fleet scope, deterministically.
-  cfg.slos = {{"impossible_floor", obs::SloMetric::kPrbUtilizationFloor,
-               obs::SloScope::kFleet, 1.5}};
-  rt::GnbDeployment dep(cfg);
+  rt::GnbDeployment dep(fleet_config(2, /*threaded=*/true));
   ASSERT_TRUE(dep.status().ok());
+  // Pad every cell-0 slot past the 1 ms budget: under the default
+  // objectives exactly cell 0's slot_deadline_miss breaches, once per
+  // window, deterministically.
+  dep.mac(0).set_slot_time_padding([] { return uint64_t{2'000'000}; });
 
   uint64_t hook_fires = 0;
   dep.set_breach_hook([&hook_fires](const obs::HealthReport& h) {
     ++hook_fires;
     EXPECT_FALSE(h.healthy);
     EXPECT_EQ(h.breaches, 1u);
+    for (const obs::SloVerdict& v : h.verdicts) {
+      if (!v.breached) continue;
+      EXPECT_EQ(v.slo, "slot_deadline_miss");
+      EXPECT_EQ(v.cell, 0u);
+    }
   });
   ASSERT_TRUE(dep.run_slots(60).ok());  // 3 windows of 20 slots
 

@@ -13,28 +13,29 @@
 #include "obs/fleet.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tests/heap_probe_guard.h"
 
 namespace waran::obs {
 namespace {
 
-// The ring, registry and journal are process-wide singletons; each test
-// starts from a clean sheet.
+// The registry and journal are process-wide singletons; each test starts
+// from a clean sheet and records into its own ring, bound to the test
+// thread.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    TraceRing::instance().disable();
-    TraceRing::instance().clear();
+    TraceRing::bind_current(&ring_);
     MetricsRegistry::global().reset_values();
     AnomalyJournal::global().clear();
     set_current_slot(0);
   }
-  void TearDown() override {
-    TraceRing::instance().disable();
-  }
+  void TearDown() override { TraceRing::bind_current(nullptr); }
+
+  TraceRing ring_;
 };
 
 TEST_F(ObsTest, DisabledRingRecordsNothing) {
-  TraceRing& ring = TraceRing::instance();
+  TraceRing& ring = ring_;
   ASSERT_FALSE(ring.enabled());
   uint64_t before = ring.writes();
   ring.record(TraceCat::kMac, "noop", 1, 2, 3);
@@ -45,7 +46,7 @@ TEST_F(ObsTest, DisabledRingRecordsNothing) {
 }
 
 TEST_F(ObsTest, WrapAroundKeepsNewestEvents) {
-  TraceRing& ring = TraceRing::instance();
+  TraceRing& ring = ring_;
   ring.enable(8);  // already a power of two
   ASSERT_EQ(ring.capacity(), 8u);
   for (uint32_t i = 0; i < 20; ++i) {
@@ -62,13 +63,13 @@ TEST_F(ObsTest, WrapAroundKeepsNewestEvents) {
 }
 
 TEST_F(ObsTest, CapacityRoundsUpToPowerOfTwo) {
-  TraceRing& ring = TraceRing::instance();
+  TraceRing& ring = ring_;
   ring.enable(5);
   EXPECT_EQ(ring.capacity(), 8u);
 }
 
 TEST_F(ObsTest, EventsCarryCurrentSlot) {
-  TraceRing& ring = TraceRing::instance();
+  TraceRing& ring = ring_;
   ring.enable(16);
   set_current_slot(42);
   ring.instant(TraceCat::kMac, "tick");
@@ -81,7 +82,7 @@ TEST_F(ObsTest, EventsCarryCurrentSlot) {
 }
 
 TEST_F(ObsTest, LongNamesAreTruncatedNotOverflowed) {
-  TraceRing& ring = TraceRing::instance();
+  TraceRing& ring = ring_;
   ring.enable(4);
   std::string long_name(100, 'x');
   ring.instant(TraceCat::kOther, long_name);
@@ -91,7 +92,7 @@ TEST_F(ObsTest, LongNamesAreTruncatedNotOverflowed) {
 }
 
 TEST_F(ObsTest, ChromeTraceExportParsesAsJson) {
-  TraceRing& ring = TraceRing::instance();
+  TraceRing& ring = ring_;
   ring.enable(16);
   set_current_slot(7);
   ring.record(TraceCat::kMac, "slot", 1000, 500, 7);
@@ -242,9 +243,9 @@ TEST_F(ObsTest, AnomalyJournalEvictsAtCapacityButTotalIsMonotone) {
 }
 
 TEST_F(ObsTest, AnomalyRecordFeedsMetricsAndTrace) {
-  TraceRing::instance().enable(16);
+  ring_.enable(16);
   AnomalyJournal::global().record(AnomalyKind::kTrap, "ric", "xapp:t", "boom");
-  auto events = TraceRing::instance().snapshot();
+  auto events = ring_.snapshot();
   bool saw_anomaly = false;
   for (const TraceEvent& e : events) {
     if (e.cat == static_cast<uint8_t>(TraceCat::kAnomaly)) saw_anomaly = true;
@@ -254,6 +255,25 @@ TEST_F(ObsTest, AnomalyRecordFeedsMetricsAndTrace) {
   EXPECT_NE(prom.find("waran_anomaly_total{domain=\"ric\",kind=\"trap\"} 1"),
             std::string::npos)
       << prom;
+}
+
+TEST_F(ObsTest, UnboundThreadTracesNothingButStillJournals) {
+  // How production runs: no ring bound. A span allocates nothing and
+  // reaches no ring, even an enabled one, and a journal record still lands.
+  ring_.enable(16);
+  TraceRing::bind_current(nullptr);
+  ASSERT_EQ(TraceRing::current(), nullptr);
+  const uint64_t allocs_before = heap_probe::allocations();
+  for (int i = 0; i < 64; ++i) {
+    ObsSpan span(TraceCat::kWasm, "unbound");
+  }
+  EXPECT_EQ(heap_probe::allocations(), allocs_before);
+  AnomalyJournal::global().record(AnomalyKind::kTrap, "mac", "slot", "boom");
+  EXPECT_EQ(ring_.writes(), 0u);
+  auto records = AnomalyJournal::global().snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].kind, AnomalyKind::kTrap);
+  EXPECT_EQ(records[0].detail, "boom");
 }
 
 }  // namespace

@@ -527,7 +527,7 @@ TEST(Harq, HopelessChannelDropsAfterMaxAttempts) {
   auto r = run_with(true, true, 1.0);  // every transmission fails
   EXPECT_NEAR(r.rate_bps, 0.0, 1.0);
   EXPECT_GT(r.stats.tb_drops, 0u);
-  // Attempt accounting: drops happen only after max_harq_attempts retx.
+  // Attempt accounting: drops happen only after 4 retransmissions.
   EXPECT_GE(r.stats.harq_retx, r.stats.tb_drops * 4);
 }
 

@@ -307,7 +307,7 @@ TEST(GnbDeployment, DuplicateSliceIdsFailConstruction) {
   EXPECT_FALSE(dep.run_slots(1).ok());
 }
 
-TEST(GnbDeployment, UnsyncedModeRunsAllCells) {
+TEST(GnbDeployment, ThreadedRunSlotsRunsAllCells) {
   reset_global_obs();
   rt::DeploymentConfig cfg;
   cfg.cells = 2;
@@ -317,7 +317,7 @@ TEST(GnbDeployment, UnsyncedModeRunsAllCells) {
   cfg.report_period_slots = 4;
   rt::GnbDeployment dep(cfg);
   ASSERT_TRUE(dep.status().ok());
-  ASSERT_TRUE(dep.run_slots_unsynced(12).ok());
+  ASSERT_TRUE(dep.run_slots(12).ok());
   EXPECT_EQ(dep.slots_run(), 12u);
   const uint64_t slots =
       static_cast<uint64_t>(obs::MetricsRegistry::global()

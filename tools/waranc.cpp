@@ -280,9 +280,6 @@ int cmd_analyze(int argc, char** argv) {
     }
   }
   if (path.empty()) return usage();
-  // Route our own translation through the verifier too: a translator bug
-  // shows up as a firewall error here, not as bogus bounds.
-  analysis::install_stream_firewall();
   auto module = load_module(path);
   if (!module.ok()) {
     std::printf("REJECTED: %s\n", module.error().message.c_str());
