@@ -12,8 +12,13 @@ using wasm::ValType;
 using wasm::Value;
 
 GnbAgent::GnbAgent(uint32_t cell_id, ran::GnbMac& mac, QuotaTableInterScheduler* quotas,
-                   Duplex& link, Duplex::Side side)
-    : cell_id_(cell_id), mac_(mac), quotas_(quotas), link_(link), side_(side) {
+                   Duplex& link, Duplex::Side side, uint32_t report_period_slots)
+    : cell_id_(cell_id),
+      mac_(mac),
+      quotas_(quotas),
+      link_(link),
+      side_(side),
+      report_period_slots_(report_period_slots) {
   plugins_.set_domain("gnb" + std::to_string(cell_id));
 }
 

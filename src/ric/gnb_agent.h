@@ -46,9 +46,10 @@ class GnbAgent {
   };
 
   /// `quotas` may be null if the RIC never adjusts slicing. The agent keeps
-  /// references; all must outlive it.
+  /// references; all must outlive it. `report_period_slots` is the initial
+  /// indication period (0: never due).
   GnbAgent(uint32_t cell_id, ran::GnbMac& mac, QuotaTableInterScheduler* quotas,
-           Duplex& link, Duplex::Side side);
+           Duplex& link, Duplex::Side side, uint32_t report_period_slots = 100);
 
   /// Installs the communication plugin (must export frame/unframe).
   Status load_comm_plugin(std::span<const uint8_t> module_bytes);
@@ -97,6 +98,11 @@ class GnbAgent {
   /// Slots between indications (RIC-configurable via the v2 control plugin
   /// and the set_report_period action; default 100 = 100 ms).
   uint32_t report_period_slots() const { return report_period_slots_; }
+  /// Whether an indication is due once `slots` slots have run: every
+  /// report_period_slots() slots, never at period 0.
+  bool indication_due(uint64_t slots) const {
+    return report_period_slots_ > 0 && slots % report_period_slots_ == 0;
+  }
 
   /// Trap/anomaly journal entries recorded under this agent's observability
   /// domain ("gnb<cell_id>"): comm/ctl plugin traps, fuel exhaustion,
@@ -119,7 +125,7 @@ class GnbAgent {
   std::function<const obs::CellTelemetry*()> telemetry_provider_;
   AgentStats stats_;
   uint32_t cqi_table_index_ = 0;
-  uint32_t report_period_slots_ = 100;
+  uint32_t report_period_slots_;
 };
 
 }  // namespace waran::ric

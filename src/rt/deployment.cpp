@@ -39,6 +39,9 @@ struct GnbDeployment::Cell {
   /// RIC-reconstruction invariant.
   obs::CellTelemetry last_shipped;
   bool shipped = false;
+  /// Whether the agent sent its indication this step; written by the
+  /// cell's worker, read by the coordinator after the barrier.
+  bool reported = false;
   /// First contained run_slot failure on this shard; written only by the
   /// cell's worker (or the coordinator between barriers).
   Status status;
@@ -114,8 +117,9 @@ GnbDeployment::GnbDeployment(DeploymentConfig config) : config_(std::move(config
     }
 
     cell->link = std::make_unique<ric::Duplex>();
-    cell->agent = std::make_unique<ric::GnbAgent>(i, *cell->mac, cell->quotas,
-                                                  *cell->link, ric::Duplex::Side::kA);
+    cell->agent = std::make_unique<ric::GnbAgent>(i, *cell->mac, cell->quotas, *cell->link,
+                                                  ric::Duplex::Side::kA,
+                                                  config_.report_period_slots);
     if (i == 0) {
       ric_ = std::make_unique<ric::NearRtRic>(*cell->link, ric::Duplex::Side::kB);
     } else {
@@ -216,18 +220,19 @@ Status GnbDeployment::run_slots(uint32_t n) {
   if (!status_.ok()) return status_;
   const uint64_t slot_ns = static_cast<uint64_t>(config_.mac.slot_us) * 1000;
   for (uint32_t k = 0; k < n; ++k) {
-    const bool report = config_.report_period_slots > 0 &&
-                        (slots_run_ + 1) % config_.report_period_slots == 0;
+    const uint64_t slot = slots_run_ + 1;
 
-    // Step phase: every cell runs this slot (and its indication when due)
-    // on its own worker; the shard's ring is bound for the task's duration.
+    // Step phase: every cell runs this slot (and its indication when its
+    // agent says one is due) on its own worker; the shard's ring is bound
+    // for the task's duration.
     for (auto& cp : cells_) {
       Cell* c = cp.get();
-      c->executor->post([c, report] {
+      c->executor->post([c, slot] {
         obs::TraceRing::bind_current(c->ring.get());
         Status st = c->mac->run_slot();
         if (!st.ok() && c->status.ok()) c->status = st;
-        if (report) {
+        c->reported = c->agent->indication_due(slot);
+        if (c->reported) {
           // Indication loss is contained, like any E2 frame loss.
           Status sent = c->agent->send_indication();
           (void)sent;
@@ -235,7 +240,11 @@ Status GnbDeployment::run_slots(uint32_t n) {
         obs::TraceRing::bind_current(nullptr);
       });
     }
-    for (auto& cp : cells_) cp->executor->wait_idle();  // barrier
+    bool report = false;
+    for (auto& cp : cells_) {
+      cp->executor->wait_idle();  // barrier
+      report = report || cp->reported;
+    }
 
     if (report) {
       // Coordinator-only RIC turn: drain indications from every cell's

@@ -72,8 +72,9 @@ struct DeploymentConfig {
   /// Run on rt::Clock virtual time for the deployment's lifetime. The
   /// clock advances by one slot period at each step barrier.
   bool virtual_time = true;
-  /// Slots between E2 indications per cell (0 disables the E2 loop
-  /// entirely: no agents' comm/ctl plugins, no RIC xApp).
+  /// Each cell agent's initial slots between E2 indications; the RIC may
+  /// change a cell's period through its control plugin. 0 disables the E2
+  /// loop entirely: no agents' comm/ctl plugins, no RIC xApp.
   uint32_t report_period_slots = 10;
   /// Per-cell trace ring capacity (0 leaves per-cell tracing off). When on,
   /// the deployment also owns a coordinator-side "ric" ring of the same

@@ -1,5 +1,6 @@
 #include "wasm/decoder.h"
 
+#include <cstdio>
 #include <vector>
 
 #include "common/bytes.h"
@@ -36,6 +37,13 @@ constexpr uint32_t kMaxParams = 64;
 constexpr uint32_t kMaxResults = 1;
 constexpr uint32_t kMaxBrTableTargets = 4096;
 
+/// `what` followed by `code` in hex ("unknown opcode 0xc5").
+Error decode_error(const char* what, uint32_t code) {
+  char hex[16];
+  std::snprintf(hex, sizeof(hex), " 0x%02x", code);
+  return Error::decode(what + std::string(hex));
+}
+
 class Decoder {
  public:
   explicit Decoder(std::span<const uint8_t> bytes) : r_(bytes) {}
@@ -71,7 +79,7 @@ class Decoder {
 Result<ValType> Decoder::val_type(ByteReader& s) {
   auto b = s.u8();
   if (!b.ok()) return b.error();
-  if (!is_val_type(*b)) return Error::decode("invalid value type 0x" + std::to_string(*b));
+  if (!is_val_type(*b)) return decode_error("invalid value type", *b);
   return static_cast<ValType>(*b);
 }
 
@@ -114,36 +122,36 @@ Result<ConstExpr> Decoder::const_expr(ByteReader& s) {
   auto op = s.u8();
   if (!op.ok()) return op.error();
   ConstExpr e;
-  switch (*op) {
-    case 0x41: {  // i32.const
+  switch (static_cast<Op>(*op)) {
+    case Op::kI32Const: {
       auto v = s.sleb32();
       if (!v.ok()) return v.error();
       e.kind = ConstExpr::Kind::kI32;
       e.value = Value::from_i32(*v);
       break;
     }
-    case 0x42: {  // i64.const
+    case Op::kI64Const: {
       auto v = s.sleb(64);
       if (!v.ok()) return v.error();
       e.kind = ConstExpr::Kind::kI64;
       e.value = Value::from_i64(*v);
       break;
     }
-    case 0x43: {  // f32.const
+    case Op::kF32Const: {
       auto v = s.f32le();
       if (!v.ok()) return v.error();
       e.kind = ConstExpr::Kind::kF32;
       e.value = Value::from_f32(*v);
       break;
     }
-    case 0x44: {  // f64.const
+    case Op::kF64Const: {
       auto v = s.f64le();
       if (!v.ok()) return v.error();
       e.kind = ConstExpr::Kind::kF64;
       e.value = Value::from_f64(*v);
       break;
     }
-    case 0x23: {  // global.get
+    case Op::kGlobalGet: {
       auto idx = s.uleb32();
       if (!idx.ok()) return idx.error();
       e.kind = ConstExpr::Kind::kGlobalGet;
@@ -155,7 +163,9 @@ Result<ConstExpr> Decoder::const_expr(ByteReader& s) {
   }
   auto end = s.u8();
   if (!end.ok()) return end.error();
-  if (*end != 0x0b) return Error::decode("constant expression must end with `end`");
+  if (*end != static_cast<uint8_t>(Op::kEnd)) {
+    return Error::decode("constant expression must end with `end`");
+  }
   return e;
 }
 
@@ -407,7 +417,8 @@ Result<Code> Decoder::func_body(ByteReader& s, size_t n_params) {
     code.locals.insert(code.locals.end(), *n, *t);
   }
 
-  // Instruction stream: decode until the depth-0 `end`.
+  // Instruction stream: decode until the depth-0 `end`. The opcode table
+  // says which immediate follows each opcode.
   uint32_t depth = 0;
   bool done = false;
   while (!done) {
@@ -416,60 +427,47 @@ Result<Code> Decoder::func_body(ByteReader& s, size_t n_params) {
     }
     auto b0 = s.u8();
     if (!b0.ok()) return b0.error();
-    uint16_t opv = *b0;
+    uint32_t opv = *b0;
     if (opv == 0xfc) {
       auto sub = s.uleb32();
       if (!sub.ok()) return sub.error();
       if (*sub > 0xff) return Error::decode("invalid 0xFC sub-opcode");
-      opv = static_cast<uint16_t>(0xfc00 | *sub);
+      opv = 0xfc00 | *sub;
     }
+    const OpInfo& info = op_info(opv);
+    if (info.name == nullptr) return decode_error("unknown opcode", opv);
     Instr ins;
     ins.op = static_cast<Op>(opv);
-    switch (ins.op) {
-      case Op::kBlock:
-      case Op::kLoop:
-      case Op::kIf: {
+    switch (info.imm) {
+      case OpImm::kNone:
+        if (ins.op == Op::kEnd) {
+          if (depth == 0) {
+            done = true;
+          } else {
+            --depth;
+          }
+        }
+        break;
+      case OpImm::kBlock: {
         auto bt = s.sleb(33);
         if (!bt.ok()) return bt.error();
         int64_t v = *bt;
-        if (v == -0x40) {  // 0x40 as s33: empty block type
-          ins.block_arity = 0;
-        } else if (v < 0) {
+        if (v >= 0) return Error::unsupported("function-typed blocks not supported");
+        if (v != -0x40) {  // 0x40 as s33: empty block type
           uint8_t raw = static_cast<uint8_t>(v & 0x7f);
           if (!is_val_type(raw)) return Error::decode("invalid block type");
-          ins.block_arity = 1;
-          ins.imm.index = raw;  // stash the ValType for the validator
-        } else {
-          return Error::unsupported("function-typed blocks not supported");
+          ins.block.result = static_cast<ValType>(raw);
         }
-        // Temporarily record the stashed valtype in imm.index; the control
-        // linker moves block metadata into Ctrl and a side record.
         ++depth;
         break;
       }
-      case Op::kElse:
-        break;
-      case Op::kEnd:
-        if (depth == 0) {
-          done = true;
-        } else {
-          --depth;
-        }
-        break;
-      case Op::kBr:
-      case Op::kBrIf:
-      case Op::kCall:
-      case Op::kLocalGet:
-      case Op::kLocalSet:
-      case Op::kLocalTee:
-      case Op::kGlobalGet:
-      case Op::kGlobalSet: {
+      case OpImm::kIndex: {
         auto idx = s.uleb32();
         if (!idx.ok()) return idx.error();
         ins.imm.index = *idx;
         break;
       }
-      case Op::kBrTable: {
+      case OpImm::kBrTable: {
         BrTable bt;
         auto n = s.uleb32();
         if (!n.ok()) return n.error();
@@ -487,7 +485,7 @@ Result<Code> Decoder::func_body(ByteReader& s, size_t n_params) {
         code.br_tables.push_back(std::move(bt));
         break;
       }
-      case Op::kCallIndirect: {
+      case OpImm::kCallIndirect: {
         auto ti = s.uleb32();
         if (!ti.ok()) return ti.error();
         auto tbl = s.uleb32();
@@ -496,29 +494,34 @@ Result<Code> Decoder::func_body(ByteReader& s, size_t n_params) {
         ins.imm.call_indirect = {*ti, *tbl};
         break;
       }
-      case Op::kI32Load:
-      case Op::kI64Load:
-      case Op::kF32Load:
-      case Op::kF64Load:
-      case Op::kI32Load8S:
-      case Op::kI32Load8U:
-      case Op::kI32Load16S:
-      case Op::kI32Load16U:
-      case Op::kI64Load8S:
-      case Op::kI64Load8U:
-      case Op::kI64Load16S:
-      case Op::kI64Load16U:
-      case Op::kI64Load32S:
-      case Op::kI64Load32U:
-      case Op::kI32Store:
-      case Op::kI64Store:
-      case Op::kF32Store:
-      case Op::kF64Store:
-      case Op::kI32Store8:
-      case Op::kI32Store16:
-      case Op::kI64Store8:
-      case Op::kI64Store16:
-      case Op::kI64Store32: {
+      case OpImm::kI32: {
+        auto v = s.sleb32();
+        if (!v.ok()) return v.error();
+        ins.imm.i32 = *v;
+        break;
+      }
+      case OpImm::kI64: {
+        auto v = s.sleb(64);
+        if (!v.ok()) return v.error();
+        ins.imm.i64 = *v;
+        break;
+      }
+      case OpImm::kF32: {
+        auto v = s.f32le();
+        if (!v.ok()) return v.error();
+        ins.imm.f32 = *v;
+        break;
+      }
+      case OpImm::kF64: {
+        auto v = s.f64le();
+        if (!v.ok()) return v.error();
+        ins.imm.f64 = *v;
+        break;
+      }
+      case OpImm::kMem8:
+      case OpImm::kMem16:
+      case OpImm::kMem32:
+      case OpImm::kMem64: {
         auto align = s.uleb32();
         if (!align.ok()) return align.error();
         auto off = s.uleb32();
@@ -526,57 +529,14 @@ Result<Code> Decoder::func_body(ByteReader& s, size_t n_params) {
         ins.imm.mem = {*align, *off};
         break;
       }
-      case Op::kMemorySize:
-      case Op::kMemoryGrow: {
-        auto z = s.u8();
-        if (!z.ok()) return z.error();
-        if (*z != 0) return Error::decode("memory index must be 0");
+      case OpImm::kMemIdx:
+      case OpImm::kMemIdx2:
+        for (int k = info.imm == OpImm::kMemIdx2 ? 2 : 1; k > 0; --k) {
+          auto z = s.u8();
+          if (!z.ok()) return z.error();
+          if (*z != 0) return Error::decode("memory index must be 0");
+        }
         break;
-      }
-      case Op::kMemoryCopy: {
-        auto a = s.u8();
-        if (!a.ok()) return a.error();
-        auto b = s.u8();
-        if (!b.ok()) return b.error();
-        if (*a != 0 || *b != 0) return Error::decode("memory index must be 0");
-        break;
-      }
-      case Op::kMemoryFill: {
-        auto a = s.u8();
-        if (!a.ok()) return a.error();
-        if (*a != 0) return Error::decode("memory index must be 0");
-        break;
-      }
-      case Op::kI32Const: {
-        auto v = s.sleb32();
-        if (!v.ok()) return v.error();
-        ins.imm.i32 = *v;
-        break;
-      }
-      case Op::kI64Const: {
-        auto v = s.sleb(64);
-        if (!v.ok()) return v.error();
-        ins.imm.i64 = *v;
-        break;
-      }
-      case Op::kF32Const: {
-        auto v = s.f32le();
-        if (!v.ok()) return v.error();
-        ins.imm.f32 = *v;
-        break;
-      }
-      case Op::kF64Const: {
-        auto v = s.f64le();
-        if (!v.ok()) return v.error();
-        ins.imm.f64 = *v;
-        break;
-      }
-      default: {
-        // Immediate-free instructions; reject anything not in our enum.
-        const char* nm = to_string(ins.op);
-        if (nm[0] == '<') return Error::decode("unknown opcode 0x" + std::to_string(opv));
-        break;
-      }
     }
     code.body.push_back(ins);
   }
@@ -619,19 +579,8 @@ Status Decoder::link_control(Code& code) {
         Open open = stack.back();
         stack.pop_back();
         Instr& opener = code.body[open.pc];
-        uint8_t arity = opener.block_arity;
-        // The decoder stashed the block's result ValType in imm.index; the
-        // validator re-derives it from block_arity + this field before Ctrl
-        // overwrites imm, so save it in a parallel place: we re-encode the
-        // valtype into the *else* instruction's block_arity field when
-        // present... Instead, keep it simple: Ctrl keeps end/else, and the
-        // result type byte moves into block_arity's sibling `block_type_raw`.
-        uint32_t type_raw = opener.imm.index;
         opener.imm.ctrl.end_pc = pc;
         opener.imm.ctrl.else_pc = (open.else_pc != UINT32_MAX) ? open.else_pc : pc;
-        // Re-stash the raw valtype byte in the matching end's imm (unused
-        // otherwise) so the validator can recover it.
-        code.body[pc].imm.index = (arity != 0) ? type_raw : 0;
         if (open.else_pc != UINT32_MAX) {
           // Give `else` its end target too, so the interpreter can jump.
           code.body[open.else_pc].imm.ctrl.end_pc = pc;
@@ -644,18 +593,6 @@ Status Decoder::link_control(Code& code) {
     }
   }
   if (!stack.empty()) return Error::internal("unclosed block after decode");
-
-  // Fuel segments: a segment is a maximal straight-line run ending at (and
-  // including) the next instruction that can divert control. Every
-  // instruction records the length of the run that starts at it, so any
-  // branch target or fall-through point can be charged in O(1). Computed
-  // backwards; the final function-level `end` is the base case.
-  for (size_t i = code.body.size(); i-- > 0;) {
-    Instr& ins = code.body[i];
-    ins.seg_len = (is_segment_end(ins.op) || i + 1 == code.body.size())
-                      ? 1
-                      : code.body[i + 1].seg_len + 1;
-  }
   return {};
 }
 
@@ -668,8 +605,6 @@ Result<Module> Decoder::run() {
   if (*version != 1) return Error::decode("unsupported wasm version");
 
   int last_section = 0;
-  bool seen_datacount = false;
-  (void)seen_datacount;
   while (!r_.at_end()) {
     auto id = r_.u8();
     if (!id.ok()) return id.error();

@@ -46,60 +46,52 @@ void append_value(std::ostringstream& out, const ConstExpr& e) {
 }
 
 void append_instr(std::ostringstream& out, const Code& code, const Instr& ins) {
-  out << to_string(ins.op);
-  switch (ins.op) {
-    case Op::kBlock:
-    case Op::kLoop:
-    case Op::kIf:
-      if (ins.block_arity != 0) {
-        uint32_t raw = code.body[ins.imm.ctrl.end_pc].imm.index;
-        if (is_val_type(static_cast<uint8_t>(raw))) {
-          out << " (result " << to_string(static_cast<ValType>(raw)) << ")";
-        }
-      }
+  const OpInfo& info = op_info(ins.op);
+  out << info.name;
+  switch (info.imm) {
+    case OpImm::kBlock:
+      if (ins.block.result) out << " (result " << to_string(*ins.block.result) << ")";
       break;
-    case Op::kBr:
-    case Op::kBrIf:
-    case Op::kCall:
-    case Op::kLocalGet:
-    case Op::kLocalSet:
-    case Op::kLocalTee:
-    case Op::kGlobalGet:
-    case Op::kGlobalSet:
+    case OpImm::kIndex:
       out << " " << ins.imm.index;
       break;
-    case Op::kBrTable: {
+    case OpImm::kBrTable: {
       const BrTable& bt = code.br_tables[ins.imm.br_table_index];
       for (uint32_t t : bt.targets) out << " " << t;
       out << " " << bt.default_target;
       break;
     }
-    case Op::kCallIndirect:
+    case OpImm::kCallIndirect:
       out << " (type " << ins.imm.call_indirect.type_index << ")";
       break;
-    case Op::kI32Const:
+    case OpImm::kI32:
       out << " " << ins.imm.i32;
       break;
-    case Op::kI64Const:
+    case OpImm::kI64:
       out << " " << ins.imm.i64;
       break;
-    case Op::kF32Const: {
+    case OpImm::kF32: {
       char buf[48];
       std::snprintf(buf, sizeof(buf), " %.9g", static_cast<double>(ins.imm.f32));
       out << buf;
       break;
     }
-    case Op::kF64Const: {
+    case OpImm::kF64: {
       char buf[48];
       std::snprintf(buf, sizeof(buf), " %.17g", ins.imm.f64);
       out << buf;
       break;
     }
-    default:
-      if (ins.op >= Op::kI32Load && ins.op <= Op::kI64Store32) {
-        if (ins.imm.mem.offset != 0) out << " offset=" << ins.imm.mem.offset;
-        out << " align=" << (1u << ins.imm.mem.align);
-      }
+    case OpImm::kMem8:
+    case OpImm::kMem16:
+    case OpImm::kMem32:
+    case OpImm::kMem64:
+      if (ins.imm.mem.offset != 0) out << " offset=" << ins.imm.mem.offset;
+      out << " align=" << (1u << ins.imm.mem.align);
+      break;
+    case OpImm::kNone:
+    case OpImm::kMemIdx:
+    case OpImm::kMemIdx2:
       break;
   }
 }

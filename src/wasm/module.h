@@ -23,24 +23,16 @@ struct TranslatedModule;  // wasm/translate.h
 struct BlockType {
   std::optional<ValType> result;
 
-  uint32_t arity() const { return result ? 1 : 0; }
+  uint8_t arity() const { return result ? 1 : 0; }
   bool operator==(const BlockType&) const = default;
 };
 
 /// One decoded instruction. 16 bytes; immediates live in the union, and the
-/// control-linking pass fills `Ctrl::end_pc` / `Ctrl::else_pc` plus the
-/// fuel-segment length `seg_len`.
+/// control-linking pass fills `Ctrl::end_pc` / `Ctrl::else_pc`.
 struct Instr {
   Op op = Op::kNop;
-  /// Block result arity for kBlock/kLoop/kIf (set by the decoder).
-  uint8_t block_arity = 0;
-  /// Fuel-segment length: number of instructions in the straight-line run
-  /// starting here, up to and including the next control-transfer
-  /// instruction (1 for control instructions themselves). Computed by the
-  /// decoder's control-linking pass; the interpreter charges fuel and
-  /// retires instructions one whole segment at a time instead of per
-  /// instruction, so the hot loop carries no metering branch.
-  uint32_t seg_len = 0;
+  /// Result type of a block/loop/if (set by the decoder).
+  BlockType block;
 
   struct MemArg {
     uint32_t align;   // log2 of alignment
@@ -68,31 +60,7 @@ struct Instr {
   } imm = {};
 };
 
-static_assert(sizeof(Instr) <= 16, "keep the instruction cell compact");
-
-/// True for instructions that end a fuel segment: those whose successor may
-/// be something other than pc+1 (branches, calls, returns, `if`/`else`
-/// jumps, and `unreachable`). `block`, `loop` and non-final `end` always
-/// fall through, so straight-line runs extend across them — a run charged at
-/// entry executes in full on every non-trapping path, which keeps
-/// segment-level fuel accounting exactly equal to per-instruction
-/// accounting on success.
-constexpr bool is_segment_end(Op op) {
-  switch (op) {
-    case Op::kUnreachable:
-    case Op::kIf:
-    case Op::kElse:
-    case Op::kBr:
-    case Op::kBrIf:
-    case Op::kBrTable:
-    case Op::kReturn:
-    case Op::kCall:
-    case Op::kCallIndirect:
-      return true;
-    default:
-      return false;
-  }
-}
+static_assert(sizeof(Instr) == 16, "keep the instruction cell compact");
 
 struct BrTable {
   std::vector<uint32_t> targets;  // label depths

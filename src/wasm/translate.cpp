@@ -75,95 +75,61 @@ bool c_binop(Op op, UOp* out) {
   }
 }
 
-// Micro-op for a plain value instruction (same name in both enums). Control
-// flow, calls, consts and elided ops never reach this map.
-UOp map_simple(Op op) {
+// The micro-op a value instruction lowers to: the one of the same name.
+// The reinterprets have none: on an untagged cell they are the identity.
+bool same_name_uop(Op op, UOp* out) {
   switch (op) {
-#define WARAN_MAP(name) case Op::k##name: return UOp::k##name;
-    WARAN_MAP(Drop) WARAN_MAP(Select)
-    WARAN_MAP(LocalGet) WARAN_MAP(LocalSet) WARAN_MAP(LocalTee)
-    WARAN_MAP(GlobalGet) WARAN_MAP(GlobalSet)
-    WARAN_MAP(I32Load) WARAN_MAP(I64Load) WARAN_MAP(F32Load) WARAN_MAP(F64Load)
-    WARAN_MAP(I32Load8S) WARAN_MAP(I32Load8U) WARAN_MAP(I32Load16S)
-    WARAN_MAP(I32Load16U) WARAN_MAP(I64Load8S) WARAN_MAP(I64Load8U)
-    WARAN_MAP(I64Load16S) WARAN_MAP(I64Load16U) WARAN_MAP(I64Load32S)
-    WARAN_MAP(I64Load32U)
-    WARAN_MAP(I32Store) WARAN_MAP(I64Store) WARAN_MAP(F32Store)
-    WARAN_MAP(F64Store) WARAN_MAP(I32Store8) WARAN_MAP(I32Store16)
-    WARAN_MAP(I64Store8) WARAN_MAP(I64Store16) WARAN_MAP(I64Store32)
-    WARAN_MAP(MemorySize) WARAN_MAP(MemoryGrow) WARAN_MAP(MemoryCopy)
-    WARAN_MAP(MemoryFill)
-    WARAN_MAP(I32Eqz) WARAN_MAP(I32Eq) WARAN_MAP(I32Ne) WARAN_MAP(I32LtS)
-    WARAN_MAP(I32LtU) WARAN_MAP(I32GtS) WARAN_MAP(I32GtU) WARAN_MAP(I32LeS)
-    WARAN_MAP(I32LeU) WARAN_MAP(I32GeS) WARAN_MAP(I32GeU)
-    WARAN_MAP(I64Eqz) WARAN_MAP(I64Eq) WARAN_MAP(I64Ne) WARAN_MAP(I64LtS)
-    WARAN_MAP(I64LtU) WARAN_MAP(I64GtS) WARAN_MAP(I64GtU) WARAN_MAP(I64LeS)
-    WARAN_MAP(I64LeU) WARAN_MAP(I64GeS) WARAN_MAP(I64GeU)
-    WARAN_MAP(F32Eq) WARAN_MAP(F32Ne) WARAN_MAP(F32Lt) WARAN_MAP(F32Gt)
-    WARAN_MAP(F32Le) WARAN_MAP(F32Ge)
-    WARAN_MAP(F64Eq) WARAN_MAP(F64Ne) WARAN_MAP(F64Lt) WARAN_MAP(F64Gt)
-    WARAN_MAP(F64Le) WARAN_MAP(F64Ge)
-    WARAN_MAP(I32Clz) WARAN_MAP(I32Ctz) WARAN_MAP(I32Popcnt) WARAN_MAP(I32Add)
-    WARAN_MAP(I32Sub) WARAN_MAP(I32Mul) WARAN_MAP(I32DivS) WARAN_MAP(I32DivU)
-    WARAN_MAP(I32RemS) WARAN_MAP(I32RemU) WARAN_MAP(I32And) WARAN_MAP(I32Or)
-    WARAN_MAP(I32Xor) WARAN_MAP(I32Shl) WARAN_MAP(I32ShrS) WARAN_MAP(I32ShrU)
-    WARAN_MAP(I32Rotl) WARAN_MAP(I32Rotr)
-    WARAN_MAP(I64Clz) WARAN_MAP(I64Ctz) WARAN_MAP(I64Popcnt) WARAN_MAP(I64Add)
-    WARAN_MAP(I64Sub) WARAN_MAP(I64Mul) WARAN_MAP(I64DivS) WARAN_MAP(I64DivU)
-    WARAN_MAP(I64RemS) WARAN_MAP(I64RemU) WARAN_MAP(I64And) WARAN_MAP(I64Or)
-    WARAN_MAP(I64Xor) WARAN_MAP(I64Shl) WARAN_MAP(I64ShrS) WARAN_MAP(I64ShrU)
-    WARAN_MAP(I64Rotl) WARAN_MAP(I64Rotr)
-    WARAN_MAP(F32Abs) WARAN_MAP(F32Neg) WARAN_MAP(F32Ceil) WARAN_MAP(F32Floor)
-    WARAN_MAP(F32Trunc) WARAN_MAP(F32Nearest) WARAN_MAP(F32Sqrt)
-    WARAN_MAP(F32Add) WARAN_MAP(F32Sub) WARAN_MAP(F32Mul) WARAN_MAP(F32Div)
-    WARAN_MAP(F32Min) WARAN_MAP(F32Max) WARAN_MAP(F32Copysign)
-    WARAN_MAP(F64Abs) WARAN_MAP(F64Neg) WARAN_MAP(F64Ceil) WARAN_MAP(F64Floor)
-    WARAN_MAP(F64Trunc) WARAN_MAP(F64Nearest) WARAN_MAP(F64Sqrt)
-    WARAN_MAP(F64Add) WARAN_MAP(F64Sub) WARAN_MAP(F64Mul) WARAN_MAP(F64Div)
-    WARAN_MAP(F64Min) WARAN_MAP(F64Max) WARAN_MAP(F64Copysign)
-    WARAN_MAP(I32WrapI64)
-    WARAN_MAP(I32TruncF32S) WARAN_MAP(I32TruncF32U) WARAN_MAP(I32TruncF64S)
-    WARAN_MAP(I32TruncF64U) WARAN_MAP(I64TruncF32S) WARAN_MAP(I64TruncF32U)
-    WARAN_MAP(I64TruncF64S) WARAN_MAP(I64TruncF64U)
-    WARAN_MAP(I32TruncSatF32S) WARAN_MAP(I32TruncSatF32U)
-    WARAN_MAP(I32TruncSatF64S) WARAN_MAP(I32TruncSatF64U)
-    WARAN_MAP(I64TruncSatF32S) WARAN_MAP(I64TruncSatF32U)
-    WARAN_MAP(I64TruncSatF64S) WARAN_MAP(I64TruncSatF64U)
-    WARAN_MAP(I64ExtendI32S) WARAN_MAP(I64ExtendI32U)
-    WARAN_MAP(F32ConvertI32S) WARAN_MAP(F32ConvertI32U)
-    WARAN_MAP(F32ConvertI64S) WARAN_MAP(F32ConvertI64U) WARAN_MAP(F32DemoteF64)
-    WARAN_MAP(F64ConvertI32S) WARAN_MAP(F64ConvertI32U)
-    WARAN_MAP(F64ConvertI64S) WARAN_MAP(F64ConvertI64U) WARAN_MAP(F64PromoteF32)
-    WARAN_MAP(I32Extend8S) WARAN_MAP(I32Extend16S) WARAN_MAP(I64Extend8S)
-    WARAN_MAP(I64Extend16S) WARAN_MAP(I64Extend32S)
-#undef WARAN_MAP
+#define WARAN_LOWER(name, ...) \
+  case Op::k##name:            \
+    *out = UOp::k##name;       \
+    return true;
+    WARAN_OPS_VARIABLE(WARAN_LOWER) WARAN_OPS_MEMORY(WARAN_LOWER)
+    WARAN_OPS_COMPARE(WARAN_LOWER) WARAN_OPS_NUMERIC(WARAN_LOWER)
+    WARAN_OPS_CONVERT(WARAN_LOWER)
+#undef WARAN_LOWER
     default:
-      return UOp::kUnreachable;  // validated modules never get here
+      return false;
   }
 }
 
-constexpr bool is_mem_access(Op op) {
-  return op >= Op::kI32Load && op <= Op::kI64Store32;
+/// True for instructions that end a fuel segment: those whose successor may
+/// be something other than pc+1 (branches, calls, returns, `if`/`else`
+/// jumps, and `unreachable`). `block`, `loop` and non-final `end` always
+/// fall through, so straight-line runs extend across them — a run charged at
+/// entry executes in full on every non-trapping path, which keeps
+/// segment-level fuel accounting exactly equal to per-instruction
+/// accounting on success.
+bool is_segment_end(Op op) {
+  switch (op) {
+    case Op::kUnreachable:
+    case Op::kIf:
+    case Op::kElse:
+    case Op::kBr:
+    case Op::kBrIf:
+    case Op::kBrTable:
+    case Op::kReturn:
+    case Op::kCall:
+    case Op::kCallIndirect:
+      return true;
+    default:
+      return false;
+  }
 }
 
-constexpr bool has_index_imm(Op op) {
-  return op >= Op::kLocalGet && op <= Op::kGlobalSet;
-}
-
-/// Net operand-stack effect of a non-control instruction.
+/// Net operand-stack effect of a non-control instruction: a fixed-signature
+/// row pushes its result and pops its operands.
 int net_stack(const Module& m, const Instr& ins) {
+  const OpInfo& info = op_info(ins.op);
+  if (info.fixed) return static_cast<int>(info.has_result) - info.num_params;
   switch (ins.op) {
     case Op::kI32Const: case Op::kI64Const:
     case Op::kF32Const: case Op::kF64Const:
     case Op::kLocalGet: case Op::kGlobalGet:
-    case Op::kMemorySize:
       return 1;
     case Op::kDrop: case Op::kLocalSet: case Op::kGlobalSet:
       return -1;
     case Op::kSelect:
       return -2;
-    case Op::kMemoryCopy: case Op::kMemoryFill:
-      return -3;
     case Op::kCall: {
       const FuncType& ft = m.func_type(ins.imm.index);
       return static_cast<int>(ft.results.size()) - static_cast<int>(ft.params.size());
@@ -173,38 +139,7 @@ int net_stack(const Module& m, const Instr& ins) {
       return static_cast<int>(ft.results.size()) - static_cast<int>(ft.params.size()) - 1;
     }
     default:
-      if (is_mem_access(ins.op)) {
-        return (ins.op >= Op::kI32Store && ins.op <= Op::kI64Store32) ? -2 : 0;
-      }
-      // Remaining value ops: binops and comparisons consume one net value;
-      // unary ops, conversions, tee, eqz and memory.grow are height-neutral.
-      switch (ins.op) {
-        case Op::kI32Eq: case Op::kI32Ne: case Op::kI32LtS: case Op::kI32LtU:
-        case Op::kI32GtS: case Op::kI32GtU: case Op::kI32LeS: case Op::kI32LeU:
-        case Op::kI32GeS: case Op::kI32GeU:
-        case Op::kI64Eq: case Op::kI64Ne: case Op::kI64LtS: case Op::kI64LtU:
-        case Op::kI64GtS: case Op::kI64GtU: case Op::kI64LeS: case Op::kI64LeU:
-        case Op::kI64GeS: case Op::kI64GeU:
-        case Op::kF32Eq: case Op::kF32Ne: case Op::kF32Lt: case Op::kF32Gt:
-        case Op::kF32Le: case Op::kF32Ge:
-        case Op::kF64Eq: case Op::kF64Ne: case Op::kF64Lt: case Op::kF64Gt:
-        case Op::kF64Le: case Op::kF64Ge:
-        case Op::kI32Add: case Op::kI32Sub: case Op::kI32Mul: case Op::kI32DivS:
-        case Op::kI32DivU: case Op::kI32RemS: case Op::kI32RemU: case Op::kI32And:
-        case Op::kI32Or: case Op::kI32Xor: case Op::kI32Shl: case Op::kI32ShrS:
-        case Op::kI32ShrU: case Op::kI32Rotl: case Op::kI32Rotr:
-        case Op::kI64Add: case Op::kI64Sub: case Op::kI64Mul: case Op::kI64DivS:
-        case Op::kI64DivU: case Op::kI64RemS: case Op::kI64RemU: case Op::kI64And:
-        case Op::kI64Or: case Op::kI64Xor: case Op::kI64Shl: case Op::kI64ShrS:
-        case Op::kI64ShrU: case Op::kI64Rotl: case Op::kI64Rotr:
-        case Op::kF32Add: case Op::kF32Sub: case Op::kF32Mul: case Op::kF32Div:
-        case Op::kF32Min: case Op::kF32Max: case Op::kF32Copysign:
-        case Op::kF64Add: case Op::kF64Sub: case Op::kF64Mul: case Op::kF64Div:
-        case Op::kF64Min: case Op::kF64Max: case Op::kF64Copysign:
-          return -1;
-        default:
-          return 0;
-      }
+      return 0;  // local.tee
   }
 }
 
@@ -212,7 +147,7 @@ int net_stack(const Module& m, const Instr& ins) {
 
 const char* uop_name(UOp op) {
   switch (op) {
-#define WARAN_UOP_NAME(name) case UOp::k##name: return #name;
+#define WARAN_UOP_NAME(name, ...) case UOp::k##name: return #name;
     WARAN_UOP_LIST(WARAN_UOP_NAME)
 #undef WARAN_UOP_NAME
   }
@@ -227,6 +162,17 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
   if (n == 0) return Error::internal("empty function body");
   if (ft.params.size() > 0xffff) {
     return Error::unsupported("more than 65535 parameters");
+  }
+
+  // Fuel segments: a segment is a maximal straight-line run ending at (and
+  // including) the next instruction that can divert control. seg_len[pc] is
+  // the length of the run that starts at pc, so any branch target or
+  // fall-through point is charged in O(1). Computed backwards; the final
+  // function-level `end` is the base case.
+  std::vector<uint32_t> seg_len(n);
+  seg_len[n - 1] = 1;
+  for (uint32_t pc = n - 1; pc-- > 0;) {
+    seg_len[pc] = is_segment_end(body[pc].op) ? 1 : seg_len[pc + 1] + 1;
   }
 
   TranslatedFunc tf;
@@ -309,6 +255,7 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
     bool entry;
   };
   std::vector<UInstr>& uops = tf.ops;
+  uops.reserve(n);  // fusion leaves fewer micro-ops than instructions
   std::vector<UBrEntry>& entries = tf.br_entries;
   std::vector<Fixup> fixups;
   std::vector<uint32_t> pc2uop(n + 1, 0);
@@ -328,7 +275,7 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
     return &uops.back();
   };
   auto emit_seg = [&](uint32_t pc) {
-    if (pc < n) emit(UOp::kSeg)->b = body[pc].seg_len;
+    if (pc < n) emit(UOp::kSeg)->b = seg_len[pc];
   };
 
   // Resolved taken-branch info for a label at depth `d`.
@@ -352,12 +299,12 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
     if (f.kind == Op::kLoop) {
       bi.keep = 0;
       bi.target = pc2uop[f.pc];
-      bi.seg = body[f.pc].seg_len;
+      bi.seg = seg_len[f.pc];
     } else {
       bi.keep = f.arity;
       bi.forward = true;
       bi.target_pc = f.end_pc + 1;
-      bi.seg = f.end_pc + 1 < n ? body[f.end_pc + 1].seg_len : 0;
+      bi.seg = f.end_pc + 1 < n ? seg_len[f.end_pc + 1] : 0;
       f.br_to_end = true;
     }
     return bi;
@@ -538,7 +485,7 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
         case Op::kBlock:
         case Op::kLoop:
         case Op::kIf:
-          fs.push_back({ins.op, false, height, ins.block_arity, pc,
+          fs.push_back({ins.op, false, height, ins.block.arity(), pc,
                         ins.imm.ctrl.end_pc, false, false});
           break;
         case Op::kElse: {
@@ -569,7 +516,7 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
     switch (ins.op) {
       case Op::kBlock:
       case Op::kLoop:
-        fs.push_back({ins.op, false, height, ins.block_arity, pc,
+        fs.push_back({ins.op, false, height, ins.block.arity(), pc,
                       ins.imm.ctrl.end_pc, true, false});
         ++pc;
         continue;
@@ -578,7 +525,7 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
         bump(-1);  // condition
         const bool has_else = ins.imm.ctrl.else_pc != ins.imm.ctrl.end_pc;
         // Without an else the false edge reaches the continuation directly.
-        fs.push_back({Op::kIf, false, height, ins.block_arity, pc,
+        fs.push_back({Op::kIf, false, height, ins.block.arity(), pc,
                       ins.imm.ctrl.end_pc, true, !has_else});
         const uint32_t false_pc =
             has_else ? ins.imm.ctrl.else_pc + 1 : ins.imm.ctrl.end_pc;
@@ -593,7 +540,7 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
           pc2uop[pc] = static_cast<uint32_t>(uops.size());
         }
         UInstr* u = emit(inverted ? UOp::kJumpNZ : UOp::kJumpZ);
-        u->imm.pair.y = body[false_pc].seg_len;
+        u->imm.pair.y = seg_len[false_pc];
         fixups.push_back({static_cast<uint32_t>(uops.size() - 1), false_pc, false});
         emit_seg(pc + 1);  // true edge
         ++pc;
@@ -604,7 +551,7 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
         // Fell out of the true branch: jump over the else arm to the end.
         const TFrame& f = fs.back();
         UInstr* u = emit(UOp::kJump);
-        u->imm.pair.y = body[f.end_pc].seg_len;
+        u->imm.pair.y = seg_len[f.end_pc];
         fixups.push_back({static_cast<uint32_t>(uops.size() - 1), f.end_pc, false});
         height = f.entry_height;
         ++pc;
@@ -770,16 +717,15 @@ Result<TranslatedFunc> translate_function(const Module& m, uint32_t defined_inde
       case Op::kF64Const:
         emit(UOp::kConst)->imm.u64 = Value::from_f64(ins.imm.f64).bits;
         break;
-      case Op::kI32ReinterpretF32:
-      case Op::kF32ReinterpretI32:
-      case Op::kI64ReinterpretF64:
-      case Op::kF64ReinterpretI64:
-        break;  // identity on the untagged cell; fuel already counts them
       default: {
-        UInstr* u = emit(map_simple(ins.op));
-        if (is_mem_access(ins.op)) {
+        UOp uop;
+        // A reinterpret emits nothing; its segment's charge still counts it.
+        if (!same_name_uop(ins.op, &uop)) break;
+        UInstr* u = emit(uop);
+        const OpImm imm = op_info(ins.op).imm;
+        if (is_memarg(imm)) {
           u->b = ins.imm.mem.offset;
-        } else if (has_index_imm(ins.op)) {
+        } else if (imm == OpImm::kIndex) {
           u->b = ins.imm.index;
         }
         break;

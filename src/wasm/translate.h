@@ -26,58 +26,20 @@ namespace waran::wasm {
 // interpreter core (wasm/interp_loop.inc): once into `case` labels for the
 // portable switch loop and once into a computed-goto `&&label` table for
 // threaded dispatch, so a missing handler is a compile error, not a runtime
-// hole. Naming: LL* = two-local operand form, LC* = local+constant form,
-// C* = const folded into the top of stack, BrIfLL*/BrIfLC* = fused
+// hole. The value instructions come from the opcode table (wasm/opcode.h),
+// group by group; each lowers to the micro-op of its own name, and the
+// reinterprets, identities on untagged cells, have none. Consumers take
+// X(name, ...): table rows carry their other columns along. Naming of the
+// fused superinstructions: LL* = two-local operand form, LC* = local+constant
+// form, C* = const folded into the top of stack, BrIfLL*/BrIfLC* = fused
 // compare-and-branch.
 #define WARAN_UOP_LIST(X)                                                     \
   /* control */                                                               \
   X(Seg) X(Br) X(BrIf) X(Jump) X(JumpZ) X(JumpNZ) X(BrTable) X(Return)        \
   X(Unreachable) X(CallWasm) X(CallHost) X(CallIndirect)                      \
-  /* parametric & variables */                                                \
-  X(Drop) X(Select) X(LocalGet) X(LocalSet) X(LocalTee) X(GlobalGet)          \
-  X(GlobalSet) X(Const)                                                       \
-  /* memory */                                                                \
-  X(I32Load) X(I64Load) X(F32Load) X(F64Load)                                 \
-  X(I32Load8S) X(I32Load8U) X(I32Load16S) X(I32Load16U)                       \
-  X(I64Load8S) X(I64Load8U) X(I64Load16S) X(I64Load16U)                       \
-  X(I64Load32S) X(I64Load32U)                                                 \
-  X(I32Store) X(I64Store) X(F32Store) X(F64Store)                             \
-  X(I32Store8) X(I32Store16) X(I64Store8) X(I64Store16) X(I64Store32)         \
-  X(MemorySize) X(MemoryGrow) X(MemoryCopy) X(MemoryFill)                     \
-  /* comparisons */                                                           \
-  X(I32Eqz) X(I32Eq) X(I32Ne) X(I32LtS) X(I32LtU) X(I32GtS) X(I32GtU)         \
-  X(I32LeS) X(I32LeU) X(I32GeS) X(I32GeU)                                     \
-  X(I64Eqz) X(I64Eq) X(I64Ne) X(I64LtS) X(I64LtU) X(I64GtS) X(I64GtU)         \
-  X(I64LeS) X(I64LeU) X(I64GeS) X(I64GeU)                                     \
-  X(F32Eq) X(F32Ne) X(F32Lt) X(F32Gt) X(F32Le) X(F32Ge)                       \
-  X(F64Eq) X(F64Ne) X(F64Lt) X(F64Gt) X(F64Le) X(F64Ge)                       \
-  /* numeric */                                                               \
-  X(I32Clz) X(I32Ctz) X(I32Popcnt) X(I32Add) X(I32Sub) X(I32Mul)              \
-  X(I32DivS) X(I32DivU) X(I32RemS) X(I32RemU) X(I32And) X(I32Or) X(I32Xor)    \
-  X(I32Shl) X(I32ShrS) X(I32ShrU) X(I32Rotl) X(I32Rotr)                       \
-  X(I64Clz) X(I64Ctz) X(I64Popcnt) X(I64Add) X(I64Sub) X(I64Mul)              \
-  X(I64DivS) X(I64DivU) X(I64RemS) X(I64RemU) X(I64And) X(I64Or) X(I64Xor)    \
-  X(I64Shl) X(I64ShrS) X(I64ShrU) X(I64Rotl) X(I64Rotr)                       \
-  X(F32Abs) X(F32Neg) X(F32Ceil) X(F32Floor) X(F32Trunc) X(F32Nearest)        \
-  X(F32Sqrt) X(F32Add) X(F32Sub) X(F32Mul) X(F32Div) X(F32Min) X(F32Max)      \
-  X(F32Copysign)                                                              \
-  X(F64Abs) X(F64Neg) X(F64Ceil) X(F64Floor) X(F64Trunc) X(F64Nearest)        \
-  X(F64Sqrt) X(F64Add) X(F64Sub) X(F64Mul) X(F64Div) X(F64Min) X(F64Max)      \
-  X(F64Copysign)                                                              \
-  /* conversions (reinterprets are identities on untagged cells: elided) */   \
-  X(I32WrapI64)                                                               \
-  X(I32TruncF32S) X(I32TruncF32U) X(I32TruncF64S) X(I32TruncF64U)             \
-  X(I64TruncF32S) X(I64TruncF32U) X(I64TruncF64S) X(I64TruncF64U)             \
-  X(I32TruncSatF32S) X(I32TruncSatF32U) X(I32TruncSatF64S)                    \
-  X(I32TruncSatF64U) X(I64TruncSatF32S) X(I64TruncSatF32U)                    \
-  X(I64TruncSatF64S) X(I64TruncSatF64U)                                       \
-  X(I64ExtendI32S) X(I64ExtendI32U)                                           \
-  X(F32ConvertI32S) X(F32ConvertI32U) X(F32ConvertI64S) X(F32ConvertI64U)     \
-  X(F32DemoteF64)                                                             \
-  X(F64ConvertI32S) X(F64ConvertI32U) X(F64ConvertI64S) X(F64ConvertI64U)     \
-  X(F64PromoteF32)                                                            \
-  X(I32Extend8S) X(I32Extend16S) X(I64Extend8S) X(I64Extend16S)               \
-  X(I64Extend32S)                                                             \
+  /* value instructions */                                                    \
+  WARAN_OPS_VARIABLE(X) X(Const) WARAN_OPS_MEMORY(X) WARAN_OPS_COMPARE(X)     \
+  WARAN_OPS_NUMERIC(X) WARAN_OPS_CONVERT(X)                                   \
   /* fused superinstructions */                                               \
   X(LLAddI32) X(LLSubI32) X(LLMulI32) X(LLAndI32) X(LLOrI32) X(LLXorI32)      \
   X(LCAddI32) X(LCMulI32) X(LCAndI32) X(LCOrI32) X(LCXorI32) X(LCShlI32)      \
@@ -94,13 +56,13 @@ namespace waran::wasm {
   X(LocalMove) X(LCAddSetI32)
 
 enum class UOp : uint16_t {
-#define WARAN_UOP_ENUM(name) k##name,
+#define WARAN_UOP_ENUM(name, ...) k##name,
   WARAN_UOP_LIST(WARAN_UOP_ENUM)
 #undef WARAN_UOP_ENUM
 };
 
 inline constexpr size_t kNumUOps = 0
-#define WARAN_UOP_COUNT(name) +1
+#define WARAN_UOP_COUNT(name, ...) +1
     WARAN_UOP_LIST(WARAN_UOP_COUNT)
 #undef WARAN_UOP_COUNT
     ;

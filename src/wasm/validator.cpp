@@ -118,53 +118,21 @@ class BodyChecker {
     for (ValType t : ts) push(t);
   }
 
-  /// Recovers the declared result type of a block/loop/if opener: the raw
-  /// valtype byte was stashed by the decoder at the matching end's imm.
-  Result<std::vector<ValType>> block_results(const Instr& ins) {
-    if (ins.block_arity == 0) return std::vector<ValType>{};
-    uint32_t raw = code_.body[ins.imm.ctrl.end_pc].imm.index;
-    if (!is_val_type(static_cast<uint8_t>(raw))) return err("corrupt block type");
-    return std::vector<ValType>{static_cast<ValType>(raw)};
+  static std::vector<ValType> block_results(const Instr& ins) {
+    if (!ins.block.result) return {};
+    return {*ins.block.result};
   }
 
-  Status check_memarg(const Instr& ins, uint32_t natural_log2) {
-    if (!m_.has_memory()) return err("memory instruction without memory");
-    if (ins.imm.mem.align > natural_log2) return err("alignment exceeds natural alignment");
-    return {};
-  }
-
-  Status binary(ValType t) {
-    WARAN_CHECK_OK(pop_expect(t));
-    WARAN_CHECK_OK(pop_expect(t));
-    push(t);
-    return {};
-  }
-  Status unary(ValType t) {
-    WARAN_CHECK_OK(pop_expect(t));
-    push(t);
-    return {};
-  }
-  Status compare(ValType t) {
-    WARAN_CHECK_OK(pop_expect(t));
-    WARAN_CHECK_OK(pop_expect(t));
-    push(ValType::kI32);
-    return {};
-  }
-  Status convert(ValType from, ValType to) {
-    WARAN_CHECK_OK(pop_expect(from));
-    push(to);
-    return {};
-  }
-  Status load_op(const Instr& ins, ValType t, uint32_t natural_log2) {
-    WARAN_CHECK_OK(check_memarg(ins, natural_log2));
-    WARAN_CHECK_OK(pop_expect(ValType::kI32));
-    push(t);
-    return {};
-  }
-  Status store_op(const Instr& ins, ValType t, uint32_t natural_log2) {
-    WARAN_CHECK_OK(check_memarg(ins, natural_log2));
-    WARAN_CHECK_OK(pop_expect(t));
-    WARAN_CHECK_OK(pop_expect(ValType::kI32));
+  /// A fixed-signature instruction, typed from its opcode-table row.
+  Status check_fixed(const Instr& ins, const OpInfo& info) {
+    if (uses_memory(info.imm)) {
+      if (!m_.has_memory()) return err("memory instruction without memory");
+      if (is_memarg(info.imm) && ins.imm.mem.align > natural_align_log2(info.imm)) {
+        return err("alignment exceeds natural alignment");
+      }
+    }
+    for (uint32_t i = info.num_params; i-- > 0;) WARAN_CHECK_OK(pop_expect(info.params[i]));
+    if (info.has_result) push(info.result);
     return {};
   }
 
@@ -183,6 +151,8 @@ Status BodyChecker::run() {
 }
 
 Status BodyChecker::check_instr(const Instr& ins) {
+  const OpInfo& info = op_info(ins.op);
+  if (info.fixed) return check_fixed(ins, info);
   switch (ins.op) {
     case Op::kUnreachable:
       mark_unreachable();
@@ -191,19 +161,13 @@ Status BodyChecker::check_instr(const Instr& ins) {
       return {};
 
     case Op::kBlock:
-    case Op::kLoop: {
-      auto rs = block_results(ins);
-      if (!rs.ok()) return rs.error();
-      push_ctrl(ins.op, std::move(*rs));
+    case Op::kLoop:
+      push_ctrl(ins.op, block_results(ins));
       return {};
-    }
-    case Op::kIf: {
+    case Op::kIf:
       WARAN_CHECK_OK(pop_expect(ValType::kI32));
-      auto rs = block_results(ins);
-      if (!rs.ok()) return rs.error();
-      push_ctrl(Op::kIf, std::move(*rs));
+      push_ctrl(Op::kIf, block_results(ins));
       return {};
-    }
     case Op::kElse: {
       auto f = pop_ctrl();
       if (!f.ok()) return f.error();
@@ -330,137 +294,12 @@ Status BodyChecker::check_instr(const Instr& ins) {
       return pop_expect(gt.type);
     }
 
-    case Op::kI32Load: return load_op(ins, ValType::kI32, 2);
-    case Op::kI64Load: return load_op(ins, ValType::kI64, 3);
-    case Op::kF32Load: return load_op(ins, ValType::kF32, 2);
-    case Op::kF64Load: return load_op(ins, ValType::kF64, 3);
-    case Op::kI32Load8S:
-    case Op::kI32Load8U: return load_op(ins, ValType::kI32, 0);
-    case Op::kI32Load16S:
-    case Op::kI32Load16U: return load_op(ins, ValType::kI32, 1);
-    case Op::kI64Load8S:
-    case Op::kI64Load8U: return load_op(ins, ValType::kI64, 0);
-    case Op::kI64Load16S:
-    case Op::kI64Load16U: return load_op(ins, ValType::kI64, 1);
-    case Op::kI64Load32S:
-    case Op::kI64Load32U: return load_op(ins, ValType::kI64, 2);
-    case Op::kI32Store: return store_op(ins, ValType::kI32, 2);
-    case Op::kI64Store: return store_op(ins, ValType::kI64, 3);
-    case Op::kF32Store: return store_op(ins, ValType::kF32, 2);
-    case Op::kF64Store: return store_op(ins, ValType::kF64, 3);
-    case Op::kI32Store8: return store_op(ins, ValType::kI32, 0);
-    case Op::kI32Store16: return store_op(ins, ValType::kI32, 1);
-    case Op::kI64Store8: return store_op(ins, ValType::kI64, 0);
-    case Op::kI64Store16: return store_op(ins, ValType::kI64, 1);
-    case Op::kI64Store32: return store_op(ins, ValType::kI64, 2);
-
-    case Op::kMemorySize:
-      if (!m_.has_memory()) return err("memory.size without memory");
-      push(ValType::kI32);
-      return {};
-    case Op::kMemoryGrow:
-      if (!m_.has_memory()) return err("memory.grow without memory");
-      WARAN_CHECK_OK(pop_expect(ValType::kI32));
-      push(ValType::kI32);
-      return {};
-    case Op::kMemoryCopy:
-    case Op::kMemoryFill:
-      if (!m_.has_memory()) return err("bulk memory op without memory");
-      WARAN_CHECK_OK(pop_expect(ValType::kI32));
-      WARAN_CHECK_OK(pop_expect(ValType::kI32));
-      WARAN_CHECK_OK(pop_expect(ValType::kI32));
-      return {};
-
     case Op::kI32Const: push(ValType::kI32); return {};
     case Op::kI64Const: push(ValType::kI64); return {};
     case Op::kF32Const: push(ValType::kF32); return {};
     case Op::kF64Const: push(ValType::kF64); return {};
-
-    case Op::kI32Eqz:
-      WARAN_CHECK_OK(pop_expect(ValType::kI32));
-      push(ValType::kI32);
-      return {};
-    case Op::kI64Eqz:
-      WARAN_CHECK_OK(pop_expect(ValType::kI64));
-      push(ValType::kI32);
-      return {};
-
-    case Op::kI32Eq: case Op::kI32Ne: case Op::kI32LtS: case Op::kI32LtU:
-    case Op::kI32GtS: case Op::kI32GtU: case Op::kI32LeS: case Op::kI32LeU:
-    case Op::kI32GeS: case Op::kI32GeU:
-      return compare(ValType::kI32);
-    case Op::kI64Eq: case Op::kI64Ne: case Op::kI64LtS: case Op::kI64LtU:
-    case Op::kI64GtS: case Op::kI64GtU: case Op::kI64LeS: case Op::kI64LeU:
-    case Op::kI64GeS: case Op::kI64GeU:
-      return compare(ValType::kI64);
-    case Op::kF32Eq: case Op::kF32Ne: case Op::kF32Lt: case Op::kF32Gt:
-    case Op::kF32Le: case Op::kF32Ge:
-      return compare(ValType::kF32);
-    case Op::kF64Eq: case Op::kF64Ne: case Op::kF64Lt: case Op::kF64Gt:
-    case Op::kF64Le: case Op::kF64Ge:
-      return compare(ValType::kF64);
-
-    case Op::kI32Clz: case Op::kI32Ctz: case Op::kI32Popcnt:
-    case Op::kI32Extend8S: case Op::kI32Extend16S:
-      return unary(ValType::kI32);
-    case Op::kI32Add: case Op::kI32Sub: case Op::kI32Mul: case Op::kI32DivS:
-    case Op::kI32DivU: case Op::kI32RemS: case Op::kI32RemU: case Op::kI32And:
-    case Op::kI32Or: case Op::kI32Xor: case Op::kI32Shl: case Op::kI32ShrS:
-    case Op::kI32ShrU: case Op::kI32Rotl: case Op::kI32Rotr:
-      return binary(ValType::kI32);
-
-    case Op::kI64Clz: case Op::kI64Ctz: case Op::kI64Popcnt:
-    case Op::kI64Extend8S: case Op::kI64Extend16S: case Op::kI64Extend32S:
-      return unary(ValType::kI64);
-    case Op::kI64Add: case Op::kI64Sub: case Op::kI64Mul: case Op::kI64DivS:
-    case Op::kI64DivU: case Op::kI64RemS: case Op::kI64RemU: case Op::kI64And:
-    case Op::kI64Or: case Op::kI64Xor: case Op::kI64Shl: case Op::kI64ShrS:
-    case Op::kI64ShrU: case Op::kI64Rotl: case Op::kI64Rotr:
-      return binary(ValType::kI64);
-
-    case Op::kF32Abs: case Op::kF32Neg: case Op::kF32Ceil: case Op::kF32Floor:
-    case Op::kF32Trunc: case Op::kF32Nearest: case Op::kF32Sqrt:
-      return unary(ValType::kF32);
-    case Op::kF32Add: case Op::kF32Sub: case Op::kF32Mul: case Op::kF32Div:
-    case Op::kF32Min: case Op::kF32Max: case Op::kF32Copysign:
-      return binary(ValType::kF32);
-
-    case Op::kF64Abs: case Op::kF64Neg: case Op::kF64Ceil: case Op::kF64Floor:
-    case Op::kF64Trunc: case Op::kF64Nearest: case Op::kF64Sqrt:
-      return unary(ValType::kF64);
-    case Op::kF64Add: case Op::kF64Sub: case Op::kF64Mul: case Op::kF64Div:
-    case Op::kF64Min: case Op::kF64Max: case Op::kF64Copysign:
-      return binary(ValType::kF64);
-
-    case Op::kI32WrapI64: return convert(ValType::kI64, ValType::kI32);
-    case Op::kI32TruncF32S: case Op::kI32TruncF32U:
-    case Op::kI32TruncSatF32S: case Op::kI32TruncSatF32U:
-      return convert(ValType::kF32, ValType::kI32);
-    case Op::kI32TruncF64S: case Op::kI32TruncF64U:
-    case Op::kI32TruncSatF64S: case Op::kI32TruncSatF64U:
-      return convert(ValType::kF64, ValType::kI32);
-    case Op::kI64ExtendI32S: case Op::kI64ExtendI32U:
-      return convert(ValType::kI32, ValType::kI64);
-    case Op::kI64TruncF32S: case Op::kI64TruncF32U:
-    case Op::kI64TruncSatF32S: case Op::kI64TruncSatF32U:
-      return convert(ValType::kF32, ValType::kI64);
-    case Op::kI64TruncF64S: case Op::kI64TruncF64U:
-    case Op::kI64TruncSatF64S: case Op::kI64TruncSatF64U:
-      return convert(ValType::kF64, ValType::kI64);
-    case Op::kF32ConvertI32S: case Op::kF32ConvertI32U:
-      return convert(ValType::kI32, ValType::kF32);
-    case Op::kF32ConvertI64S: case Op::kF32ConvertI64U:
-      return convert(ValType::kI64, ValType::kF32);
-    case Op::kF32DemoteF64: return convert(ValType::kF64, ValType::kF32);
-    case Op::kF64ConvertI32S: case Op::kF64ConvertI32U:
-      return convert(ValType::kI32, ValType::kF64);
-    case Op::kF64ConvertI64S: case Op::kF64ConvertI64U:
-      return convert(ValType::kI64, ValType::kF64);
-    case Op::kF64PromoteF32: return convert(ValType::kF32, ValType::kF64);
-    case Op::kI32ReinterpretF32: return convert(ValType::kF32, ValType::kI32);
-    case Op::kI64ReinterpretF64: return convert(ValType::kF64, ValType::kI64);
-    case Op::kF32ReinterpretI32: return convert(ValType::kI32, ValType::kF32);
-    case Op::kF64ReinterpretI64: return convert(ValType::kI64, ValType::kF64);
+    default:
+      break;
   }
   return err("unhandled opcode in validator");
 }

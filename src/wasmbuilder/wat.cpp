@@ -15,9 +15,8 @@ namespace waran::wasmbuilder {
 namespace {
 
 using wasm::Op;
+using wasm::OpImm;
 using wasm::ValType;
-using wasm::to_string;
-
 
 // --- Tokenizer -------------------------------------------------------------
 
@@ -99,17 +98,11 @@ Result<std::vector<Token>> tokenize(std::string_view src) {
 // --- Opcode name table ------------------------------------------------------
 
 const std::map<std::string, Op>& opcode_by_name() {
-  static const std::map<std::string, Op> kMap = [] {
-    std::map<std::string, Op> m;
-    auto consider = [&](uint16_t v) {
-      Op op = static_cast<Op>(v);
-      const char* name = to_string(op);
-      if (name[0] != '<') m.emplace(name, op);
-    };
-    for (uint16_t v = 0x00; v <= 0xc4; ++v) consider(v);
-    for (uint16_t v = 0xfc00; v <= 0xfc0b; ++v) consider(v);
-    return m;
-  }();
+  static const std::map<std::string, Op> kMap = {
+#define WARAN_WAT_NAME(name, code, text, ...) {text, Op::k##name},
+      WARAN_OPCODES(WARAN_WAT_NAME)
+#undef WARAN_WAT_NAME
+  };
   return kMap;
 }
 
@@ -301,11 +294,14 @@ Status WatParser::parse_instrs(FunctionBuilder& fb) {
     if (oit == opcode_by_name().end()) {
       return Error::decode("wat: unknown instruction '" + name + "'");
     }
-    Op op = oit->second;
-    switch (op) {
-      case Op::kBlock:
-      case Op::kLoop:
-      case Op::kIf: {
+    const Op op = oit->second;
+    const wasm::OpInfo& info = wasm::op_info(op);
+    switch (info.imm) {
+      case OpImm::kNone:
+        fb.op(op);
+        if (op == Op::kEnd) --depth;
+        break;
+      case OpImm::kBlock: {
         BlockT bt;
         if (peek().kind == Token::Kind::kLParen && peek(1).text == "result") {
           take();
@@ -320,14 +316,7 @@ Status WatParser::parse_instrs(FunctionBuilder& fb) {
         ++depth;
         break;
       }
-      case Op::kBr:
-      case Op::kBrIf:
-      case Op::kCall:
-      case Op::kLocalGet:
-      case Op::kLocalSet:
-      case Op::kLocalTee:
-      case Op::kGlobalGet:
-      case Op::kGlobalSet: {
+      case OpImm::kIndex: {
         WARAN_TRY(idx, index_atom());
         switch (op) {
           case Op::kBr: fb.br(idx); break;
@@ -341,7 +330,7 @@ Status WatParser::parse_instrs(FunctionBuilder& fb) {
         }
         break;
       }
-      case Op::kBrTable: {
+      case OpImm::kBrTable: {
         std::vector<uint32_t> targets;
         while (next_is_integer()) {
           WARAN_TRY(t, index_atom());
@@ -353,7 +342,7 @@ Status WatParser::parse_instrs(FunctionBuilder& fb) {
         fb.br_table(targets, def);
         break;
       }
-      case Op::kCallIndirect: {
+      case OpImm::kCallIndirect: {
         WARAN_CHECK_OK(expect(Token::Kind::kLParen, "'('"));
         WARAN_CHECK_OK(expect_atom("type"));
         WARAN_TRY(ti, index_atom());
@@ -361,64 +350,62 @@ Status WatParser::parse_instrs(FunctionBuilder& fb) {
         fb.call_indirect(ti);
         break;
       }
-      case Op::kI32Const: {
+      case OpImm::kI32: {
         WARAN_TRY(v, integer_atom());
         fb.i32_const(static_cast<int32_t>(v));
         break;
       }
-      case Op::kI64Const: {
+      case OpImm::kI64: {
         WARAN_TRY(v, integer_atom());
         fb.i64_const(v);
         break;
       }
-      case Op::kF32Const: {
+      case OpImm::kF32: {
         WARAN_TRY(v, float_atom());
         fb.f32_const(static_cast<float>(v));
         break;
       }
-      case Op::kF64Const: {
+      case OpImm::kF64: {
         WARAN_TRY(v, float_atom());
         fb.f64_const(v);
         break;
       }
-      case Op::kEnd:
-        fb.end();
-        --depth;
-        break;
-      case Op::kMemorySize: fb.memory_size(); break;
-      case Op::kMemoryGrow: fb.memory_grow(); break;
-      case Op::kMemoryCopy: fb.memory_copy(); break;
-      case Op::kMemoryFill: fb.memory_fill(); break;
-      default: {
-        if (op >= Op::kI32Load && op <= Op::kI64Store32) {
-          uint32_t offset = 0;
-          uint32_t align_bytes = 1;
-          while (peek().kind == Token::Kind::kAtom &&
-                 (peek().text.starts_with("offset=") ||
-                  peek().text.starts_with("align="))) {
-            std::string t = take().text;
-            size_t eq = t.find('=');
-            uint32_t v = 0;
-            auto [p, ec] =
-                std::from_chars(t.data() + eq + 1, t.data() + t.size(), v);
-            if (ec != std::errc() || p != t.data() + t.size()) {
-              return Error::decode("wat: bad memarg '" + t + "'");
-            }
-            if (t[0] == 'o') offset = v;
-            else align_bytes = v;
+      case OpImm::kMem8:
+      case OpImm::kMem16:
+      case OpImm::kMem32:
+      case OpImm::kMem64: {
+        uint32_t offset = 0;
+        uint32_t align_bytes = 1;
+        while (peek().kind == Token::Kind::kAtom &&
+               (peek().text.starts_with("offset=") || peek().text.starts_with("align="))) {
+          std::string t = take().text;
+          size_t eq = t.find('=');
+          uint32_t v = 0;
+          auto [p, ec] = std::from_chars(t.data() + eq + 1, t.data() + t.size(), v);
+          if (ec != std::errc() || p != t.data() + t.size()) {
+            return Error::decode("wat: bad memarg '" + t + "'");
           }
-          uint32_t align_log2 = 0;
-          while ((1u << align_log2) < align_bytes) ++align_log2;
-          if (op >= Op::kI32Store && op <= Op::kI64Store32) {
-            fb.store(op, offset, align_log2);
-          } else {
-            fb.load(op, offset, align_log2);
-          }
+          if (t[0] == 'o') offset = v;
+          else align_bytes = v;
+        }
+        uint32_t align_log2 = 0;
+        while ((1u << align_log2) < align_bytes) ++align_log2;
+        if (info.has_result) {
+          fb.load(op, offset, align_log2);
         } else {
-          fb.op(op);  // no immediates
+          fb.store(op, offset, align_log2);
         }
         break;
       }
+      case OpImm::kMemIdx:
+      case OpImm::kMemIdx2:
+        switch (op) {
+          case Op::kMemorySize: fb.memory_size(); break;
+          case Op::kMemoryGrow: fb.memory_grow(); break;
+          case Op::kMemoryCopy: fb.memory_copy(); break;
+          default: fb.memory_fill(); break;
+        }
+        break;
     }
     if (depth == 0) break;  // function body complete
   }

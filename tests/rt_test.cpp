@@ -18,6 +18,10 @@
 #include "obs/anomaly.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "plugin/plugin.h"
+#include "ric/e2lite.h"
+#include "ric/gnb_agent.h"
+#include "ric/plugin_sources.h"
 #include "rt/clock.h"
 #include "rt/deployment.h"
 #include "rt/executor.h"
@@ -324,6 +328,42 @@ TEST(GnbDeployment, ThreadedRunSlotsRunsAllCells) {
                                 .counter("waran_mac_slots_total", {})
                                 .value());
   EXPECT_EQ(slots, 24u);  // 12 slots on each of 2 cells
+}
+
+TEST(GnbDeployment, RicSetReportPeriodChangesThatCellsCadence) {
+  // Each cell's agent owns its indication period: it starts at the
+  // configured one, and a set_report_period control (rolled out with the
+  // v2 control plugin on cell 0 only) changes that cell's cadence alone.
+  reset_global_obs();
+  rt::DeploymentConfig cfg;
+  cfg.cells = 2;
+  cfg.virtual_time = true;
+  cfg.report_period_slots = 10;
+  rt::GnbDeployment dep(cfg);
+  ASSERT_TRUE(dep.status().ok());
+  EXPECT_EQ(dep.agent(0).report_period_slots(), 10u);
+  EXPECT_EQ(dep.agent(1).report_period_slots(), 10u);
+
+  auto v2 = ric::plugin_sources::control_dispatch_v2();
+  ASSERT_TRUE(v2.ok());
+  ASSERT_TRUE(dep.agent(0).load_control_plugin(*v2).ok());
+  auto comm = ric::plugin_sources::comm_framing();
+  ASSERT_TRUE(comm.ok());
+  auto framer = plugin::Plugin::load(*comm);
+  ASSERT_TRUE(framer.ok());
+  auto frame = (*framer)->call(
+      "frame", ric::encode_control({{ric::ActionType::kSetReportPeriod, 5, 0}}));
+  ASSERT_TRUE(frame.ok());
+  dep.link(0).send(ric::Duplex::Side::kB, *frame);
+  ASSERT_TRUE(dep.agent(0).poll().ok());
+  EXPECT_EQ(dep.agent(0).stats().period_updates, 1u);
+  EXPECT_EQ(dep.agent(0).report_period_slots(), 5u);
+
+  const uint64_t sent0 = dep.agent(0).stats().indications_sent;
+  const uint64_t sent1 = dep.agent(1).stats().indications_sent;
+  ASSERT_TRUE(dep.run_slots(40).ok());
+  EXPECT_EQ(dep.agent(0).stats().indications_sent - sent0, 8u);  // every 5 slots
+  EXPECT_EQ(dep.agent(1).stats().indications_sent - sent1, 4u);  // every 10 slots
 }
 
 }  // namespace

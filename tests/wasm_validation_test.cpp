@@ -4,6 +4,8 @@
 // step the paper gives MNOs (§3A).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "tests/wasm_test_util.h"
@@ -81,6 +83,65 @@ TEST(Decode, FunctionCodeCountMismatch) {
   auto st = decode_bytes(bytes);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.error().message.find("count mismatch"), std::string::npos);
+}
+
+TEST(Decode, RejectsUnknownValueTypeInHex) {
+  std::vector<uint8_t> bytes = {0x00, 0x61, 0x73, 0x6d, 1, 0, 0, 0,
+                                1, 5, 1, 0x60, 1, 0x7b, 0};  // type: (0x7b) -> ()
+  auto st = decode_bytes(bytes);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().message, "invalid value type 0x7b");
+}
+
+// A module whose one () -> () function has body `code` (no locals).
+std::vector<uint8_t> module_with_body(const std::vector<uint8_t>& code) {
+  const auto size = static_cast<uint8_t>(code.size() + 1);
+  std::vector<uint8_t> bytes = {0x00, 0x61, 0x73, 0x6d, 1, 0, 0, 0,
+                                1, 4, 1, 0x60, 0, 0,   // type: () -> ()
+                                3, 2, 1, 0,            // function: [type 0]
+                                10, static_cast<uint8_t>(size + 2), 1, size, 0};
+  for (uint8_t b : code) bytes.push_back(b);
+  return bytes;
+}
+
+TEST(Decode, RejectsEveryOpcodeOutsideTheInstructionSet) {
+  // The codes of no instruction in the MVP, sign extension, saturating
+  // truncation or memory.copy/fill, from the spec's opcode tables rather
+  // than from the engine's own.
+  auto invalid_byte = [](uint32_t b) {
+    return (b >= 0x06 && b <= 0x0a) || (b >= 0x12 && b <= 0x19) ||
+           (b >= 0x1c && b <= 0x1f) || (b >= 0x25 && b <= 0x27) ||
+           (b >= 0xc5 && b != 0xfc);
+  };
+  auto invalid_sub = [](uint32_t sub) { return sub == 0x08 || sub == 0x09 || sub >= 0x0c; };
+  uint32_t known = 0;
+  auto check = [&known](std::vector<uint8_t> code, bool invalid, const std::string& hex) {
+    code.push_back(0x0b);
+    auto st = decode_bytes(module_with_body(code));
+    const bool unknown =
+        !st.ok() && st.error().message.find("unknown opcode") != std::string::npos;
+    EXPECT_EQ(unknown, invalid) << hex;
+    if (unknown) {
+      EXPECT_EQ(st.error().message, "unknown opcode " + hex);
+    }
+    if (!invalid) ++known;
+  };
+  char hex[8];
+  for (uint32_t b = 0; b <= 0xff; ++b) {
+    if (b == 0xfc) continue;
+    std::snprintf(hex, sizeof(hex), "0x%02x", b);
+    check({static_cast<uint8_t>(b)}, invalid_byte(b), hex);
+  }
+  for (uint32_t sub = 0; sub <= 0xff; ++sub) {
+    std::snprintf(hex, sizeof(hex), "0xfc%02x", sub);
+    std::vector<uint8_t> code = {0xfc, static_cast<uint8_t>(sub | 0x80),
+                                 static_cast<uint8_t>(sub >> 7)};  // 2-byte LEB
+    check(code, invalid_sub(sub), hex);
+  }
+  EXPECT_EQ(known, 187u);
+  // Sub-opcodes past one byte never name an instruction.
+  EXPECT_FALSE(decode_bytes(module_with_body({0xfc, 0x80, 0x02, 0x0b})).ok());
+  EXPECT_FALSE(decode_bytes(module_with_body({0xfc, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x0b})).ok());
 }
 
 TEST(Validate, TypeMismatchI32PlusF64) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "common/rng.h"
 #include "plugin/plugin.h"
@@ -235,6 +236,76 @@ TEST(WatRoundTrip, BuilderFeaturesModule) {
   mb.add_data(100, data);
   auto bytes = mb.build();
   assert_round_trip(bytes, "builder-features");
+}
+
+TEST(WatRoundTrip, EveryInstruction) {
+  // One function holding every instruction of the opcode table once, each
+  // with a non-zero immediate. Decoding it, printing it and assembling the
+  // text must give back the encoder's bytes exactly.
+  using wasm::OpImm;
+  ModuleBuilder mb;
+  mb.add_memory(1);
+  mb.add_table(1);
+  mb.add_global(ValType::kI32, true, wasm::Value::from_i32(0));
+  const uint32_t sig = mb.add_type(FuncType{{ValType::kI32}, {ValType::kI64}});
+  auto& f = mb.add_func(FuncType{{ValType::kI32}, {}});
+  f.add_local(ValType::kI64);
+  // Control by hand: in table order `end` would close the body.
+  f.block(BlockT::i32()).loop().if_(BlockT::f64()).else_().end().end().end();
+  f.br(1).br_if(2).br_table({0, 3}, 1).ret().call(0).call_indirect(sig);
+  f.op(Op::kUnreachable).op(Op::kNop);
+  auto emit = [&f](Op op) {
+    const wasm::OpInfo& info = wasm::op_info(op);
+    switch (info.imm) {
+      case OpImm::kIndex:
+        if (op == Op::kLocalGet) f.local_get(1);
+        if (op == Op::kLocalSet) f.local_set(1);
+        if (op == Op::kLocalTee) f.local_tee(1);
+        if (op == Op::kGlobalGet) f.global_get(0);
+        if (op == Op::kGlobalSet) f.global_set(0);
+        break;
+      case OpImm::kI32: f.i32_const(-123456); break;
+      case OpImm::kI64: f.i64_const(-(int64_t{1} << 40) - 7); break;
+      case OpImm::kF32: f.f32_const(1.5f); break;
+      case OpImm::kF64: f.f64_const(-2.75e300); break;
+      case OpImm::kMem8:
+      case OpImm::kMem16:
+      case OpImm::kMem32:
+      case OpImm::kMem64:
+        if (info.has_result) {
+          f.load(op, 16, wasm::natural_align_log2(info.imm));
+        } else {
+          f.store(op, 16, wasm::natural_align_log2(info.imm));
+        }
+        break;
+      case OpImm::kMemIdx:
+      case OpImm::kMemIdx2:
+        if (op == Op::kMemorySize) f.memory_size();
+        if (op == Op::kMemoryGrow) f.memory_grow();
+        if (op == Op::kMemoryCopy) f.memory_copy();
+        if (op == Op::kMemoryFill) f.memory_fill();
+        break;
+      default:
+        f.op(op);
+        break;
+    }
+  };
+#define WARAN_EMIT(name, ...) emit(Op::k##name);
+  WARAN_OPS_VARIABLE(WARAN_EMIT) WARAN_OPS_CONST(WARAN_EMIT) WARAN_OPS_MEMORY(WARAN_EMIT)
+  WARAN_OPS_COMPARE(WARAN_EMIT) WARAN_OPS_NUMERIC(WARAN_EMIT) WARAN_OPS_CONVERT(WARAN_EMIT)
+  WARAN_OPS_REINTERPRET(WARAN_EMIT)
+#undef WARAN_EMIT
+  f.end();
+  const std::vector<uint8_t> bytes = mb.build();
+
+  auto module = wasm::decode_module(bytes);
+  ASSERT_TRUE(module.ok()) << module.error().message;
+  std::set<Op> seen;
+  for (const wasm::Instr& ins : module->codes[0].body) seen.insert(ins.op);
+  EXPECT_EQ(seen.size(), 187u);
+  auto again = wasmbuilder::assemble_wat(wasm::disassemble(*module));
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(*again, bytes);
 }
 
 }  // namespace
