@@ -40,8 +40,9 @@ std::unique_ptr<plugin::Plugin> make_plugin(uint64_t fuel) {
 
 void BM_PluginCall_FuelOff(benchmark::State& state) {
   auto p = make_plugin(0);
+  std::vector<uint8_t> out;
   for (auto _ : state) {
-    auto r = p->call("run", {});
+    Status r = p->call("run", {}, out);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations());
@@ -49,8 +50,9 @@ void BM_PluginCall_FuelOff(benchmark::State& state) {
 
 void BM_PluginCall_FuelOn(benchmark::State& state) {
   auto p = make_plugin(10'000'000);
+  std::vector<uint8_t> out;
   for (auto _ : state) {
-    auto r = p->call("run", {});
+    Status r = p->call("run", {}, out);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations());

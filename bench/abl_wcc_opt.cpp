@@ -40,15 +40,18 @@ std::vector<uint8_t> sched_input() {
     ue.achievable_bps = rng.uniform() * 4.5e7;
     req.ues.push_back(ue);
   }
-  return codec::wire::encode_request(req);
+  std::vector<uint8_t> bytes;
+  codec::wire::encode_request(req, bytes);
+  return bytes;
 }
 
 void run_plugin_bench(benchmark::State& state, const std::string& src,
                       const std::string& entry, const std::vector<uint8_t>& input,
                       bool optimize) {
   auto p = load(src, optimize);
+  std::vector<uint8_t> out;
   for (auto _ : state) {
-    auto r = p->call(entry, input);
+    Status r = p->call(entry, input, out);
     benchmark::DoNotOptimize(r);
   }
   state.SetLabel((optimize ? "opt " : "noopt ") +

@@ -41,10 +41,11 @@ int main() {
   std::printf("%6s %22s %22s\n", "t[s]", "plugin-arm [MiB]", "host-arm [MiB]");
 
   double plugin_final = 0, host_final = 0;
+  std::vector<uint8_t> out;
   for (int sec = 1; sec <= kSeconds; ++sec) {
     for (int call = 0; call < kCallsPerSecond; ++call) {
       // Sandbox arm: the leak lives inside the plugin's linear memory.
-      auto r = mgr.call("leak", "schedule", {});
+      Status r = mgr.call("leak", "schedule", {}, out);
       if (!r.ok()) {
         std::fprintf(stderr, "FATAL: plugin call failed: %s\n",
                      r.error().message.c_str());

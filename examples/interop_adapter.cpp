@@ -58,12 +58,12 @@ int main() {
 
   std::vector<uint8_t> a = vendor_a_report();
   std::printf("vendor-A emitted %zu bytes (3-byte packed records)\n", a.size());
-  auto b = mgr.call("shim", "widen", a);
-  if (!b.ok()) {
-    std::printf("shim error: %s\n", b.error().message.c_str());
+  std::vector<uint8_t> b;
+  if (Status st = mgr.call("shim", "widen", a, b); !st.ok()) {
+    std::printf("shim error: %s\n", st.error().message.c_str());
     return 1;
   }
-  vendor_b_parse(*b);
+  vendor_b_parse(b);
 
   std::printf("\n== Spec clarification: vendor B wants saturation, not shift ==\n");
   // The SI ships shim v2 without touching either vendor's code: values at
@@ -95,15 +95,14 @@ int main() {
     std::printf("failed to hot-swap shim v2\n");
     return 1;
   }
-  auto b2 = mgr.call("shim", "widen", a);
-  if (!b2.ok()) return 1;
-  vendor_b_parse(*b2);
+  if (!mgr.call("shim", "widen", a, b).ok()) return 1;
+  vendor_b_parse(b);
 
   std::printf("\n== Malformed vendor traffic cannot cross the shim ==\n");
   std::vector<uint8_t> truncated = {100, 0, 0, 0, 1, 2};  // claims 100 records
-  auto rejected = mgr.call("shim", "widen", truncated);
+  const bool accepted = mgr.call("shim", "widen", truncated, b).ok();
   std::printf("truncated report -> %s\n",
-              rejected.ok() ? "UNEXPECTED OK" : "rejected inside the sandbox");
+              accepted ? "UNEXPECTED OK" : "rejected inside the sandbox");
   std::printf("\nneither vendor recompiled anything; the SI owned the whole fix.\n");
   return 0;
 }

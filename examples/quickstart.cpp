@@ -52,13 +52,13 @@ int main() {
 
   // 4. Call through the ABI.
   std::vector<uint8_t> input = {10, 20, 30, 40};
-  auto output = manager.call("demo", "run", input);
-  if (!output.ok()) {
-    std::printf("call error: %s\n", output.error().message.c_str());
+  std::vector<uint8_t> output;
+  if (Status st = manager.call("demo", "run", input, output); !st.ok()) {
+    std::printf("call error: %s\n", st.error().message.c_str());
     return 1;
   }
   int32_t sum;
-  std::memcpy(&sum, output->data(), 4);
+  std::memcpy(&sum, output.data(), 4);
   std::printf("plugin computed sum(10,20,30,40) = %d\n", sum);
 
   // 5a. A "vendor update" ships a bug: out-of-bounds access. The sandbox
@@ -68,7 +68,7 @@ int main() {
     std::printf("swap error: %s\n", st.error().message.c_str());
     return 1;
   }
-  auto crash = manager.call("demo", "run", input);
+  Status crash = manager.call("demo", "run", input, output);
   std::printf("buggy update contained: %s\n",
               crash.ok() ? "UNEXPECTED SUCCESS" : crash.error().message.c_str());
 
@@ -77,8 +77,8 @@ int main() {
     std::printf("swap error: %s\n", st.error().message.c_str());
     return 1;
   }
-  auto healed = manager.call("demo", "run", input);
-  std::memcpy(&sum, healed->data(), 4);
+  if (!manager.call("demo", "run", input, output).ok()) return 1;
+  std::memcpy(&sum, output.data(), 4);
   std::printf("after hot-swap, plugin works again: sum = %d\n", sum);
   std::printf("slot health: %llu calls, %llu faults, %llu swaps\n",
               static_cast<unsigned long long>(manager.health("demo")->calls),

@@ -83,6 +83,12 @@ struct FuncBounds {
   /// Frame-depth upper bound across all paths; kUnbounded on recursion or
   /// indirect calls.
   uint64_t max_frames = kUnbounded;
+  /// Operand-arena and locals-arena cells the deepest call chain from this
+  /// function can hold: the sums of TranslatedFunc::max_stack and of
+  /// num_locals over its frames, which the interpreter reserves so that no
+  /// call allocates. kUnbounded exactly when max_frames is.
+  uint64_t max_operand_cells = kUnbounded;
+  uint64_t max_local_cells = kUnbounded;
   /// A cycle is reachable in the function's own control-flow graph or in
   /// any statically-known callee: fuel is what bounds execution, not the
   /// stream length.

@@ -253,12 +253,15 @@ Result<ModuleAnalysis> analyze(const wasm::Module& m, const wasm::TranslatedModu
   enum class VState : uint8_t { kNew, kOnStack, kDone };
   std::vector<VState> state(nf, VState::kNew);
   std::vector<uint64_t> worst_fuel(nf), max_frames(nf);
+  std::vector<uint64_t> operand_cells(nf), local_cells(nf);
   std::vector<bool> may_loop(nf);
   std::function<void(size_t)> solve = [&](size_t i) {
     if (state[i] == VState::kDone) return;
     state[i] = VState::kOnStack;
     bool loop = local_cycle[i];
     uint64_t frames = 1;
+    uint64_t callee_operands = 0;
+    uint64_t callee_locals = 0;
     bool callee_worst_unbounded = false;
     std::vector<uint64_t> callee_worst(nf, kUnbounded);
     for (const Node& nd : graphs[i].nodes) {
@@ -278,11 +281,18 @@ Result<ModuleAnalysis> analyze(const wasm::Module& m, const wasm::TranslatedModu
       solve(c);
       loop = loop || may_loop[c];
       frames = std::max(frames, sat_add(1, max_frames[c]));
+      callee_operands = std::max(callee_operands, operand_cells[c]);
+      callee_locals = std::max(callee_locals, local_cells[c]);
       if (worst_fuel[c] == kUnbounded) callee_worst_unbounded = true;
       callee_worst[c] = worst_fuel[c];
     }
     may_loop[i] = loop;
     max_frames[i] = frames;
+    const bool chain_finite = frames != kUnbounded;
+    operand_cells[i] =
+        chain_finite ? sat_add(tm.funcs[i].max_stack, callee_operands) : kUnbounded;
+    local_cells[i] =
+        chain_finite ? sat_add(tm.funcs[i].num_locals, callee_locals) : kUnbounded;
     worst_fuel[i] = (loop || callee_worst_unbounded)
                         ? kUnbounded
                         : worst_fuel_dag(graphs[i], m, callee_worst);
@@ -295,6 +305,8 @@ Result<ModuleAnalysis> analyze(const wasm::Module& m, const wasm::TranslatedModu
     out.funcs[i].min_frames = min_frames[i];
     out.funcs[i].worst_fuel = worst_fuel[i];
     out.funcs[i].max_frames = max_frames[i];
+    out.funcs[i].max_operand_cells = operand_cells[i];
+    out.funcs[i].max_local_cells = local_cells[i];
     out.funcs[i].may_loop = may_loop[i];
   }
   return out;

@@ -106,9 +106,10 @@ plugin::PluginManager::CallInterceptor make_call_interceptor(
     FaultPlan& plan, std::string domain, std::set<std::string> eligible,
     bool allow_deadline) {
   return [&plan, domain = std::move(domain), eligible = std::move(eligible),
-          allow_deadline](const std::string& slot,
-                          const std::string&) -> plugin::PluginManager::CallIntercept {
+          allow_deadline](std::string_view slot_view,
+                          std::string_view) -> plugin::PluginManager::CallIntercept {
     plugin::PluginManager::CallIntercept out;
+    const std::string slot(slot_view);
     if (!eligible.contains(slot)) return out;
     auto fault = plan.draw_call(domain, slot, allow_deadline);
     if (!fault) return out;
@@ -338,7 +339,8 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
       plugin::Plugin* grower = mgr.plugin("grower");
       wasm::Memory* mem = grower != nullptr ? grower->instance().memory() : nullptr;
       if (mem != nullptr && plan.draw_grow_denial()) mem->set_grow_denial_after(0);
-      auto r = mgr.call("grower", "tick", {});
+      std::vector<uint8_t> out;
+      Status r = mgr.call("grower", "tick", {}, out);
       expect(r.ok(), "grower did not survive a denied memory.grow: " +
                          (r.ok() ? std::string() : r.error().message));
       if (mem != nullptr) mem->set_grow_denial_after(std::nullopt);
@@ -450,8 +452,9 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
     eq(mem != nullptr ? mem->denied_grows() : 0, plan.count(FaultKind::kGrowDenial),
        ci + "denied grows vs scheduled denials");
 
-    // Link conservation: every frame is delivered, dropped, or still held —
-    // and after the drain nothing is held or pending.
+    // Link conservation: every frame is delivered, dropped, overflowed or
+    // still held — and after the drain nothing is held or pending. The RIC
+    // polls every report step, so no queue may ever have been full.
     ric::Duplex& link = dep.link(i);
     eq(link.frames_corrupted(), plan.count(FaultKind::kLinkCorrupt),
        ci + "link corruption counter vs plan");
@@ -461,8 +464,10 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
        ci + "link duplicate counter vs plan");
     eq(link.frames_reordered(), plan.count(FaultKind::kLinkReorder),
        ci + "link reorder counter vs plan");
+    eq(link.frames_overflowed(), 0, ci + "frames lost to a full link queue");
     eq(link.frames_sent() + link.frames_duplicated(),
-       link.frames_delivered() + link.frames_dropped(), ci + "link frame conservation");
+       link.frames_delivered() + link.frames_dropped() + link.frames_overflowed(),
+       ci + "link frame conservation");
     eq(link.delayed_in_flight(), 0, ci + "frames still held after drain");
     eq(link.pending(ric::Duplex::Side::kA) + link.pending(ric::Duplex::Side::kB), 0,
        ci + "frames still queued after drain");

@@ -19,16 +19,24 @@ class WireCodec final : public Codec {
  public:
   const char* name() const override { return "wire"; }
   std::vector<uint8_t> encode_request(const SchedRequest& req) const override {
-    return wire::encode_request(req);
+    std::vector<uint8_t> out;
+    wire::encode_request(req, out);
+    return out;
   }
   Result<SchedRequest> decode_request(std::span<const uint8_t> bytes) const override {
-    return wire::decode_request(bytes);
+    SchedRequest req;
+    WARAN_CHECK_OK(wire::decode_request(bytes, req));
+    return req;
   }
   std::vector<uint8_t> encode_response(const SchedResponse& resp) const override {
-    return wire::encode_response(resp);
+    std::vector<uint8_t> out;
+    wire::encode_response(resp, out);
+    return out;
   }
   Result<SchedResponse> decode_response(std::span<const uint8_t> bytes) const override {
-    return wire::decode_response(bytes);
+    SchedResponse resp;
+    WARAN_CHECK_OK(wire::decode_response(bytes, resp));
+    return resp;
   }
 };
 

@@ -14,12 +14,12 @@ void store(uint8_t* at, T v) {
 
 }  // namespace
 
-std::vector<uint8_t> encode_request(const SchedRequest& req) {
+void encode_request(const SchedRequest& req, std::vector<uint8_t>& out) {
   // Sized once and written in place: the request is on the per-slot path
-  // and a dense slice's is a few KiB. Value-initialization zeroes the
-  // padding word that keeps the f64 fields 8-aligned in plugin memory.
+  // and a dense slice's is a few KiB. The assign zeroes the padding word
+  // that keeps the f64 fields 8-aligned in plugin memory.
   const auto n = static_cast<uint32_t>(req.ues.size());
-  std::vector<uint8_t> out(kReqHeaderSize + static_cast<size_t>(n) * kUeRecordSize);
+  out.assign(kReqHeaderSize + static_cast<size_t>(n) * kUeRecordSize, 0);
   uint8_t* p = out.data();
   store(p, req.slot);
   store(p + 4, req.prb_quota);
@@ -35,12 +35,11 @@ std::vector<uint8_t> encode_request(const SchedRequest& req) {
     store(p + kUeAchievable, ue.achievable_bps);
     p += kUeRecordSize;
   }
-  return out;
 }
 
-Result<SchedRequest> decode_request(std::span<const uint8_t> bytes) {
+Status decode_request(std::span<const uint8_t> bytes, SchedRequest& req) {
   ByteReader r(bytes);
-  SchedRequest req;
+  req.ues.clear();
   WARAN_TRY(slot, r.u32le());
   WARAN_TRY(quota, r.u32le());
   WARAN_TRY(n, r.u32le());
@@ -70,22 +69,25 @@ Result<SchedRequest> decode_request(std::span<const uint8_t> bytes) {
     req.ues.push_back(ue);
   }
   if (!r.at_end()) return Error::decode("wire request: trailing bytes");
-  return req;
+  return {};
 }
 
-std::vector<uint8_t> encode_response(const SchedResponse& resp) {
-  ByteWriter w;
-  w.u32le(static_cast<uint32_t>(resp.allocs.size()));
+void encode_response(const SchedResponse& resp, std::vector<uint8_t>& out) {
+  const auto n = static_cast<uint32_t>(resp.allocs.size());
+  out.resize(kRespHeaderSize + static_cast<size_t>(n) * kAllocRecordSize);
+  uint8_t* p = out.data();
+  store(p, n);
+  p += kRespHeaderSize;
   for (const SchedAlloc& a : resp.allocs) {
-    w.u32le(a.rnti);
-    w.u32le(a.prbs);
+    store(p, a.rnti);
+    store(p + 4, a.prbs);
+    p += kAllocRecordSize;
   }
-  return w.take();
 }
 
-Result<SchedResponse> decode_response(std::span<const uint8_t> bytes) {
+Status decode_response(std::span<const uint8_t> bytes, SchedResponse& resp) {
   ByteReader r(bytes);
-  SchedResponse resp;
+  resp.allocs.clear();
   WARAN_TRY(n, r.u32le());
   if (static_cast<uint64_t>(n) * kAllocRecordSize > r.remaining()) {
     return Error::decode("wire response: alloc count exceeds payload");
@@ -98,7 +100,7 @@ Result<SchedResponse> decode_response(std::span<const uint8_t> bytes) {
   }
   // Trailing bytes are tolerated: the plugin output window may be larger
   // than the payload it wrote.
-  return resp;
+  return {};
 }
 
 }  // namespace waran::codec::wire

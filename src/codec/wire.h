@@ -45,10 +45,14 @@ inline constexpr uint32_t kUeTbsPerPrb = 16;
 inline constexpr uint32_t kUeAvgTput = 24;
 inline constexpr uint32_t kUeAchievable = 32;
 
-std::vector<uint8_t> encode_request(const SchedRequest& req);
-Result<SchedRequest> decode_request(std::span<const uint8_t> bytes);
+// Each function writes into the caller's buffer or message, replacing its
+// contents and reusing its capacity: the scheduler bridge keeps one of each
+// per slice, so a warm slot encodes and decodes without allocating. On a
+// decode error `out` holds whatever was read before the error.
+void encode_request(const SchedRequest& req, std::vector<uint8_t>& out);
+Status decode_request(std::span<const uint8_t> bytes, SchedRequest& out);
 
-std::vector<uint8_t> encode_response(const SchedResponse& resp);
-Result<SchedResponse> decode_response(std::span<const uint8_t> bytes);
+void encode_response(const SchedResponse& resp, std::vector<uint8_t>& out);
+Status decode_response(std::span<const uint8_t> bytes, SchedResponse& out);
 
 }  // namespace waran::codec::wire

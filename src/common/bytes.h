@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -64,6 +65,10 @@ class ByteReader {
 /// Growable byte sink with the matching encodings.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Writes over `buf`, keeping its capacity; take() hands it back.
+  explicit ByteWriter(std::vector<uint8_t> buf) : buf_(std::move(buf)) { buf_.clear(); }
+
   const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }

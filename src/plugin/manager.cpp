@@ -1,5 +1,7 @@
 #include "plugin/manager.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "obs/anomaly.h"
 #include "obs/trace.h"
@@ -17,6 +19,27 @@ void PluginManager::bind_metrics(const std::string& slot_name, Slot& slot) {
   slot.m_instrs = &reg.counter("waran_plugin_instructions_total", labels);
   slot.m_wall_ns = &reg.histogram("waran_plugin_wall_ns", labels);
 }
+
+namespace {
+
+// Reserves the instance's interpreter arenas for the deepest call chain of
+// any export whose bounds are finite and fit the engine's depth limit, so
+// that even the first call after install/swap allocates nothing. Exports
+// without such bounds (recursion, indirect calls) grow the arenas on
+// first use, as an instance loaded with admission off does.
+void reserve_arenas(wasm::Instance& inst, const analysis::AdmissionReport& report) {
+  uint64_t frames = 0, operands = 0, locals = 0;
+  for (const analysis::ExportReport& e : report.exports) {
+    const analysis::FuncBounds& b = e.bounds;
+    if (b.max_frames > inst.max_call_depth()) continue;  // also kUnbounded
+    frames = std::max(frames, b.max_frames);
+    operands = std::max(operands, b.max_operand_cells);
+    locals = std::max(locals, b.max_local_cells);
+  }
+  inst.reserve_arenas(frames, operands, locals);
+}
+
+}  // namespace
 
 // Shared install/swap front half: consult the chaos load interceptor, then
 // decode/validate/instantiate. Any failure — injected or natural — is a
@@ -63,6 +86,7 @@ Result<std::shared_ptr<Plugin>> PluginManager::load_checked(
     WARAN_LOG(kWarn, "plugin", "admission rejected slot '" << slot << "': " << reason);
     return Error::limit_exceeded("admission rejected: " + reason);
   }
+  reserve_arenas(inst, *last_admission_);
   return plugin;
 }
 
@@ -103,14 +127,14 @@ Status PluginManager::remove(const std::string& slot) {
   return {};
 }
 
-Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
-                                                 const std::string& fn,
-                                                 std::span<const uint8_t> input) {
+Status PluginManager::call(std::string_view slot, std::string_view fn,
+                           std::span<const uint8_t> input, std::vector<uint8_t>& output) {
+  output.clear();
   auto it = slots_.find(slot);
-  if (it == slots_.end()) return Error::not_found("no such slot: " + slot);
+  if (it == slots_.end()) return Error::not_found("no such slot: " + std::string(slot));
   Slot& s = it->second;
   if (s.health.quarantined) {
-    return Error::state("slot '" + slot + "' is quarantined after repeated faults");
+    return Error::state("slot '" + it->first + "' is quarantined after repeated faults");
   }
   obs::ObsSpan span(obs::TraceCat::kPlugin, slot);
   ++s.health.calls;
@@ -119,7 +143,7 @@ Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
   CallIntercept intercept;
   if (call_interceptor_) intercept = call_interceptor_(slot, fn);
 
-  Result<std::vector<uint8_t>> result = Error::internal("uninitialized");
+  Status result;
   if (intercept.fail) {
     // Injected failure: the sandbox is never entered, so the crossing costs
     // nothing — but it still counts as a call so the accounting invariant
@@ -131,7 +155,7 @@ Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
     CallOverrides overrides;
     overrides.fuel = intercept.fuel;
     overrides.deadline_ns = intercept.deadline_ns;
-    result = s.plugin->call(fn, input, overrides);
+    result = s.plugin->call(fn, input, output, overrides);
     // Canonical telemetry path: every sandbox crossing feeds the engine's
     // CallStats into both the exact per-slot accumulator (CallCostAcc, for
     // offline p50/p99) and the metrics registry (for live exposition) —
@@ -179,7 +203,7 @@ Result<std::vector<uint8_t>> PluginManager::call(const std::string& slot,
     return result.error();
   }
   s.health.consecutive_faults = 0;
-  return result;
+  return {};
 }
 
 std::vector<std::string> PluginManager::slot_names() const {

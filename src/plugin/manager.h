@@ -20,6 +20,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -83,16 +84,18 @@ class PluginManager {
   /// Removes a slot entirely (an MVNO being off-boarded).
   Status remove(const std::string& slot);
 
-  /// Calls `fn` on the plugin in `slot`. Fault accounting + quarantine are
-  /// applied here; a quarantined slot returns kState immediately. This is
-  /// the only code that counts a sandbox crossing: SlotHealth, the slot's
-  /// CallCostAcc and its registry instruments are all fed here, and every
-  /// other per-plugin figure (the agent's and RIC's fuel totals) is read
-  /// back from them.
-  Result<std::vector<uint8_t>> call(const std::string& slot, const std::string& fn,
-                                    std::span<const uint8_t> input);
+  /// Calls `fn` on the plugin in `slot`, reading `input` and writing the
+  /// plugin's output into `output`, as Plugin::call does (both buffers are
+  /// the caller's, touched only during the call; `output` is empty after a
+  /// failure). Fault accounting + quarantine are applied here; a
+  /// quarantined slot returns kState immediately. This is the only code
+  /// that counts a sandbox crossing: SlotHealth, the slot's CallCostAcc and
+  /// its registry instruments are all fed here, and every other per-plugin
+  /// figure (the agent's and RIC's fuel totals) is read back from them.
+  Status call(std::string_view slot, std::string_view fn, std::span<const uint8_t> input,
+              std::vector<uint8_t>& output);
 
-  bool has(const std::string& slot) const { return slots_.contains(slot); }
+  bool has(std::string_view slot) const { return slots_.contains(slot); }
   std::vector<std::string> slot_names() const;
 
   const SlotHealth* health(const std::string& slot) const;
@@ -130,7 +133,7 @@ class PluginManager {
     std::optional<uint64_t> deadline_ns;
   };
   using CallInterceptor =
-      std::function<CallIntercept(const std::string& slot, const std::string& fn)>;
+      std::function<CallIntercept(std::string_view slot, std::string_view fn)>;
   void set_call_interceptor(CallInterceptor fn) {
     call_interceptor_ = std::move(fn);
   }
@@ -169,7 +172,7 @@ class PluginManager {
 
   PluginLimits default_limits_;
   std::string domain_ = "plugin";
-  std::map<std::string, Slot> slots_;
+  std::map<std::string, Slot, std::less<>> slots_;
   CallInterceptor call_interceptor_;
   LoadInterceptor load_interceptor_;
   /// Most recent admission analysis (load_checked fills it; install/swap

@@ -1,6 +1,7 @@
 #include "plugin/plugin.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/log.h"
 
@@ -65,10 +66,11 @@ void Plugin::register_abi(wasm::Linker& linker) {
                  if (len > ex->max_output_bytes) {
                    return Error::trap("plugin output exceeds limit");
                  }
+                 if (ex->output == nullptr) return Error::trap("output_write outside a call");
                  wasm::Memory* mem = ctx.instance.memory();
                  if (mem == nullptr) return Error::trap("plugin has no memory");
-                 ex->output.resize(len);
-                 WARAN_CHECK_OK(mem->read_bytes(ptr, ex->output));
+                 ex->output->resize(len);
+                 WARAN_CHECK_OK(mem->read_bytes(ptr, *ex->output));
                  return std::optional<Value>{};
                }});
 
@@ -148,15 +150,20 @@ size_t Plugin::memory_bytes() const {
   return mem != nullptr ? mem->size_bytes() : 0;
 }
 
-Result<std::vector<uint8_t>> Plugin::call(const std::string& fn,
-                                          std::span<const uint8_t> input,
-                                          const CallOverrides& overrides) {
+Status Plugin::call(std::string_view fn, std::span<const uint8_t> input,
+                    std::vector<uint8_t>& output, const CallOverrides& overrides) {
   last_call_stats_ = {};
+  output.clear();
   if (input.size() > limits_.max_input_bytes) {
     return Error::limit_exceeded("plugin input exceeds limit");
   }
-  exchange_.input.assign(input.begin(), input.end());
-  exchange_.output.clear();
+  const std::less<const uint8_t*> before;
+  if (!input.empty() && before(input.data(), output.data() + output.capacity()) &&
+      before(output.data(), input.data() + input.size())) {
+    return Error::invalid_argument("plugin input aliases its output buffer");
+  }
+  exchange_.input = input;
+  exchange_.output = &output;
   exchange_.log.clear();
 
   // Per-call policy: fuel_per_call maps directly onto CallOptions (0 means
@@ -169,18 +176,21 @@ Result<std::vector<uint8_t>> Plugin::call(const std::string& fn,
   }
 
   auto result = instance_->call(fn, {}, options, &last_call_stats_);
-  if (!result.ok()) return result.error();
-  if (!result->has_value() || (*result)->type != ValType::kI32) {
-    return Error::validation("plugin entrypoint must have type () -> i32");
-  }
-  int32_t code = (*result)->value.as_i32();
-  if (code != 0) {
+  exchange_.input = {};
+  exchange_.output = nullptr;
+  Status status;
+  if (!result.ok()) {
+    status = result.error();
+  } else if (!result->has_value() || (*result)->type != ValType::kI32) {
+    status = Error::validation("plugin entrypoint must have type () -> i32");
+  } else if (int32_t code = (*result)->value.as_i32(); code != 0) {
     // A nonzero status is the plugin *deliberately* rejecting the input
     // (e.g. a comm plugin refusing a corrupt frame) — an application-level
     // outcome, not a sandbox fault.
-    return Error::state("plugin returned status " + std::to_string(code));
+    status = Error::state("plugin returned status " + std::to_string(code));
   }
-  return exchange_.output;
+  if (!status.ok()) output.clear();
+  return status;
 }
 
 }  // namespace waran::plugin

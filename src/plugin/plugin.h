@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analysis.h"
@@ -59,15 +60,19 @@ class Plugin {
                                               const wasm::Linker& extra_host = {},
                                               const PluginLimits& limits = {});
 
-  /// Calls exported `fn` with `input` available via the ABI; returns the
-  /// bytes the plugin wrote with output_write. The exported function must
-  /// have type () -> i32 and return 0; a nonzero return is a plugin-declared
-  /// failure (kState). Sandbox faults return kTrap or kFuelExhausted; the
-  /// call's cost is in last_call_stats() either way. Counting calls and
-  /// faults is the PluginManager's job. `overrides` tightens the per-call
-  /// budgets for this call only.
-  Result<std::vector<uint8_t>> call(const std::string& fn, std::span<const uint8_t> input,
-                                    const CallOverrides& overrides = {});
+  /// Calls exported `fn` with `input` readable through the ABI and writes
+  /// the bytes the plugin passed to output_write into `output`, replacing
+  /// its contents and keeping its capacity. Both buffers are the caller's
+  /// and are touched only during the call. An `input` that overlaps
+  /// `output`'s storage is refused with kInvalidArgument: output_write may
+  /// reallocate it mid-call. The exported function must have type () -> i32
+  /// and return 0; a nonzero return is a plugin-declared failure (kState).
+  /// Sandbox faults return kTrap or kFuelExhausted. After any failure
+  /// `output` is empty; the call's cost is in last_call_stats() either way.
+  /// Counting calls and faults is the PluginManager's job. `overrides`
+  /// tightens the per-call budgets for this call only.
+  Status call(std::string_view fn, std::span<const uint8_t> input,
+              std::vector<uint8_t>& output, const CallOverrides& overrides = {});
 
   /// True if the module exports function `fn`.
   bool has_export(const std::string& fn) const;
@@ -93,9 +98,11 @@ class Plugin {
  private:
   Plugin() = default;
 
+  /// What the ABI host functions see; `input` and `output` are the
+  /// caller's buffers, set for the duration of one call.
   struct Exchange {
-    std::vector<uint8_t> input;
-    std::vector<uint8_t> output;
+    std::span<const uint8_t> input;
+    std::vector<uint8_t>* output = nullptr;
     std::vector<std::string> log;
     uint32_t max_output_bytes = 0;
   };

@@ -114,9 +114,10 @@ void GnbMac::build_request(SliceState& slice, uint32_t quota) {
   }
 }
 
-codec::SchedResponse GnbMac::fallback_round_robin(const codec::SchedRequest& req) {
-  codec::SchedResponse resp;
-  if (req.ues.empty() || req.prb_quota == 0) return resp;
+void GnbMac::fallback_round_robin(const codec::SchedRequest& req,
+                                  codec::SchedResponse& resp) {
+  resp.allocs.clear();
+  if (req.ues.empty() || req.prb_quota == 0) return;
   uint32_t n = static_cast<uint32_t>(req.ues.size());
   uint32_t share = req.prb_quota / n;
   uint32_t extra = req.prb_quota % n;
@@ -127,7 +128,6 @@ codec::SchedResponse GnbMac::fallback_round_robin(const codec::SchedRequest& req
     uint32_t prbs = share + (i < extra ? 1 : 0);
     if (prbs > 0) resp.allocs.push_back({ue.rnti, prbs});
   }
-  return resp;
 }
 
 void GnbMac::apply_response(SliceState& slice, const codec::SchedResponse& resp) {
@@ -235,21 +235,18 @@ Status GnbMac::run_slot() {
     demands_.push_back(d);
     order_.push_back(&slice);
   }
-  std::vector<uint32_t> quotas;
+  quotas_.resize(order_.size());
   {
     obs::ObsSpan inter_span(obs::TraceCat::kMac, "inter_slice");
-    quotas = inter_->allocate(config_.n_prbs, demands_);
-  }
-  if (quotas.size() != order_.size()) {
-    return Error::internal("inter-slice scheduler returned wrong quota count");
+    inter_->allocate(config_.n_prbs, demands_, quotas_);
   }
 
   // Phases 3+4 per slice.
   for (size_t i = 0; i < order_.size(); ++i) {
     SliceState& slice = *order_[i];
-    slice.stats.last_quota = quotas[i];
-    if (quotas[i] == 0 || demands_[i].active_ues == 0) continue;
-    build_request(slice, quotas[i]);
+    slice.stats.last_quota = quotas_[i];
+    if (quotas_[i] == 0 || demands_[i].active_ues == 0) continue;
+    build_request(slice, quotas_[i]);
     const codec::SchedRequest& req = slice.request;
     if (req.ues.empty()) continue;
     ++slice.stats.slots_scheduled;
@@ -259,21 +256,18 @@ Status GnbMac::run_slot() {
         obs::TraceCat::kSlice,
         slice.config.name.empty() ? std::string_view("slice") : slice.config.name,
         slice.config.slice_id);
-    codec::SchedResponse resp;
-    auto result = slice.scheduler->schedule(req);
-    if (result.ok()) {
-      resp = std::move(*result);
-    } else {
+    Status st = slice.scheduler->schedule_into(req, slice.response);
+    if (!st.ok()) {
       // Contained fault: host-side default scheduler takes this slot (§6A).
       ++slice.stats.scheduler_faults;
       slice.m_sched_faults->add();
-      slice.stats.last_error = result.error().message;
+      slice.stats.last_error = st.error().message;
       WARAN_LOG(kDebug, "mac",
                 "slice " << slice.config.slice_id
-                         << " scheduler fault: " << result.error().message);
-      resp = fallback_round_robin(req);
+                         << " scheduler fault: " << st.error().message);
+      fallback_round_robin(req, slice.response);
     }
-    apply_response(slice, resp);
+    apply_response(slice, slice.response);
   }
 
   // Deliver (every UE ticks its EWMA, scheduled or not). Each UE belongs

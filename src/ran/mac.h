@@ -106,13 +106,28 @@ class GnbMac {
 
   const UeContext* ue(uint32_t rnti) const;
   UeContext* ue(uint32_t rnti);
+  /// Snapshot of the RNTIs in ascending order (safe to remove UEs while
+  /// iterating it). The E2 agent walks for_each_ue() instead.
   std::vector<uint32_t> ue_rntis() const;
+  size_t ue_count() const { return ues_.size(); }
+  /// Calls fn(const UeContext&) for every UE in ascending RNTI order,
+  /// without building an id vector. fn must not add or remove UEs.
+  template <class Fn>
+  void for_each_ue(Fn&& fn) const {
+    for (const auto& [rnti, ue] : ues_) fn(*ue);
+  }
 
   /// Slice throughput over the trailing second (sum of member UE rates).
   double slice_rate_bps(uint32_t slice_id) const;
   const SliceStats* slice_stats(uint32_t slice_id) const;
   const SliceConfig* slice_config(uint32_t slice_id) const;
   std::vector<uint32_t> slice_ids() const;
+  /// Calls fn(const SliceConfig&, const SliceStats&) for every slice in
+  /// ascending id order, without building an id vector.
+  template <class Fn>
+  void for_each_slice(Fn&& fn) const {
+    for (const auto& [id, slice] : slices_) fn(slice.config, slice.stats);
+  }
 
   /// Fault injection (waran::chaos): extra nanoseconds charged to the slot
   /// wall-clock before the overrun check, standing in for a host-side stall
@@ -137,8 +152,9 @@ class GnbMac {
     // This slot's deliveries, parallel to `ues`; drained by the delivery
     // loop, so it is all zero between slots.
     std::vector<SlotDelivery> delivered;
-    // Rebuilt every slot the slice is scheduled; kept for its capacity.
+    // Rebuilt every slot the slice is scheduled; kept for their capacity.
     codec::SchedRequest request;
+    codec::SchedResponse response;
     // Registry handles, bound at add_slice (label: slice id).
     obs::Counter* m_prb_granted = nullptr;
     obs::Counter* m_sched_faults = nullptr;
@@ -149,7 +165,8 @@ class GnbMac {
   /// Fills `slice.request` with the slice's backlogged UEs.
   void build_request(SliceState& slice, uint32_t quota);
   /// Host-side round-robin used when a slice's scheduler faults (§6A).
-  static codec::SchedResponse fallback_round_robin(const codec::SchedRequest& req);
+  static void fallback_round_robin(const codec::SchedRequest& req,
+                                   codec::SchedResponse& resp);
   void apply_response(SliceState& slice, const codec::SchedResponse& resp);
 
   MacConfig config_;
@@ -168,9 +185,11 @@ class GnbMac {
   std::map<uint32_t, SliceState> slices_;
   std::map<uint32_t, std::unique_ptr<UeContext>> ues_;
   std::unique_ptr<InterSliceScheduler> inter_;
-  // Inter-slice inputs, rebuilt every slot; kept for their capacity.
+  // Inter-slice inputs and output, rebuilt every slot; kept for their
+  // capacity.
   std::vector<SliceDemand> demands_;
   std::vector<SliceState*> order_;
+  std::vector<uint32_t> quotas_;
   McsTable mcs_table_ = McsTable::kQam64;
   Xoshiro256 error_rng_{0x5eed};
   std::function<uint64_t()> slot_padding_;

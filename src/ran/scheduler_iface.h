@@ -4,7 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
+#include <utility>
 
 #include "codec/messages.h"
 #include "common/result.h"
@@ -20,6 +21,16 @@ class IntraSliceScheduler {
   virtual ~IntraSliceScheduler() = default;
 
   virtual Result<codec::SchedResponse> schedule(const codec::SchedRequest& req) = 0;
+
+  /// The same decision written into `out`, replacing its grants and
+  /// reusing their capacity: the MAC keeps one response per slice and calls
+  /// this, so a scheduler that overrides it allocates nothing per slot. The
+  /// default forwards to schedule().
+  virtual Status schedule_into(const codec::SchedRequest& req, codec::SchedResponse& out) {
+    WARAN_TRY(resp, schedule(req));
+    out = std::move(resp);
+    return {};
+  }
 
   /// Human-readable identity for logs/plots (e.g. "pf", "wasm:pf").
   virtual const char* name() const = 0;
@@ -40,9 +51,10 @@ class InterSliceScheduler {
  public:
   virtual ~InterSliceScheduler() = default;
 
-  /// Returns PRB quotas, one per entry of `demands`, summing to <= n_prbs.
-  virtual std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                         const std::vector<SliceDemand>& demands) = 0;
+  /// Writes every entry of `quotas` (sized by the caller, one per entry of
+  /// `demands`) with PRB quotas summing to <= n_prbs.
+  virtual void allocate(uint32_t n_prbs, std::span<const SliceDemand> demands,
+                        std::span<uint32_t> quotas) = 0;
 
   virtual const char* name() const = 0;
 };

@@ -96,11 +96,11 @@ Result<obs::CellTelemetry> read_telemetry(ByteReader& r) {
 
 }  // namespace
 
-std::vector<uint8_t> encode_indication(const IndicationReport& report) {
+void encode_indication(const IndicationReport& report, std::vector<uint8_t>& out) {
   obs::ObsSpan span(obs::TraceCat::kE2, "encode_indication",
                     static_cast<uint32_t>(report.ues.size()));
   E2Metrics::get().enc_msgs.add();
-  ByteWriter w;
+  ByteWriter w(std::move(out));
   w.reserve(indication_size(report));
   w.u32le(kMsgIndication);
   w.u32le(static_cast<uint32_t>(report.slices.size()));
@@ -120,12 +120,11 @@ std::vector<uint8_t> encode_indication(const IndicationReport& report) {
     w.u32le(u.neighbor_cell);
   }
   if (report.telemetry.has_value()) write_telemetry(w, *report.telemetry);
-  std::vector<uint8_t> out = w.take();
+  out = w.take();
   E2Metrics::get().enc_bytes.add(out.size());
-  return out;
 }
 
-Result<IndicationReport> decode_indication(std::span<const uint8_t> bytes) {
+Status decode_indication(std::span<const uint8_t> bytes, IndicationReport& report) {
   obs::ObsSpan span(obs::TraceCat::kE2, "decode_indication",
                     static_cast<uint32_t>(bytes.size()));
   E2Metrics::get().dec_msgs.add();
@@ -136,7 +135,9 @@ Result<IndicationReport> decode_indication(std::span<const uint8_t> bytes) {
     E2Metrics::get().dec_errors.add();
     return Error::decode("not an indication message");
   }
-  IndicationReport report;
+  report.slices.clear();
+  report.ues.clear();
+  report.telemetry.reset();
   WARAN_TRY(n_slices, r.u32le());
   if (static_cast<uint64_t>(n_slices) * 24 > r.remaining()) {
     return Error::decode("indication: slice count exceeds payload");
@@ -194,14 +195,14 @@ Result<IndicationReport> decode_indication(std::span<const uint8_t> bytes) {
       return Error::decode("indication: trailing bytes");
     }
   }
-  return report;
+  return {};
 }
 
-std::vector<uint8_t> encode_control(const std::vector<ControlAction>& actions) {
+void encode_control(const std::vector<ControlAction>& actions, std::vector<uint8_t>& out) {
   obs::ObsSpan span(obs::TraceCat::kE2, "encode_control",
                     static_cast<uint32_t>(actions.size()));
   E2Metrics::get().enc_msgs.add();
-  ByteWriter w;
+  ByteWriter w(std::move(out));
   w.reserve(4 + 4 + 12 * actions.size());  // type, count, 12 B per action
   w.u32le(kMsgControl);
   w.u32le(static_cast<uint32_t>(actions.size()));
@@ -210,12 +211,11 @@ std::vector<uint8_t> encode_control(const std::vector<ControlAction>& actions) {
     w.u32le(a.a);
     w.u32le(a.b);
   }
-  std::vector<uint8_t> out = w.take();
+  out = w.take();
   E2Metrics::get().enc_bytes.add(out.size());
-  return out;
 }
 
-Result<std::vector<ControlAction>> decode_control(std::span<const uint8_t> bytes) {
+Status decode_control(std::span<const uint8_t> bytes, std::vector<ControlAction>& actions) {
   obs::ObsSpan span(obs::TraceCat::kE2, "decode_control",
                     static_cast<uint32_t>(bytes.size()));
   E2Metrics::get().dec_msgs.add();
@@ -226,11 +226,11 @@ Result<std::vector<ControlAction>> decode_control(std::span<const uint8_t> bytes
     E2Metrics::get().dec_errors.add();
     return Error::decode("not a control message");
   }
+  actions.clear();
   WARAN_TRY(n, r.u32le());
   if (static_cast<uint64_t>(n) * 12 > r.remaining()) {
     return Error::decode("control: action count exceeds payload");
   }
-  std::vector<ControlAction> actions;
   actions.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     ControlAction a;
@@ -243,7 +243,7 @@ Result<std::vector<ControlAction>> decode_control(std::span<const uint8_t> bytes
     a.b = bv;
     actions.push_back(a);
   }
-  return actions;
+  return {};
 }
 
 Result<uint32_t> peek_msg_type(std::span<const uint8_t> bytes) {

@@ -95,11 +95,15 @@ struct ControlAction {
   bool operator==(const ControlAction&) const = default;
 };
 
-std::vector<uint8_t> encode_indication(const IndicationReport& report);
-Result<IndicationReport> decode_indication(std::span<const uint8_t> bytes);
+// The codecs write into the caller's buffer, report or action list,
+// replacing its contents and reusing its capacity: the agent and the RIC
+// keep one of each, so a warm E2 loop encodes and decodes without
+// allocating. On a decode error `out` holds whatever was read before it.
+void encode_indication(const IndicationReport& report, std::vector<uint8_t>& out);
+Status decode_indication(std::span<const uint8_t> bytes, IndicationReport& out);
 
-std::vector<uint8_t> encode_control(const std::vector<ControlAction>& actions);
-Result<std::vector<ControlAction>> decode_control(std::span<const uint8_t> bytes);
+void encode_control(const std::vector<ControlAction>& actions, std::vector<uint8_t>& out);
+Status decode_control(std::span<const uint8_t> bytes, std::vector<ControlAction>& out);
 
 /// Reads the msg_type header field (kMsgIndication / kMsgControl).
 Result<uint32_t> peek_msg_type(std::span<const uint8_t> bytes);

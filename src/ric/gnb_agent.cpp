@@ -97,67 +97,61 @@ Status GnbAgent::send_indication() {
   if (!plugins_.has("comm")) return Error::state("no communication plugin loaded");
   obs::ObsSpan span(obs::TraceCat::kAgent, "send_indication");
 
-  IndicationReport report;
-  for (uint32_t slice_id : mac_.slice_ids()) {
-    const ran::SliceConfig* cfg = mac_.slice_config(slice_id);
-    const ran::SliceStats* stats = mac_.slice_stats(slice_id);
-    SliceReport s;
-    s.slice_id = slice_id;
-    s.quota_prbs = stats != nullptr ? stats->last_quota : 0;
-    s.target_bps = cfg != nullptr ? cfg->target_rate_bps : 0;
-    s.rate_bps = mac_.slice_rate_bps(slice_id);
-    report.slices.push_back(s);
-  }
-  for (uint32_t rnti : mac_.ue_rntis()) {
-    const ran::UeContext* ue = mac_.ue(rnti);
+  report_.slices.clear();
+  mac_.for_each_slice([this](const ran::SliceConfig& cfg, const ran::SliceStats& stats) {
+    report_.slices.push_back({cfg.slice_id, stats.last_quota, cfg.target_rate_bps,
+                              mac_.slice_rate_bps(cfg.slice_id)});
+  });
+  report_.ues.clear();
+  mac_.for_each_ue([this](const ran::UeContext& ue) {
     UeReport u;
-    u.rnti = rnti;
+    u.rnti = ue.rnti();
     u.serving_cell = cell_id_;
-    u.cqi = ue->channel().cqi();
-    auto it = radio_.find(rnti);
+    u.cqi = ue.channel().cqi();
+    auto it = radio_.find(u.rnti);
     if (it != radio_.end()) {
       u.rsrp_serving_dbm = it->second.rsrp_serving_dbm;
       u.rsrp_neighbor_dbm = it->second.rsrp_neighbor_dbm;
       u.neighbor_cell = it->second.neighbor_cell;
     }
-    report.ues.push_back(u);
-  }
+    report_.ues.push_back(u);
+  });
+  report_.telemetry.reset();
   if (telemetry_provider_) {
     // Collected here, on the agent's own thread, so the per-cell summary is
     // coherent with the slots this cell has actually finished.
-    if (const obs::CellTelemetry* t = telemetry_provider_()) report.telemetry = *t;
+    if (const obs::CellTelemetry* t = telemetry_provider_()) report_.telemetry = *t;
   }
 
-  std::vector<uint8_t> payload = encode_indication(report);
-  auto frame = plugins_.call("comm", "frame", payload);
-  if (!frame.ok()) return frame.error();
-  link_.send(side_, std::move(*frame));
+  encode_indication(report_, payload_);
+  WARAN_CHECK_OK(plugins_.call("comm", "frame", payload_, frame_));
+  link_.send(side_, frame_);
   ++stats_.indications_sent;
   return {};
 }
 
 Status GnbAgent::poll() {
-  while (auto frame = link_.receive(side_)) {
+  while (link_.receive(side_, rx_frame_)) {
     obs::ObsSpan span(obs::TraceCat::kAgent, "handle_frame",
-                      static_cast<uint32_t>(frame->size()));
+                      static_cast<uint32_t>(rx_frame_.size()));
     ++stats_.frames_received;
-    auto payload = plugins_.call("comm", "unframe", *frame);
-    if (!payload.ok()) {
+    Status unframed = plugins_.call("comm", "unframe", rx_frame_, payload_);
+    if (!unframed.ok()) {
       // The sandbox rejected the frame (bad magic/length/checksum): drop it
       // before any host-side parsing touches it.
       ++stats_.frames_rejected;
       obs::AnomalyJournal::global().record(obs::AnomalyKind::kFrameRejected,
                                            plugins_.domain(), "comm",
-                                           payload.error().message);
+                                           unframed.error().message);
       continue;
     }
-    auto type = peek_msg_type(*payload);
+    auto type = peek_msg_type(payload_);
     if (!type.ok() || *type != kMsgControl) {
       ++stats_.frames_rejected;
       continue;
     }
     if (!plugins_.has("ctl")) continue;
-    auto applied = plugins_.call("ctl", "apply_control", *payload);
+    Status applied = plugins_.call("ctl", "apply_control", payload_, ctl_output_);
     if (!applied.ok()) {
       ++stats_.frames_rejected;
       WARAN_LOG(kDebug, "agent", "control plugin fault: " << applied.error().message);

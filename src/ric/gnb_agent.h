@@ -126,6 +126,17 @@ class GnbAgent {
   AgentStats stats_;
   uint32_t cqi_table_index_ = 0;
   uint32_t report_period_slots_;
+  // Per-indication and per-poll scratch, kept for its capacity so that a
+  // warm E2 loop allocates nothing: the report being built, an E2-lite
+  // message (the encoded indication, or a received frame's payload), the
+  // framed indication, the frame received (its buffer cycles with the
+  // link's, so it only ever holds control frames) and the ctl plugin's
+  // output, which the agent does not read.
+  IndicationReport report_;
+  std::vector<uint8_t> payload_;
+  std::vector<uint8_t> frame_;
+  std::vector<uint8_t> rx_frame_;
+  std::vector<uint8_t> ctl_output_;
 };
 
 }  // namespace waran::ric

@@ -86,41 +86,40 @@ Status NearRtRic::dispatch_indication(std::span<const uint8_t> payload, LinkRef&
   // Host-side decode feeds the fleet reconstruction; the xApps still get
   // the raw payload (they own their own parsing). A payload that fails the
   // host decode just carries no telemetry — dispatch continues.
-  if (auto decoded = decode_indication(payload);
-      decoded.ok() && decoded->telemetry.has_value()) {
-    fleet_view_.update(*decoded->telemetry);
+  if (decode_indication(payload, report_).ok() && report_.telemetry.has_value()) {
+    fleet_view_.update(*report_.telemetry);
     ++stats_.telemetry_updates;
   }
-  std::vector<ControlAction> aggregated;
+  aggregated_.clear();
   for (const std::string& slot : xapps_) {
-    auto out = plugins_.call(slot, "on_indication", payload);
-    if (!out.ok()) {
+    Status called = plugins_.call(slot, "on_indication", payload, xapp_output_);
+    if (!called.ok()) {
       ++stats_.xapp_faults;
-      WARAN_LOG(kDebug, "ric", slot << " fault: " << out.error().message);
+      WARAN_LOG(kDebug, "ric", slot << " fault: " << called.error().message);
       continue;
     }
-    if (out->empty()) continue;
-    auto actions = decode_control(*out);
-    if (!actions.ok()) {
+    if (xapp_output_.empty()) continue;
+    Status decoded = decode_control(xapp_output_, actions_);
+    if (!decoded.ok()) {
       // xApp emitted garbage: sanitize by dropping its contribution.
       ++stats_.xapp_faults;
       RicMetrics::get().garbage_outputs.add();
       obs::AnomalyJournal::global().record(obs::AnomalyKind::kSanitized,
                                            plugins_.domain(), slot,
-                                           actions.error().message);
+                                           decoded.error().message);
       continue;
     }
-    aggregated.insert(aggregated.end(), actions->begin(), actions->end());
+    aggregated_.insert(aggregated_.end(), actions_.begin(), actions_.end());
   }
   deliver_messages();
 
-  if (!aggregated.empty()) {
-    std::vector<uint8_t> payload_out = encode_control(aggregated);
-    WARAN_TRY(frame, plugins_.call("comm", "frame", payload_out));
-    origin.link->send(origin.side, std::move(frame));
+  if (!aggregated_.empty()) {
+    encode_control(aggregated_, control_);
+    WARAN_CHECK_OK(plugins_.call("comm", "frame", control_, control_frame_));
+    origin.link->send(origin.side, control_frame_);
     ++stats_.control_frames_sent;
-    stats_.actions_sent += aggregated.size();
-    RicMetrics::get().actions.add(aggregated.size());
+    stats_.actions_sent += aggregated_.size();
+    RicMetrics::get().actions.add(aggregated_.size());
   }
   return {};
 }
@@ -137,7 +136,7 @@ void NearRtRic::deliver_messages() {
         any = true;
         plugin::Plugin* p = plugins_.plugin(xapps_[i]);
         if (p == nullptr || !p->has_export("on_message")) continue;
-        auto r = plugins_.call(xapps_[i], "on_message", msg);
+        Status r = plugins_.call(xapps_[i], "on_message", msg, xapp_output_);
         if (!r.ok()) {
           ++stats_.xapp_faults;
         } else {
@@ -152,24 +151,24 @@ void NearRtRic::deliver_messages() {
 Status NearRtRic::poll() {
   if (!plugins_.has("comm")) return Error::state("no communication plugin loaded");
   for (LinkRef& link : links_) {
-    while (auto frame = link.link->receive(link.side)) {
-      auto payload = plugins_.call("comm", "unframe", *frame);
-      if (!payload.ok()) {
+    while (link.link->receive(link.side, frame_)) {
+      Status unframed = plugins_.call("comm", "unframe", frame_, payload_);
+      if (!unframed.ok()) {
         ++stats_.frames_rejected;
         RicMetrics::get().frames_rejected.add();
         obs::AnomalyJournal::global().record(obs::AnomalyKind::kFrameRejected,
                                              plugins_.domain(), "comm",
-                                             payload.error().message);
+                                             unframed.error().message);
         continue;
       }
-      auto type = peek_msg_type(*payload);
+      auto type = peek_msg_type(payload_);
       if (!type.ok()) {
         ++stats_.frames_rejected;
         RicMetrics::get().frames_rejected.add();
         continue;
       }
       if (*type == kMsgIndication) {
-        WARAN_CHECK_OK(dispatch_indication(*payload, link));
+        WARAN_CHECK_OK(dispatch_indication(payload_, link));
       }
       // Control frames arriving at the RIC are ignored (loop prevention).
     }

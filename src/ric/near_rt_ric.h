@@ -98,6 +98,19 @@ class NearRtRic {
   std::vector<std::deque<std::vector<uint8_t>>> inboxes_;
   RicStats stats_;
   obs::FleetView fleet_view_;
+  // Per-turn scratch, kept for its capacity so that a warm RIC turn
+  // allocates nothing: the frame received and its payload, the host-side
+  // decode of an indication, one xApp's output and decoded actions, the
+  // actions aggregated over all xApps, and the control message and frame
+  // sent back.
+  std::vector<uint8_t> frame_;
+  std::vector<uint8_t> payload_;
+  IndicationReport report_;
+  std::vector<uint8_t> xapp_output_;
+  std::vector<ControlAction> actions_;
+  std::vector<ControlAction> aggregated_;
+  std::vector<uint8_t> control_;
+  std::vector<uint8_t> control_frame_;
 };
 
 }  // namespace waran::ric

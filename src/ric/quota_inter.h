@@ -14,9 +14,9 @@ class QuotaTableInterScheduler final : public ran::InterSliceScheduler {
  public:
   void set_quota(uint32_t slice_id, uint32_t prbs) { table_[slice_id] = prbs; }
 
-  std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                 const std::vector<ran::SliceDemand>& demands) override {
-    std::vector<uint32_t> quotas(demands.size(), 0);
+  void allocate(uint32_t n_prbs, std::span<const ran::SliceDemand> demands,
+                std::span<uint32_t> quotas) override {
+    std::fill(quotas.begin(), quotas.end(), 0);
     uint32_t active = 0;
     for (const auto& d : demands) {
       if (d.active_ues > 0) ++active;
@@ -29,7 +29,6 @@ class QuotaTableInterScheduler final : public ran::InterSliceScheduler {
       quotas[i] = std::min(want, remaining);
       remaining -= quotas[i];
     }
-    return quotas;
   }
 
   const char* name() const override { return "ric-quota-table"; }

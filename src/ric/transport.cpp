@@ -22,6 +22,8 @@ struct TransportMetrics {
       obs::MetricsRegistry::global().counter("waran_transport_reordered_total");
   obs::Counter& delivered =
       obs::MetricsRegistry::global().counter("waran_transport_delivered_total");
+  obs::Counter& overflow =
+      obs::MetricsRegistry::global().counter("waran_transport_overflow_total");
   static TransportMetrics& get() {
     static TransportMetrics m;
     return m;
@@ -30,26 +32,32 @@ struct TransportMetrics {
 
 }  // namespace
 
-void Duplex::enqueue(Side to, std::vector<uint8_t> frame) {
+void Duplex::enqueue(Side to, std::vector<uint8_t>& frame) {
+  Queue& q = queue(to);
+  if (q.count == kQueueCapacity) {
+    ++frames_overflowed_;
+    TransportMetrics::get().overflow.add();
+    return;
+  }
   ++frames_delivered_;
   TransportMetrics::get().delivered.add();
-  if (to == Side::kA) {
-    to_a_.push_back(std::move(frame));
-  } else {
-    to_b_.push_back(std::move(frame));
-  }
+  std::vector<uint8_t>& slot = q.ring[(q.head + q.count) % kQueueCapacity];
+  std::swap(slot, frame);
+  // The buffer handed back is sized for a frame like this one, so every
+  // buffer a link cycles reaches the frame size in its first round trip.
+  frame.reserve(slot.size());
+  ++q.count;
 }
 
 void Duplex::release_due(Side to) {
-  auto& held = to == Side::kA ? held_a_ : held_b_;
+  std::deque<Held>& held = queue(to).held;
   while (!held.empty() && held.front().remaining == 0) {
-    std::vector<uint8_t> frame = std::move(held.front().frame);
+    enqueue(to, held.front().frame);
     held.pop_front();
-    enqueue(to, std::move(frame));
   }
 }
 
-void Duplex::send(Side from, std::vector<uint8_t> frame) {
+void Duplex::send(Side from, std::span<const uint8_t> frame) {
   obs::ObsSpan span(obs::TraceCat::kTransport, "send",
                     static_cast<uint32_t>(frame.size()));
   std::lock_guard<std::mutex> lock(mu_);
@@ -60,15 +68,17 @@ void Duplex::send(Side from, std::vector<uint8_t> frame) {
 
   // Every send toward `to` ages the frames held back for that side, so a
   // reordered frame overtakes exactly `delay` successors, then lands.
-  auto& held = to == Side::kA ? held_a_ : held_b_;
-  for (Held& h : held) {
+  Queue& q = queue(to);
+  for (Held& h : q.held) {
     if (h.remaining > 0) --h.remaining;
   }
 
+  std::vector<uint8_t>& staged = q.staging;
+  staged.assign(frame.begin(), frame.end());
   Fault fault;  // kDeliver
   for (const FaultStage& stage : stages_) {
     if (!stage) continue;
-    fault = stage(frame, to);
+    fault = stage(staged, to);
     if (fault.action == FaultAction::kCorrupt) {
       ++frames_corrupted_;
       TransportMetrics::get().corrupted.add();
@@ -85,49 +95,50 @@ void Duplex::send(Side from, std::vector<uint8_t> frame) {
     case FaultAction::kDuplicate: {
       ++frames_duplicated_;
       TransportMetrics::get().duplicated.add();
-      std::vector<uint8_t> copy = frame;
-      enqueue(to, std::move(copy));
-      enqueue(to, std::move(frame));
+      std::vector<uint8_t> copy = staged;
+      enqueue(to, copy);
+      enqueue(to, staged);
       break;
     }
     case FaultAction::kReorder:
       ++frames_reordered_;
       TransportMetrics::get().reordered.add();
-      held.push_back(Held{std::move(frame), fault.delay == 0 ? 1 : fault.delay});
+      q.held.push_back(Held{std::move(staged), fault.delay == 0 ? 1 : fault.delay});
       break;
     case FaultAction::kDeliver:
     case FaultAction::kCorrupt:
-      enqueue(to, std::move(frame));
+      enqueue(to, staged);
       break;
   }
   release_due(to);
 }
 
-std::optional<std::vector<uint8_t>> Duplex::receive(Side side) {
+bool Duplex::receive(Side side, std::vector<uint8_t>& frame) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& q = side == Side::kA ? to_a_ : to_b_;
-  if (q.empty()) return std::nullopt;
-  std::vector<uint8_t> frame = std::move(q.front());
-  q.pop_front();
-  return frame;
+  Queue& q = queue(side);
+  if (q.count == 0) return false;
+  std::swap(q.ring[q.head], frame);
+  q.ring[q.head].reserve(frame.size());  // as in enqueue
+  q.head = (q.head + 1) % kQueueCapacity;
+  // Drained: restart at slot 0, so a link with one frame in flight cycles
+  // one ring buffer instead of walking all of them.
+  if (--q.count == 0) q.head = 0;
+  return true;
 }
 
 size_t Duplex::pending(Side side) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return side == Side::kA ? to_a_.size() : to_b_.size();
+  return side == Side::kA ? to_a_.count : to_b_.count;
 }
 
 void Duplex::flush_delayed() {
   std::lock_guard<std::mutex> lock(mu_);
-  while (!held_a_.empty()) {
-    std::vector<uint8_t> frame = std::move(held_a_.front().frame);
-    held_a_.pop_front();
-    enqueue(Side::kA, std::move(frame));
-  }
-  while (!held_b_.empty()) {
-    std::vector<uint8_t> frame = std::move(held_b_.front().frame);
-    held_b_.pop_front();
-    enqueue(Side::kB, std::move(frame));
+  for (Side to : {Side::kA, Side::kB}) {
+    std::deque<Held>& held = queue(to).held;
+    while (!held.empty()) {
+      enqueue(to, held.front().frame);
+      held.pop_front();
+    }
   }
 }
 

@@ -368,7 +368,7 @@ std::string GnbDeployment::digest() const {
   char buf[256];
   for (const auto& cp : cells_) {
     std::snprintf(buf, sizeof(buf), "\ncell%u slot=%" PRIu64 " ues=%zu", cp->id,
-                  cp->mac->slot(), cp->mac->ue_rntis().size());
+                  cp->mac->slot(), cp->mac->ue_count());
     out += buf;
     for (uint32_t sid : cp->mac->slice_ids()) {
       const ran::SliceStats* st = cp->mac->slice_stats(sid);

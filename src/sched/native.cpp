@@ -166,14 +166,15 @@ double DrrScheduler::deficit(uint32_t rnti) const {
   return 0.0;
 }
 
-std::vector<uint32_t> WeightedShareInterScheduler::allocate(
-    uint32_t n_prbs, const std::vector<ran::SliceDemand>& demands) {
-  std::vector<uint32_t> quotas(demands.size(), 0);
+void WeightedShareInterScheduler::allocate(uint32_t n_prbs,
+                                           std::span<const ran::SliceDemand> demands,
+                                           std::span<uint32_t> quotas) {
+  std::fill(quotas.begin(), quotas.end(), 0);
   double weight_sum = 0;
   for (const ran::SliceDemand& d : demands) {
     if (d.active_ues > 0) weight_sum += d.config->weight;
   }
-  if (weight_sum <= 0) return quotas;
+  if (weight_sum <= 0) return;
   uint32_t assigned = 0;
   for (size_t i = 0; i < demands.size(); ++i) {
     if (demands[i].active_ues == 0) continue;
@@ -186,11 +187,11 @@ std::vector<uint32_t> WeightedShareInterScheduler::allocate(
     ++quotas[i];
     ++assigned;
   }
-  return quotas;
 }
 
-std::vector<uint32_t> TargetRateInterScheduler::allocate(
-    uint32_t n_prbs, const std::vector<ran::SliceDemand>& demands) {
+void TargetRateInterScheduler::allocate(uint32_t n_prbs,
+                                        std::span<const ran::SliceDemand> demands,
+                                        std::span<uint32_t> quotas) {
   std::vector<double> needed(demands.size(), 0.0);
   double total_needed = 0;
   for (size_t i = 0; i < demands.size(); ++i) {
@@ -217,7 +218,7 @@ std::vector<uint32_t> TargetRateInterScheduler::allocate(
   // Oversubscribed: scale every need down proportionally.
   double scale = total_needed > n_prbs ? n_prbs / total_needed : 1.0;
 
-  std::vector<uint32_t> quotas(demands.size(), 0);
+  std::fill(quotas.begin(), quotas.end(), 0);
   uint32_t assigned = 0;
   for (size_t i = 0; i < demands.size(); ++i) {
     if (needed[i] <= 0) continue;
@@ -231,12 +232,12 @@ std::vector<uint32_t> TargetRateInterScheduler::allocate(
     quotas[i] = q;
     assigned += q;
   }
-  return quotas;
 }
 
-std::vector<uint32_t> PriorityInterScheduler::allocate(
-    uint32_t n_prbs, const std::vector<ran::SliceDemand>& demands) {
-  std::vector<uint32_t> quotas(demands.size(), 0);
+void PriorityInterScheduler::allocate(uint32_t n_prbs,
+                                      std::span<const ran::SliceDemand> demands,
+                                      std::span<uint32_t> quotas) {
+  std::fill(quotas.begin(), quotas.end(), 0);
   std::vector<size_t> order(demands.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -253,7 +254,6 @@ std::vector<uint32_t> PriorityInterScheduler::allocate(
     quotas[i] = std::min(remaining, want);
     remaining -= quotas[i];
   }
-  return quotas;
 }
 
 std::unique_ptr<ran::IntraSliceScheduler> make_native_scheduler(const std::string& name) {

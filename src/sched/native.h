@@ -13,6 +13,8 @@
 
 #include <map>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "ran/scheduler_iface.h"
 
@@ -71,8 +73,8 @@ class DrrScheduler final : public ran::IntraSliceScheduler {
 /// idle slices are redistributed.
 class WeightedShareInterScheduler final : public ran::InterSliceScheduler {
  public:
-  std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                 const std::vector<ran::SliceDemand>& demands) override;
+  void allocate(uint32_t n_prbs, std::span<const ran::SliceDemand> demands,
+                std::span<uint32_t> quotas) override;
   const char* name() const override { return "weighted-share"; }
 };
 
@@ -93,8 +95,8 @@ class TargetRateInterScheduler final : public ran::InterSliceScheduler {
   explicit TargetRateInterScheduler(double slots_per_second = 1000.0,
                                     double feedback_gain = 0.002)
       : slots_per_s_(slots_per_second), gain_(feedback_gain) {}
-  std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                 const std::vector<ran::SliceDemand>& demands) override;
+  void allocate(uint32_t n_prbs, std::span<const ran::SliceDemand> demands,
+                std::span<uint32_t> quotas) override;
   const char* name() const override { return "target-rate"; }
 
  private:
@@ -111,8 +113,8 @@ class TargetRateInterScheduler final : public ran::InterSliceScheduler {
 /// what its backlog needs before lower priorities see anything.
 class PriorityInterScheduler final : public ran::InterSliceScheduler {
  public:
-  std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                 const std::vector<ran::SliceDemand>& demands) override;
+  void allocate(uint32_t n_prbs, std::span<const ran::SliceDemand> demands,
+                std::span<uint32_t> quotas) override;
   const char* name() const override { return "priority"; }
 };
 

@@ -250,6 +250,14 @@ Result<std::optional<TypedValue>> Instance::call(std::string_view export_name,
   return std::optional<TypedValue>{TypedValue{ft.results[0], result}};
 }
 
+void Instance::reserve_arenas(size_t frames, size_t operand_cells, size_t local_cells) {
+  exec_.frames.reserve(frames);
+  // The operand arena is sized, not just reserved: push_frame grows it
+  // only when a frame's region would end past size().
+  if (exec_.values.size() < operand_cells) exec_.values.resize(operand_cells);
+  exec_.locals.reserve(local_cells);
+}
+
 Status Instance::invoke_host(uint32_t import_index, std::span<const Value> args,
                              Value* result) {
   obs::ObsSpan span(obs::TraceCat::kHost, host_func_names_[import_index]);

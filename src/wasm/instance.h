@@ -139,6 +139,13 @@ class Instance {
   /// static frame needs against this).
   uint32_t max_call_depth() const { return max_call_depth_; }
 
+  /// Reserves the interpreter arenas for calls that nest at most `frames`
+  /// frames holding at most `operand_cells` operand and `local_cells` local
+  /// values, so that no call within those bounds allocates, not even the
+  /// first. PluginManager sizes them at admission from the report's finite
+  /// bounds; without a reservation the arenas grow on first use.
+  void reserve_arenas(size_t frames, size_t operand_cells, size_t local_cells);
+
   /// The dispatch strategy actually in use (kThreaded resolved).
   Dispatch dispatch() const { return dispatch_; }
 
@@ -160,10 +167,11 @@ class Instance {
   /// call-frame stack and one locals arena shared by every call on this
   /// instance (including re-entrant host->wasm calls, which nest on the
   /// same stacks). The arenas only ever grow, so a warm call allocates
-  /// nothing. The operand arena is oversized: each frame reserves
-  /// stack_base + max_stack cells at entry and the hot loop then runs a raw
-  /// Value* with no bounds checks; `top` is the live height, maintained
-  /// only at suspension points (calls, host trampolines, returns).
+  /// nothing, and reserve_arenas() makes the first call warm too. The
+  /// operand arena is oversized: each frame reserves stack_base + max_stack
+  /// cells at entry and the hot loop then runs a raw Value* with no bounds
+  /// checks; `top` is the live height, maintained only at suspension points
+  /// (calls, host trampolines, returns).
   struct ExecContext {
     struct Frame {
       const TranslatedFunc* tf;

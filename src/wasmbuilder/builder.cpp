@@ -139,14 +139,7 @@ FunctionBuilder& FunctionBuilder::call_indirect(uint32_t type_index) {
   return *this;
 }
 
-FunctionBuilder& FunctionBuilder::load(Op o, uint32_t offset, uint32_t align_log2) {
-  emit_op(o);
-  body_.uleb32(align_log2);
-  body_.uleb32(offset);
-  return *this;
-}
-
-FunctionBuilder& FunctionBuilder::store(Op o, uint32_t offset, uint32_t align_log2) {
+FunctionBuilder& FunctionBuilder::mem(Op o, uint32_t offset, uint32_t align_log2) {
   emit_op(o);
   body_.uleb32(align_log2);
   body_.uleb32(offset);

@@ -83,8 +83,8 @@ class FunctionBuilder {
   FunctionBuilder& call_indirect(uint32_t type_index);
 
   // --- Memory. ---
-  FunctionBuilder& load(Op o, uint32_t offset = 0, uint32_t align_log2 = 0);
-  FunctionBuilder& store(Op o, uint32_t offset = 0, uint32_t align_log2 = 0);
+  /// Any load or store: the opcode and its memarg (offset, log2 alignment).
+  FunctionBuilder& mem(Op o, uint32_t offset = 0, uint32_t align_log2 = 0);
   FunctionBuilder& memory_size();
   FunctionBuilder& memory_grow();
   FunctionBuilder& memory_copy();

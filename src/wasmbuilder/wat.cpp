@@ -390,11 +390,7 @@ Status WatParser::parse_instrs(FunctionBuilder& fb) {
         }
         uint32_t align_log2 = 0;
         while ((1u << align_log2) < align_bytes) ++align_log2;
-        if (info.has_result) {
-          fb.load(op, offset, align_log2);
-        } else {
-          fb.store(op, offset, align_log2);
-        }
+        fb.mem(op, offset, align_log2);
         break;
       }
       case OpImm::kMemIdx:

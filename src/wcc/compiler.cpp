@@ -582,16 +582,16 @@ Status Compiler::compile_intrinsic(const Expr& e, const Intrinsic& in) {
     WARAN_CHECK_OK(expect_type(e.line, t, in.params[i], "intrinsic argument"));
   }
   const std::string& n = e.name;
-  if (n == "load8u") fb_->load(Op::kI32Load8U, 0, 0);
-  else if (n == "load16u") fb_->load(Op::kI32Load16U, 0, 1);
-  else if (n == "load32") fb_->load(Op::kI32Load, 0, 2);
-  else if (n == "load64") fb_->load(Op::kI64Load, 0, 3);
-  else if (n == "loadf64") fb_->load(Op::kF64Load, 0, 3);
-  else if (n == "store8") fb_->store(Op::kI32Store8, 0, 0);
-  else if (n == "store16") fb_->store(Op::kI32Store16, 0, 1);
-  else if (n == "store32") fb_->store(Op::kI32Store, 0, 2);
-  else if (n == "store64") fb_->store(Op::kI64Store, 0, 3);
-  else if (n == "storef64") fb_->store(Op::kF64Store, 0, 3);
+  if (n == "load8u") fb_->mem(Op::kI32Load8U, 0, 0);
+  else if (n == "load16u") fb_->mem(Op::kI32Load16U, 0, 1);
+  else if (n == "load32") fb_->mem(Op::kI32Load, 0, 2);
+  else if (n == "load64") fb_->mem(Op::kI64Load, 0, 3);
+  else if (n == "loadf64") fb_->mem(Op::kF64Load, 0, 3);
+  else if (n == "store8") fb_->mem(Op::kI32Store8, 0, 0);
+  else if (n == "store16") fb_->mem(Op::kI32Store16, 0, 1);
+  else if (n == "store32") fb_->mem(Op::kI32Store, 0, 2);
+  else if (n == "store64") fb_->mem(Op::kI64Store, 0, 3);
+  else if (n == "storef64") fb_->mem(Op::kF64Store, 0, 3);
   else if (n == "memory_size") fb_->memory_size();
   else if (n == "memory_grow") fb_->memory_grow();
   else if (n == "trap") fb_->op(Op::kUnreachable);

@@ -219,6 +219,11 @@ TEST(Bounds, CallChainCountsFramesInterprocedurally) {
   EXPECT_TRUE(b.completes());
   EXPECT_NE(b.worst_fuel, analysis::kUnbounded);
   EXPECT_GE(b.worst_fuel, b.min_fuel);
+  // The arena cells the chain can hold sum both frames' regions.
+  const std::vector<wasm::TranslatedFunc>& funcs = m.translated->funcs;
+  ASSERT_EQ(funcs.size(), 2u);
+  EXPECT_EQ(b.max_operand_cells, uint64_t{funcs[0].max_stack} + funcs[1].max_stack);
+  EXPECT_EQ(b.max_local_cells, uint64_t{funcs[0].num_locals} + funcs[1].num_locals);
 }
 
 TEST(Bounds, RecursionNeverCompletes) {
@@ -236,6 +241,8 @@ TEST(Bounds, RecursionNeverCompletes) {
   EXPECT_FALSE(b.completes());
   EXPECT_EQ(b.min_fuel, analysis::kUnbounded);
   EXPECT_EQ(b.max_frames, analysis::kUnbounded);
+  EXPECT_EQ(b.max_operand_cells, analysis::kUnbounded);
+  EXPECT_EQ(b.max_local_cells, analysis::kUnbounded);
 
   analysis::AdmissionReport report =
       analysis::admit(*m, *m->translated, analysis::AdmissionLimits{});
@@ -318,7 +325,8 @@ TEST(Admission, RejectsOverBudgetPluginBeforeFirstCall) {
   EXPECT_EQ(records[0].source, "mvno");
 
   // The slot cannot be called — the plugin never ran.
-  auto call = mgr.call("mvno", "schedule", {});
+  std::vector<uint8_t> out;
+  Status call = mgr.call("mvno", "schedule", {}, out);
   ASSERT_FALSE(call.ok());
   EXPECT_EQ(call.error().code, Error::Code::kNotFound);
 }

@@ -74,7 +74,7 @@ TEST(Disasm, MemargRendering) {
   ModuleBuilder mb;
   mb.add_memory(1, 1);
   auto& f = mb.add_func(FuncType{{}, {ValType::kI32}}, "f");
-  f.i32_const(0).load(Op::kI32Load, 16, 2).end();
+  f.i32_const(0).mem(Op::kI32Load, 16, 2).end();
   auto bytes = mb.build();
   auto module = wasm::decode_module(bytes);
   ASSERT_TRUE(module.ok());

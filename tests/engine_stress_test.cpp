@@ -95,7 +95,7 @@ TEST(EngineStress, GrowThenAccessBoundary) {
   ModuleBuilder mb;
   mb.add_memory(1, 4);
   auto& peek = mb.add_func(FuncType{{ValType::kI32}, {ValType::kI32}}, "peek");
-  peek.local_get(0).load(Op::kI32Load, 0, 2).end();
+  peek.local_get(0).mem(Op::kI32Load, 0, 2).end();
   auto& grow = mb.add_func(FuncType{{}, {ValType::kI32}}, "grow");
   grow.i32_const(1).memory_grow().end();
   auto inst = instantiate(mb);
@@ -208,7 +208,7 @@ TEST(EngineStress, MemoryCopyOverlappingRegions) {
   // Overlapping forward copy: [100..108) -> [104..112) (memmove semantics).
   f.i32_const(104).i32_const(100).i32_const(8).memory_copy().end();
   auto& peek = mb.add_func(FuncType{{ValType::kI32}, {ValType::kI32}}, "peek8");
-  peek.local_get(0).load(Op::kI32Load8U, 0, 0).end();
+  peek.local_get(0).mem(Op::kI32Load8U, 0, 0).end();
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
   ASSERT_TRUE(inst->call("shift", std::vector<TypedValue>{}).ok());

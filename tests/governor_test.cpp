@@ -111,7 +111,8 @@ TEST(Governor, ApplyDrivesRealPluginBudgets) {
   ASSERT_TRUE(mgr.install("light", compile(kLight)).ok());
 
   // Starved under the even split.
-  auto starved = mgr.call("heavy", "run", {});
+  std::vector<uint8_t> out;
+  Status starved = mgr.call("heavy", "run", {}, out);
   ASSERT_FALSE(starved.ok());
   EXPECT_EQ(starved.error().code, Error::Code::kFuelExhausted);
 
@@ -121,11 +122,10 @@ TEST(Governor, ApplyDrivesRealPluginBudgets) {
 
   bool heavy_succeeded = false;
   for (int slot_tick = 0; slot_tick < 20 && !heavy_succeeded; ++slot_tick) {
-    auto light = mgr.call("light", "run", {});
-    ASSERT_TRUE(light.ok());
+    ASSERT_TRUE(mgr.call("light", "run", {}, out).ok());
     gov.record_usage("light", mgr.plugin("light")->last_call_instructions());
 
-    auto heavy = mgr.call("heavy", "run", {});
+    Status heavy = mgr.call("heavy", "run", {}, out);
     gov.record_usage("heavy", mgr.plugin("heavy")->last_call_instructions());
     heavy_succeeded = heavy.ok();
 
@@ -133,7 +133,7 @@ TEST(Governor, ApplyDrivesRealPluginBudgets) {
   }
   EXPECT_TRUE(heavy_succeeded);
   // And light still runs fine on its (floor-backed) allocation.
-  EXPECT_TRUE(mgr.call("light", "run", {}).ok());
+  EXPECT_TRUE(mgr.call("light", "run", {}, out).ok());
   EXPECT_GE(gov.allocation("light"), 20'000u);
 }
 

@@ -267,7 +267,7 @@ TEST(InterpDifferential, MemoryGrowAtLimitsMatches) {
   auto& s = mb.add_func(FuncType{{}, {ValType::kI32}}, "size");
   s.memory_size().end();
   auto& p = mb.add_func(FuncType{{ValType::kI32}, {ValType::kI32}}, "probe");
-  p.local_get(0).load(Op::kI32Load).end();
+  p.local_get(0).mem(Op::kI32Load).end();
 
   constexpr int32_t kPage = 65536;
   DiffPair pair = make_pair(mb);

@@ -124,12 +124,13 @@ TEST(SliceIsolation, FuelBurnerCannotStealComputeFromGovernedPeers) {
 
   std::vector<uint8_t> input(52, 0);  // minimal valid request: zero UEs
   input[4] = 10;
+  std::vector<uint8_t> out;
   for (int tick = 0; tick < 30; ++tick) {
-    auto spun = mgr.call("spinner", "schedule", input);
-    EXPECT_FALSE(spun.ok());  // always burns its whole allocation
+    // The spinner always burns its whole allocation; the victim always
+    // completes.
+    EXPECT_FALSE(mgr.call("spinner", "schedule", input, out).ok());
     gov.record_usage("spinner", mgr.plugin("spinner")->last_call_instructions());
-    auto ok = mgr.call("victim", "schedule", input);
-    EXPECT_TRUE(ok.ok()) << tick;  // victim always completes
+    EXPECT_TRUE(mgr.call("victim", "schedule", input, out).ok()) << tick;
     gov.record_usage("victim", mgr.plugin("victim")->last_call_instructions());
     gov.apply(mgr);
   }

@@ -184,36 +184,43 @@ TEST(E2Telemetry, TelemetryBlockRoundTripsBitForBit) {
   report.ues.push_back(u);
   report.telemetry = sample_telemetry(2);
 
-  const std::vector<uint8_t> wire = ric::encode_indication(report);
-  auto decoded = ric::decode_indication(wire);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().message;
-  ASSERT_TRUE(decoded->telemetry.has_value());
+  std::vector<uint8_t> wire;
+  ric::encode_indication(report, wire);
+  ric::IndicationReport decoded;
+  Status st = ric::decode_indication(wire, decoded);
+  ASSERT_TRUE(st.ok()) << st.error().message;
+  ASSERT_TRUE(decoded.telemetry.has_value());
   for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) {
-    EXPECT_EQ((*decoded->telemetry).*c.member, (*report.telemetry).*c.member) << c.name;
+    EXPECT_EQ((*decoded.telemetry).*c.member, (*report.telemetry).*c.member) << c.name;
   }
-  EXPECT_EQ(*decoded->telemetry, *report.telemetry);
-  EXPECT_EQ(*decoded, report);
+  EXPECT_EQ(*decoded.telemetry, *report.telemetry);
+  EXPECT_EQ(decoded, report);
 }
 
 TEST(E2Telemetry, AbsentBlockDecodesAsNullopt) {
   ric::IndicationReport report;
   report.slices.push_back({});
-  const std::vector<uint8_t> wire = ric::encode_indication(report);
-  auto decoded = ric::decode_indication(wire);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_FALSE(decoded->telemetry.has_value());
+  std::vector<uint8_t> wire;
+  ric::encode_indication(report, wire);
+  ric::IndicationReport decoded;
+  decoded.telemetry = sample_telemetry(1);  // a previous message's block
+  ASSERT_TRUE(ric::decode_indication(wire, decoded).ok());
+  EXPECT_FALSE(decoded.telemetry.has_value());
 }
 
 TEST(E2Telemetry, TrailingGarbageStaysADecodeError) {
   ric::IndicationReport report;
   report.telemetry = sample_telemetry(0);
-  std::vector<uint8_t> wire = ric::encode_indication(report);
+  std::vector<uint8_t> wire;
+  ric::encode_indication(report, wire);
   wire.push_back(0xab);  // junk after a valid telemetry block
-  EXPECT_FALSE(ric::decode_indication(wire).ok());
+  ric::IndicationReport decoded;
+  EXPECT_FALSE(ric::decode_indication(wire, decoded).ok());
 
-  std::vector<uint8_t> no_tel = ric::encode_indication(ric::IndicationReport{});
+  std::vector<uint8_t> no_tel;
+  ric::encode_indication(ric::IndicationReport{}, no_tel);
   no_tel.push_back(0x01);  // one junk byte is not a valid tagged tail either
-  EXPECT_FALSE(ric::decode_indication(no_tel).ok());
+  EXPECT_FALSE(ric::decode_indication(no_tel, decoded).ok());
 }
 
 // ---------------------------------------------------------------------------

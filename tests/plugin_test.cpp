@@ -46,9 +46,9 @@ TEST(Plugin, EchoRoundTrip) {
   auto p = Plugin::load(compile(kEchoSrc));
   ASSERT_TRUE(p.ok()) << p.error().message;
   std::vector<uint8_t> input = {9, 8, 7};
-  auto out = (*p)->call("run", input);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, input);
+  std::vector<uint8_t> out;
+  ASSERT_TRUE((*p)->call("run", input, out).ok());
+  EXPECT_EQ(out, input);
   EXPECT_GT((*p)->last_call_stats().instrs_retired, 0u);  // dispatched once
 }
 
@@ -56,36 +56,70 @@ TEST(Plugin, SumComputes) {
   auto p = Plugin::load(compile(kSumSrc));
   ASSERT_TRUE(p.ok());
   std::vector<uint8_t> input = {10, 20, 30, 40};
-  auto out = (*p)->call("run", input);
-  ASSERT_TRUE(out.ok()) << out.error().message;
-  ASSERT_EQ(out->size(), 4u);
+  std::vector<uint8_t> out;
+  Status st = (*p)->call("run", input, out);
+  ASSERT_TRUE(st.ok()) << st.error().message;
+  ASSERT_EQ(out.size(), 4u);
   uint32_t sum;
-  memcpy(&sum, out->data(), 4);
+  memcpy(&sum, out.data(), 4);
   EXPECT_EQ(sum, 100u);
 }
 
 TEST(Plugin, EmptyInputYieldsEmptyEcho) {
   auto p = Plugin::load(compile(kEchoSrc));
   ASSERT_TRUE(p.ok());
-  auto out = (*p)->call("run", {});
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out->empty());
+  std::vector<uint8_t> out = {1, 2};
+  ASSERT_TRUE((*p)->call("run", {}, out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(Plugin, OutputBufferIsReusedAcrossCalls) {
+  // The caller owns the output: a call replaces its contents and keeps its
+  // storage, which is what lets a warm slot call without allocating.
+  auto p = Plugin::load(compile(kEchoSrc));
+  ASSERT_TRUE(p.ok());
+  std::vector<uint8_t> out;
+  ASSERT_TRUE((*p)->call("run", std::vector<uint8_t>(64, 7), out).ok());
+  const uint8_t* storage = out.data();
+  const std::vector<uint8_t> input = {1, 2, 3};
+  ASSERT_TRUE((*p)->call("run", input, out).ok());
+  EXPECT_EQ(out, input);
+  EXPECT_EQ(out.data(), storage);
+}
+
+TEST(Plugin, InputAliasingTheOutputIsRefused) {
+  // output_write may reallocate the output mid-call, so an input inside
+  // its storage would dangle: refused before dispatch, output cleared.
+  auto p = Plugin::load(compile(kEchoSrc));
+  ASSERT_TRUE(p.ok());
+  std::vector<uint8_t> buf = {4, 5, 6};
+  Status st = (*p)->call("run", buf, buf);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Error::Code::kInvalidArgument);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ((*p)->last_call_stats().instrs_retired, 0u);  // never dispatched
+  // A span into the spare capacity aliases too.
+  buf.reserve(16);
+  st = (*p)->call("run", std::span<const uint8_t>(buf.data() + 8, 4), buf);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Error::Code::kInvalidArgument);
 }
 
 TEST(Plugin, NonzeroStatusIsError) {
   auto p = Plugin::load(compile("export fn run() -> i32 { return 7; }"));
   ASSERT_TRUE(p.ok());
-  auto out = (*p)->call("run", {});
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.error().code, Error::Code::kState);
-  EXPECT_NE(out.error().message.find("7"), std::string::npos);
+  std::vector<uint8_t> out;
+  Status st = (*p)->call("run", {}, out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Error::Code::kState);
+  EXPECT_NE(st.error().message.find("7"), std::string::npos);
 }
 
 TEST(Plugin, WrongEntrypointTypeRejected) {
   auto p = Plugin::load(compile("export fn run(x: i32) -> i32 { return x; }"));
   ASSERT_TRUE(p.ok());
-  auto out = (*p)->call("run", {});
-  EXPECT_FALSE(out.ok());
+  std::vector<uint8_t> out;
+  EXPECT_FALSE((*p)->call("run", {}, out).ok());
 }
 
 TEST(Plugin, OutputTooLargeIsTrapped) {
@@ -96,9 +130,10 @@ TEST(Plugin, OutputTooLargeIsTrapped) {
   )"),
                         {}, limits);
   ASSERT_TRUE(p.ok());
-  auto out = (*p)->call("run", {});
-  ASSERT_FALSE(out.ok());
-  EXPECT_NE(out.error().message.find("output exceeds"), std::string::npos);
+  std::vector<uint8_t> out;
+  Status st = (*p)->call("run", {}, out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.error().message.find("output exceeds"), std::string::npos);
 }
 
 TEST(Plugin, OutputFromOutOfBoundsMemoryTraps) {
@@ -106,9 +141,21 @@ TEST(Plugin, OutputFromOutOfBoundsMemoryTraps) {
     export fn run() -> i32 { output_write(99999999, 8); return 0; }
   )"));
   ASSERT_TRUE(p.ok());
-  auto out = (*p)->call("run", {});
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.error().code, Error::Code::kTrap);
+  std::vector<uint8_t> out;
+  Status st = (*p)->call("run", {}, out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Error::Code::kTrap);
+}
+
+TEST(Plugin, FailedCallLeavesOutputEmpty) {
+  // A plugin that writes its output and then traps hands back nothing.
+  auto p = Plugin::load(compile(R"(
+    export fn run() -> i32 { output_write(0, 8); trap(); return 0; }
+  )"));
+  ASSERT_TRUE(p.ok());
+  std::vector<uint8_t> out;
+  ASSERT_FALSE((*p)->call("run", {}, out).ok());
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Plugin, FuelExhaustionIsContained) {
@@ -119,9 +166,10 @@ TEST(Plugin, FuelExhaustionIsContained) {
   )"),
                         {}, limits);
   ASSERT_TRUE(p.ok());
-  auto out = (*p)->call("run", {});
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.error().code, Error::Code::kFuelExhausted);
+  std::vector<uint8_t> out;
+  Status st = (*p)->call("run", {}, out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Error::Code::kFuelExhausted);
   EXPECT_EQ((*p)->last_call_stats().fuel_used, 1000u);  // the whole budget
 }
 
@@ -132,12 +180,12 @@ TEST(Plugin, TrapDoesNotPoisonNextCall) {
     export fn run() -> i32 { output_write(0, 0); return 0; }
   )"));
   ASSERT_TRUE(p.ok());
+  std::vector<uint8_t> out;
   for (int i = 0; i < 5; ++i) {
-    auto bad = (*p)->call("crash", {});
+    Status bad = (*p)->call("crash", {}, out);
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().code, Error::Code::kTrap);
-    auto good = (*p)->call("run", {});
-    EXPECT_TRUE(good.ok());
+    EXPECT_TRUE((*p)->call("run", {}, out).ok());
   }
 }
 
@@ -147,12 +195,13 @@ TEST(Plugin, InputTooLargeRejectedBeforeExecution) {
   auto p = Plugin::load(compile(kEchoSrc), {}, limits);
   ASSERT_TRUE(p.ok());
   // A dispatched call first, so the rejected one must reset the cost record.
-  ASSERT_TRUE((*p)->call("run", std::vector<uint8_t>(4, 1)).ok());
+  std::vector<uint8_t> out;
+  ASSERT_TRUE((*p)->call("run", std::vector<uint8_t>(4, 1), out).ok());
   ASSERT_GT((*p)->last_call_stats().instrs_retired, 0u);
   std::vector<uint8_t> big(100, 1);
-  auto out = (*p)->call("run", big);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.error().code, Error::Code::kLimitExceeded);
+  Status st = (*p)->call("run", big, out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Error::Code::kLimitExceeded);
   EXPECT_EQ((*p)->last_call_stats().instrs_retired, 0u);  // never dispatched
 }
 
@@ -168,8 +217,8 @@ TEST(Plugin, LogLinesCaptured) {
     }
   )"));
   ASSERT_TRUE(p.ok());
-  auto out = (*p)->call("run", {});
-  ASSERT_TRUE(out.ok());
+  std::vector<uint8_t> out;
+  ASSERT_TRUE((*p)->call("run", {}, out).ok());
   ASSERT_EQ((*p)->log_lines().size(), 1u);
   EXPECT_EQ((*p)->log_lines()[0], "hi");
 }
@@ -177,9 +226,10 @@ TEST(Plugin, LogLinesCaptured) {
 TEST(Plugin, AbortHostFunctionTraps) {
   auto p = Plugin::load(compile("export fn run() -> i32 { abort(3); return 0; }"));
   ASSERT_TRUE(p.ok());
-  auto out = (*p)->call("run", {});
-  ASSERT_FALSE(out.ok());
-  EXPECT_NE(out.error().message.find("code 3"), std::string::npos);
+  std::vector<uint8_t> out;
+  Status st = (*p)->call("run", {}, out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.error().message.find("code 3"), std::string::npos);
 }
 
 TEST(Plugin, MalformedModuleRejectedAtLoad) {
@@ -196,9 +246,9 @@ TEST(Manager, InstallAndCall) {
   ASSERT_TRUE(mgr.install("mvno1", compile(kEchoSrc)).ok());
   EXPECT_TRUE(mgr.has("mvno1"));
   std::vector<uint8_t> input = {5};
-  auto out = mgr.call("mvno1", "run", input);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, input);
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(mgr.call("mvno1", "run", input, out).ok());
+  EXPECT_EQ(out, input);
 }
 
 TEST(Manager, DuplicateInstallRejected) {
@@ -213,9 +263,9 @@ TEST(Manager, SwapChangesBehaviourAtomically) {
   // Swap echo -> sum.
   ASSERT_TRUE(mgr.swap("s", compile(kSumSrc)).ok());
   std::vector<uint8_t> input = {1, 2, 3};
-  auto out = mgr.call("s", "run", input);
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), 4u);  // sum output, not echo
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(mgr.call("s", "run", input, out).ok());
+  ASSERT_EQ(out.size(), 4u);  // sum output, not echo
   EXPECT_EQ(mgr.health("s")->swaps, 1u);
 }
 
@@ -226,9 +276,9 @@ TEST(Manager, FailedSwapKeepsOldPlugin) {
   EXPECT_FALSE(mgr.swap("s", garbage).ok());
   // Old plugin still works.
   std::vector<uint8_t> input = {42};
-  auto out = mgr.call("s", "run", input);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, input);
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(mgr.call("s", "run", input, out).ok());
+  EXPECT_EQ(out, input);
 }
 
 TEST(Manager, QuarantineAfterConsecutiveFaults) {
@@ -238,12 +288,13 @@ TEST(Manager, QuarantineAfterConsecutiveFaults) {
   ASSERT_TRUE(mgr.install("bad", compile(R"(
     export fn run() -> i32 { trap(); return 0; }
   )")).ok());
+  std::vector<uint8_t> out;
   for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(mgr.call("bad", "run", {}).ok());
+    EXPECT_FALSE(mgr.call("bad", "run", {}, out).ok());
   }
   EXPECT_TRUE(mgr.health("bad")->quarantined);
   // Further calls rejected without dispatch.
-  auto r = mgr.call("bad", "run", {});
+  Status r = mgr.call("bad", "run", {}, out);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().message.find("quarantined"), std::string::npos);
 }
@@ -261,10 +312,11 @@ TEST(Manager, SuccessResetsConsecutiveFaultCount) {
     }
   )")).ok());
   std::vector<uint8_t> ok_input = {1};
+  std::vector<uint8_t> out;
   for (int round = 0; round < 4; ++round) {
-    EXPECT_FALSE(mgr.call("flaky", "run", {}).ok());
-    EXPECT_FALSE(mgr.call("flaky", "run", {}).ok());
-    EXPECT_TRUE(mgr.call("flaky", "run", ok_input).ok());
+    EXPECT_FALSE(mgr.call("flaky", "run", {}, out).ok());
+    EXPECT_FALSE(mgr.call("flaky", "run", {}, out).ok());
+    EXPECT_TRUE(mgr.call("flaky", "run", ok_input, out).ok());
   }
   EXPECT_FALSE(mgr.health("flaky")->quarantined);
 }
@@ -275,11 +327,12 @@ TEST(Manager, SwapLiftsQuarantine) {
   PluginManager mgr(limits);
   ASSERT_TRUE(mgr.install("s", compile(
       "export fn run() -> i32 { trap(); return 0; }")).ok());
-  EXPECT_FALSE(mgr.call("s", "run", {}).ok());
+  std::vector<uint8_t> out;
+  EXPECT_FALSE(mgr.call("s", "run", {}, out).ok());
   EXPECT_TRUE(mgr.health("s")->quarantined);
   ASSERT_TRUE(mgr.swap("s", compile(kEchoSrc)).ok());
   EXPECT_FALSE(mgr.health("s")->quarantined);
-  EXPECT_TRUE(mgr.call("s", "run", {}).ok());
+  EXPECT_TRUE(mgr.call("s", "run", {}, out).ok());
 }
 
 TEST(Manager, DeclinesDoNotQuarantine) {
@@ -291,8 +344,9 @@ TEST(Manager, DeclinesDoNotQuarantine) {
   ASSERT_TRUE(mgr.install("validator", compile(R"(
     export fn run() -> i32 { return 1; }
   )")).ok());
+  std::vector<uint8_t> out;
   for (int i = 0; i < 10; ++i) {
-    auto r = mgr.call("validator", "run", {});
+    Status r = mgr.call("validator", "run", {}, out);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code, Error::Code::kState);
   }
@@ -306,7 +360,8 @@ TEST(Manager, RemoveSlot) {
   ASSERT_TRUE(mgr.install("s", compile(kEchoSrc)).ok());
   ASSERT_TRUE(mgr.remove("s").ok());
   EXPECT_FALSE(mgr.has("s"));
-  EXPECT_FALSE(mgr.call("s", "run", {}).ok());
+  std::vector<uint8_t> out;
+  EXPECT_FALSE(mgr.call("s", "run", {}, out).ok());
   EXPECT_FALSE(mgr.remove("s").ok());
 }
 
@@ -326,10 +381,10 @@ TEST(Manager, MemoryIsolationBetweenSlots) {
   ASSERT_TRUE(mgr.install("a", compile(src)).ok());
   ASSERT_TRUE(mgr.install("b", compile(src)).ok());
   std::vector<uint8_t> poke = {0xaa};
-  ASSERT_TRUE(mgr.call("a", "run", poke).ok());
-  auto b_out = mgr.call("b", "run", {});
-  ASSERT_TRUE(b_out.ok());
-  EXPECT_EQ((*b_out)[0], 0);  // b's memory untouched by a's write
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(mgr.call("a", "run", poke, out).ok());
+  ASSERT_TRUE(mgr.call("b", "run", {}, out).ok());
+  EXPECT_EQ(out[0], 0);  // b's memory untouched by a's write
 }
 
 }  // namespace

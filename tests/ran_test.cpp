@@ -2,6 +2,7 @@
 // accounting and the MAC slot loop's structural invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -268,8 +269,8 @@ TEST(Mac, SliceIndexTracksUeChurn) {
   };
   class Fixed final : public InterSliceScheduler {
    public:
-    std::vector<uint32_t> allocate(uint32_t, const std::vector<SliceDemand>& d) override {
-      return std::vector<uint32_t>(d.size(), 20);
+    void allocate(uint32_t, std::span<const SliceDemand>, std::span<uint32_t> q) override {
+      std::fill(q.begin(), q.end(), 20);
     }
     const char* name() const override { return "fixed"; }
   };
@@ -404,9 +405,9 @@ TEST(Mac256, TableSwitchRaisesGoodSnrThroughput) {
   // A trivially-serving inter-slice scheduler.
   class AllInter final : public InterSliceScheduler {
    public:
-    std::vector<uint32_t> allocate(uint32_t n_prbs,
-                                   const std::vector<SliceDemand>& d) override {
-      return std::vector<uint32_t>(d.size(), n_prbs);
+    void allocate(uint32_t n_prbs, std::span<const SliceDemand>,
+                  std::span<uint32_t> q) override {
+      std::fill(q.begin(), q.end(), n_prbs);
     }
     const char* name() const override { return "all"; }
   };

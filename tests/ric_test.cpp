@@ -4,6 +4,9 @@
 // closed loop gNB -> RIC -> gNB.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "obs/metrics.h"
 #include "plugin/plugin.h"
 #include "ric/e2lite.h"
 #include "ric/gnb_agent.h"
@@ -17,6 +20,26 @@
 namespace waran::ric {
 namespace {
 
+/// One plugin call into a fresh output buffer.
+Result<std::vector<uint8_t>> call(plugin::Plugin& p, std::string_view fn,
+                                  std::span<const uint8_t> input) {
+  std::vector<uint8_t> out;
+  WARAN_CHECK_OK(p.call(fn, input, out));
+  return out;
+}
+
+std::vector<uint8_t> encoded(const IndicationReport& report) {
+  std::vector<uint8_t> out;
+  encode_indication(report, out);
+  return out;
+}
+
+std::vector<uint8_t> encoded(const std::vector<ControlAction>& actions) {
+  std::vector<uint8_t> out;
+  encode_control(actions, out);
+  return out;
+}
+
 IndicationReport sample_report() {
   IndicationReport r;
   r.slices.push_back({1, 10, 12e6, 8e6});
@@ -28,10 +51,10 @@ IndicationReport sample_report() {
 
 TEST(E2Lite, IndicationRoundTrip) {
   IndicationReport r = sample_report();
-  auto bytes = encode_indication(r);
-  auto back = decode_indication(bytes);
-  ASSERT_TRUE(back.ok()) << back.error().message;
-  EXPECT_EQ(*back, r);
+  IndicationReport back;
+  Status st = decode_indication(encoded(r), back);
+  ASSERT_TRUE(st.ok()) << st.error().message;
+  EXPECT_EQ(back, r);
 }
 
 TEST(E2Lite, ControlRoundTrip) {
@@ -40,37 +63,62 @@ TEST(E2Lite, ControlRoundTrip) {
       {ActionType::kHandover, 0x4601, 1},
       {ActionType::kSetCqiTable, 2, 0},
   };
-  auto bytes = encode_control(actions);
-  auto back = decode_control(bytes);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, actions);
+  std::vector<ControlAction> back;
+  ASSERT_TRUE(decode_control(encoded(actions), back).ok());
+  EXPECT_EQ(back, actions);
+}
+
+TEST(E2Lite, DecodeReplacesWhatTheTargetHeld) {
+  // The agent and the RIC decode into one report and one action list for
+  // their whole life: a decode must not carry over the previous message.
+  IndicationReport with_tail = sample_report();
+  with_tail.telemetry = obs::CellTelemetry{};
+  IndicationReport back;
+  ASSERT_TRUE(decode_indication(encoded(with_tail), back).ok());
+  IndicationReport small;
+  small.slices.push_back({3, 4, 5e6, 6e6});
+  ASSERT_TRUE(decode_indication(encoded(small), back).ok());
+  EXPECT_EQ(back, small);
+
+  std::vector<ControlAction> actions = {{ActionType::kHandover, 0x4601, 1}};
+  ASSERT_TRUE(decode_control(encoded(actions), actions).ok());
+  ASSERT_TRUE(decode_control(encoded(std::vector<ControlAction>{}), actions).ok());
+  EXPECT_TRUE(actions.empty());
 }
 
 TEST(E2Lite, RejectsTruncationAndBadCounts) {
-  auto bytes = encode_indication(sample_report());
+  IndicationReport report;
+  auto bytes = encoded(sample_report());
   bytes.pop_back();
-  EXPECT_FALSE(decode_indication(bytes).ok());
+  EXPECT_FALSE(decode_indication(bytes, report).ok());
 
   std::vector<uint8_t> huge = {1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f};
-  EXPECT_FALSE(decode_indication(huge).ok());
+  EXPECT_FALSE(decode_indication(huge, report).ok());
 
   std::vector<ControlAction> bad = {{static_cast<ActionType>(9), 0, 0}};
-  EXPECT_FALSE(decode_control(encode_control(bad)).ok());
+  std::vector<ControlAction> actions;
+  EXPECT_FALSE(decode_control(encoded(bad), actions).ok());
 }
 
 TEST(E2Lite, EncodesIntoOneExactSizeBuffer) {
   IndicationReport r = sample_report();
   r.telemetry = obs::CellTelemetry{};
-  auto indication = encode_indication(r);
+  std::vector<uint8_t> indication;
+  encode_indication(r, indication);
   // Header, 24 B per slice, 24 B per UE, then the tagged telemetry block.
   EXPECT_EQ(indication.size(), 8u + 2 * 24 + 4 + 2 * 24 + 8 + 1220);
   // Sized once up front; a buffer grown field by field keeps spare capacity.
   EXPECT_EQ(indication.capacity(), indication.size());
+  // A second encode into the same buffer writes over its storage.
+  const uint8_t* storage = indication.data();
+  encode_indication(r, indication);
+  EXPECT_EQ(indication.data(), storage);
+  EXPECT_EQ(indication, encoded(r));
 
   std::vector<ControlAction> actions = {{ActionType::kSetSliceQuota, 1, 20},
                                         {ActionType::kHandover, 0x4601, 1},
                                         {ActionType::kSetCqiTable, 2, 0}};
-  auto control = encode_control(actions);
+  auto control = encoded(actions);
   EXPECT_EQ(control.size(), 8u + 3 * 12);
   EXPECT_EQ(control.capacity(), control.size());
 }
@@ -91,7 +139,7 @@ class CommPluginTest : public ::testing::Test {
 
 TEST_F(CommPluginTest, FrameUnframeRoundTrip) {
   std::vector<uint8_t> payload = {1, 2, 3, 200, 255};
-  auto framed = plugin_->call("frame", payload);
+  auto framed = call(*plugin_, "frame", payload);
   ASSERT_TRUE(framed.ok());
   EXPECT_EQ(framed->size(), payload.size() + 12);
   // On-wire magic is little-endian 0xE2A0B1C2.
@@ -99,47 +147,47 @@ TEST_F(CommPluginTest, FrameUnframeRoundTrip) {
   memcpy(&magic, framed->data(), 4);
   EXPECT_EQ(magic, plugin_sources::kFrameMagic);
 
-  auto unframed = plugin_->call("unframe", *framed);
+  auto unframed = call(*plugin_, "unframe", *framed);
   ASSERT_TRUE(unframed.ok()) << unframed.error().message;
   EXPECT_EQ(*unframed, payload);
 }
 
 TEST_F(CommPluginTest, EmptyPayloadFrames) {
-  auto framed = plugin_->call("frame", {});
+  auto framed = call(*plugin_, "frame", {});
   ASSERT_TRUE(framed.ok());
-  auto unframed = plugin_->call("unframe", *framed);
+  auto unframed = call(*plugin_, "unframe", *framed);
   ASSERT_TRUE(unframed.ok());
   EXPECT_TRUE(unframed->empty());
 }
 
 TEST_F(CommPluginTest, CorruptedChecksumRejectedInSandbox) {
   std::vector<uint8_t> payload = {9, 9, 9, 9};
-  auto framed = plugin_->call("frame", payload);
+  auto framed = call(*plugin_, "frame", payload);
   ASSERT_TRUE(framed.ok());
   (*framed)[9] ^= 0x40;  // flip a payload bit, checksum now stale
-  auto unframed = plugin_->call("unframe", *framed);
+  auto unframed = call(*plugin_, "unframe", *framed);
   EXPECT_FALSE(unframed.ok());
 }
 
 TEST_F(CommPluginTest, BadMagicRejected) {
   std::vector<uint8_t> payload = {1};
-  auto framed = plugin_->call("frame", payload);
+  auto framed = call(*plugin_, "frame", payload);
   ASSERT_TRUE(framed.ok());
   (*framed)[0] ^= 0xff;
-  EXPECT_FALSE(plugin_->call("unframe", *framed).ok());
+  EXPECT_FALSE(call(*plugin_, "unframe", *framed).ok());
 }
 
 TEST_F(CommPluginTest, ShortFrameRejected) {
   std::vector<uint8_t> tiny = {1, 2, 3};
-  EXPECT_FALSE(plugin_->call("unframe", tiny).ok());
+  EXPECT_FALSE(call(*plugin_, "unframe", tiny).ok());
 }
 
 TEST_F(CommPluginTest, LengthMismatchRejected) {
   std::vector<uint8_t> payload = {5, 5};
-  auto framed = plugin_->call("frame", payload);
+  auto framed = call(*plugin_, "frame", payload);
   ASSERT_TRUE(framed.ok());
   framed->push_back(0);  // trailing junk: total no longer matches header len
-  EXPECT_FALSE(plugin_->call("unframe", *framed).ok());
+  EXPECT_FALSE(call(*plugin_, "unframe", *framed).ok());
 }
 
 // The framing kernel checksums eight bytes per step in four 16-bit lanes
@@ -177,12 +225,12 @@ TEST_F(CommPluginTest, ChecksumEqualsHostByteSumAtEveryLength) {
   for (size_t n : lengths) {
     SCOPED_TRACE("payload length " + std::to_string(n));
     std::vector<uint8_t> payload = pattern_payload(n, static_cast<uint32_t>(n));
-    auto framed = plugin_->call("frame", payload);
+    auto framed = call(*plugin_, "frame", payload);
     ASSERT_TRUE(framed.ok()) << framed.error().message;
     ASSERT_EQ(framed->size(), n + 12);
     EXPECT_EQ(u32_at(*framed, 4), n);
     EXPECT_EQ(u32_at(*framed, 8 + n), byte_sum(payload));
-    auto unframed = plugin_->call("unframe", *framed);
+    auto unframed = call(*plugin_, "unframe", *framed);
     ASSERT_TRUE(unframed.ok()) << unframed.error().message;
     EXPECT_EQ(*unframed, payload);
   }
@@ -192,10 +240,10 @@ TEST_F(CommPluginTest, AllOnesPayloadFillsEveryLaneBeforeItFolds) {
   // 0xFF everywhere drives each 16-bit lane to 128 * 2 * 255 = 65,280
   // before every fold: the largest value the lane bound allows.
   std::vector<uint8_t> payload(65536, 0xff);
-  auto framed = plugin_->call("frame", payload);
+  auto framed = call(*plugin_, "frame", payload);
   ASSERT_TRUE(framed.ok()) << framed.error().message;
   EXPECT_EQ(u32_at(*framed, 8 + payload.size()), 65536u * 255u);
-  auto unframed = plugin_->call("unframe", *framed);
+  auto unframed = call(*plugin_, "unframe", *framed);
   ASSERT_TRUE(unframed.ok()) << unframed.error().message;
   EXPECT_EQ(*unframed, payload);
 }
@@ -203,25 +251,25 @@ TEST_F(CommPluginTest, AllOnesPayloadFillsEveryLaneBeforeItFolds) {
 TEST_F(CommPluginTest, OneBitFlipRejectedInWordsAndTail) {
   const size_t n = 1461;  // 182 full words and a 5-byte tail
   std::vector<uint8_t> payload = pattern_payload(n, 3);
-  auto framed = plugin_->call("frame", payload);
+  auto framed = call(*plugin_, "frame", payload);
   ASSERT_TRUE(framed.ok());
   for (size_t at : {size_t{0}, size_t{3}, (n & ~size_t{7}) - 1, (n & ~size_t{7}) - 8,
                     n - 5, n - 1}) {
     SCOPED_TRACE("payload byte " + std::to_string(at));
     std::vector<uint8_t> bad = *framed;
     bad[8 + at] ^= 0x10;
-    EXPECT_FALSE(plugin_->call("unframe", bad).ok());
+    EXPECT_FALSE(call(*plugin_, "unframe", bad).ok());
   }
-  EXPECT_TRUE(plugin_->call("unframe", *framed).ok());
+  EXPECT_TRUE(call(*plugin_, "unframe", *framed).ok());
 }
 
 TEST_F(CommPluginTest, LargePayloadFramesWithinDefaultFuel) {
   ASSERT_EQ(plugin_->limits().fuel_per_call, 2'000'000u);
   std::vector<uint8_t> payload = pattern_payload(200000, 9);
-  auto framed = plugin_->call("frame", payload);
+  auto framed = call(*plugin_, "frame", payload);
   ASSERT_TRUE(framed.ok()) << framed.error().message;
   EXPECT_EQ(u32_at(*framed, 8 + payload.size()), byte_sum(payload));
-  auto unframed = plugin_->call("unframe", *framed);
+  auto unframed = call(*plugin_, "unframe", *framed);
   ASSERT_TRUE(unframed.ok()) << unframed.error().message;
   EXPECT_EQ(*unframed, payload);
 }
@@ -231,7 +279,7 @@ TEST_F(CommPluginTest, FrameFuelIsPinned) {
   // 1,456-byte indication (3 slices, 6 UEs and the telemetry tail). The
   // byte-at-a-time loop it replaced cost 26,250.
   std::vector<uint8_t> payload = pattern_payload(1456, 5);
-  ASSERT_TRUE(plugin_->call("frame", payload).ok());
+  ASSERT_TRUE(call(*plugin_, "frame", payload).ok());
   EXPECT_EQ(plugin_->last_call_stats().fuel_used, 4887u);
 }
 
@@ -247,7 +295,7 @@ TEST(VendorShim, Widens8BitCqiTo12Bit) {
   std::vector<uint8_t> input = {2, 0, 0, 0,
                                 0x01, 0x46, 200,
                                 0x02, 0x46, 15};
-  auto out = (*p)->call("widen", input);
+  auto out = call(**p, "widen", input);
   ASSERT_TRUE(out.ok()) << out.error().message;
   ASSERT_EQ(out->size(), 4u + 2 * 8);
   uint32_t n, rnti0, cqi0, rnti1, cqi1;
@@ -269,7 +317,7 @@ TEST(VendorShim, RejectsTruncatedVendorPayload) {
   auto p = plugin::Plugin::load(*bytes);
   ASSERT_TRUE(p.ok());
   std::vector<uint8_t> input = {5, 0, 0, 0, 1, 2};  // claims 5 records
-  EXPECT_FALSE((*p)->call("widen", input).ok());
+  EXPECT_FALSE(call(**p, "widen", input).ok());
 }
 
 // --- xApps in isolation. ---
@@ -278,12 +326,12 @@ std::vector<ControlAction> run_xapp(std::span<const uint8_t> module_bytes,
                                     const IndicationReport& report) {
   auto p = plugin::Plugin::load(module_bytes);
   EXPECT_TRUE(p.ok());
-  auto out = (*p)->call("on_indication", encode_indication(report));
+  auto out = call(**p, "on_indication", encoded(report));
   EXPECT_TRUE(out.ok()) << (out.ok() ? "" : out.error().message);
   if (!out.ok()) return {};
-  auto actions = decode_control(*out);
-  EXPECT_TRUE(actions.ok());
-  return actions.ok() ? *actions : std::vector<ControlAction>{};
+  std::vector<ControlAction> actions;
+  EXPECT_TRUE(decode_control(*out, actions).ok());
+  return actions;
 }
 
 TEST(SlaXapp, RaisesQuotaWhenUnderTarget) {
@@ -331,6 +379,47 @@ TEST(SteerXapp, HandsOverOnHysteresisExceeded) {
   EXPECT_EQ(actions[0].type, ActionType::kHandover);
   EXPECT_EQ(actions[0].a, 0x4601u);
   EXPECT_EQ(actions[0].b, 1u);
+}
+
+// --- Transport. ---
+
+TEST(Duplex, OneFrameInFlightCyclesTheSameBuffers) {
+  // Each direction recycles its frame buffers: a frame is staged, swapped
+  // into a ring slot and swapped out again into the receiver's previous
+  // buffer. With one frame in flight the receiver only ever sees the three
+  // buffers of that cycle, so a warm link allocates nothing.
+  Duplex link;
+  const std::vector<uint8_t> frame(1468, 0x5a);
+  std::vector<uint8_t> rx;
+  std::set<const uint8_t*> seen;
+  for (int i = 0; i < 200; ++i) {
+    link.send(Duplex::Side::kA, frame);
+    ASSERT_TRUE(link.receive(Duplex::Side::kB, rx));
+    ASSERT_EQ(rx, frame);
+    seen.insert(rx.data());
+  }
+  EXPECT_LE(seen.size(), 3u);
+  EXPECT_FALSE(link.receive(Duplex::Side::kB, rx));
+  EXPECT_EQ(rx, frame);  // an empty receive leaves the caller's buffer alone
+  EXPECT_EQ(link.frames_delivered(), 200u);
+}
+
+TEST(Duplex, FullQueueOverflowsInOrderAndDrainsFifo) {
+  Duplex link;
+  for (uint32_t i = 0; i < Duplex::kQueueCapacity + 5; ++i) {
+    const std::vector<uint8_t> frame = {static_cast<uint8_t>(i)};
+    link.send(Duplex::Side::kB, frame);
+  }
+  EXPECT_EQ(link.pending(Duplex::Side::kA), Duplex::kQueueCapacity);
+  EXPECT_EQ(link.pending(Duplex::Side::kB), 0u);
+  EXPECT_EQ(link.frames_overflowed(), 5u);
+  // The oldest frames were kept; the newest ones overflowed.
+  std::vector<uint8_t> rx;
+  for (uint32_t i = 0; i < Duplex::kQueueCapacity; ++i) {
+    ASSERT_TRUE(link.receive(Duplex::Side::kA, rx));
+    EXPECT_EQ(rx, std::vector<uint8_t>{static_cast<uint8_t>(i)});
+  }
+  EXPECT_FALSE(link.receive(Duplex::Side::kA, rx));
 }
 
 // --- Full closed loop. ---
@@ -491,6 +580,37 @@ TEST_F(ClosedLoop, DuplicatedAndDroppedFramesBalanceLinkAccounting) {
   EXPECT_EQ(ric_->stats().indications_processed, 4u);
 }
 
+TEST_F(ClosedLoop, StalledRicOverflowsTheBoundedLinkInsteadOfGrowingIt) {
+  // A RIC that stops polling must not grow gNB memory: the link holds
+  // kQueueCapacity frames toward it and counts the rest as overflowed,
+  // apart from the fault stages' drops.
+  auto sla = plugin_sources::sla_xapp();
+  ASSERT_TRUE(sla.ok());
+  ASSERT_TRUE(ric_->add_xapp("sla", *sla).ok());
+  obs::Counter& overflow =
+      obs::MetricsRegistry::global().counter("waran_transport_overflow_total");
+  const uint64_t overflow0 = overflow.value();
+  constexpr size_t kCapacity = Duplex::kQueueCapacity;
+  ASSERT_TRUE(mac_->run_slots(10).ok());
+  for (size_t i = 0; i < 10 * kCapacity; ++i) {
+    ASSERT_TRUE(agent_->send_indication().ok());
+  }
+  EXPECT_EQ(link_.pending(Duplex::Side::kB), kCapacity);
+  EXPECT_EQ(link_.frames_overflowed(), link_.frames_sent() - kCapacity);
+  EXPECT_EQ(overflow.value() - overflow0, link_.frames_overflowed());
+  EXPECT_EQ(link_.frames_dropped(), 0u);
+  EXPECT_EQ(link_.frames_delivered(), kCapacity);
+  EXPECT_EQ(link_.frames_sent() + link_.frames_duplicated(),
+            link_.frames_delivered() + link_.frames_dropped() + link_.frames_overflowed());
+  // The RIC catches up on what the link kept, and the loop runs on.
+  ASSERT_TRUE(ric_->poll().ok());
+  EXPECT_EQ(ric_->stats().indications_processed, kCapacity);
+  EXPECT_EQ(link_.pending(Duplex::Side::kB), 0u);
+  ASSERT_TRUE(agent_->send_indication().ok());
+  ASSERT_TRUE(ric_->poll().ok());
+  EXPECT_EQ(ric_->stats().indications_processed, kCapacity + 1);
+}
+
 TEST_F(ClosedLoop, FaultyXappIsContainedOthersKeepWorking) {
   // First xApp traps on every indication; the SLA xApp still runs.
   auto bad = wcc::compile("export fn on_indication() -> i32 { trap(); return 0; }");
@@ -542,7 +662,7 @@ TEST_F(ClosedLoop, RefusedCallsAddNoFuel) {
 
   // Fail every comm call before it enters the sandbox: 3 injected faults,
   // then quarantine refuses the other 7. None of them costs fuel.
-  agent_->plugins().set_call_interceptor([](const std::string& slot, const std::string&) {
+  agent_->plugins().set_call_interceptor([](std::string_view slot, std::string_view) {
     plugin::PluginManager::CallIntercept intercept;
     if (slot == "comm") intercept.fail = Error::trap("injected comm fault");
     return intercept;
@@ -627,7 +747,7 @@ class FeatureUpgrade : public ::testing::Test {
   }
 
   void send_control(const std::vector<ControlAction>& actions) {
-    auto frame = framer_->call("frame", encode_control(actions));
+    auto frame = call(*framer_, "frame", encoded(actions));
     ASSERT_TRUE(frame.ok());
     link_.send(Duplex::Side::kB, *frame);
   }

@@ -414,9 +414,9 @@ TEST(Engine, MemoryLoadStore) {
   ModuleBuilder mb;
   mb.add_memory(1, 1, "memory");
   auto& st = mb.add_func(FuncType{{ValType::kI32, ValType::kI32}, {}}, "poke");
-  st.local_get(0).local_get(1).store(Op::kI32Store, 0, 2).end();
+  st.local_get(0).local_get(1).mem(Op::kI32Store, 0, 2).end();
   auto& ld = mb.add_func(FuncType{{ValType::kI32}, {ValType::kI32}}, "peek");
-  ld.local_get(0).load(Op::kI32Load, 0, 2).end();
+  ld.local_get(0).mem(Op::kI32Load, 0, 2).end();
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
   auto r = inst->call("poke", std::vector<TypedValue>{TypedValue::i32(64), TypedValue::i32(-123)});
@@ -428,7 +428,7 @@ TEST(Engine, MemoryOutOfBoundsTraps) {
   ModuleBuilder mb;
   mb.add_memory(1, 1);
   auto& ld = mb.add_func(FuncType{{ValType::kI32}, {ValType::kI32}}, "peek");
-  ld.local_get(0).load(Op::kI32Load, 0, 2).end();
+  ld.local_get(0).mem(Op::kI32Load, 0, 2).end();
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
   // Last valid word is at 65532.
@@ -445,7 +445,7 @@ TEST(Engine, LoadOffsetOverflowTraps) {
   ModuleBuilder mb;
   mb.add_memory(1, 1);
   auto& ld = mb.add_func(FuncType{{ValType::kI32}, {ValType::kI32}}, "peek");
-  ld.local_get(0).load(Op::kI32Load, 0xffffffff, 0).end();
+  ld.local_get(0).mem(Op::kI32Load, 0xffffffff, 0).end();
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
   // base + offset overflows 32 bits; must trap, not wrap.
@@ -477,7 +477,7 @@ TEST(Engine, BulkMemoryFillAndCopy) {
   auto& copy = mb.add_func(FuncType{{}, {}}, "copy");
   copy.i32_const(100).i32_const(16).i32_const(8).memory_copy().end();
   auto& peek = mb.add_func(FuncType{{ValType::kI32}, {ValType::kI32}}, "peek8");
-  peek.local_get(0).load(Op::kI32Load8U, 0, 0).end();
+  peek.local_get(0).mem(Op::kI32Load8U, 0, 0).end();
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
   ASSERT_TRUE(inst->call("fill", std::vector<TypedValue>{}).ok());
@@ -493,7 +493,7 @@ TEST(Engine, DataSegmentInitializesMemory) {
   const uint8_t payload[] = {1, 2, 3, 4};
   mb.add_data(10, payload);
   auto& peek = mb.add_func(FuncType{{ValType::kI32}, {ValType::kI32}}, "peek8");
-  peek.local_get(0).load(Op::kI32Load8U, 0, 0).end();
+  peek.local_get(0).mem(Op::kI32Load8U, 0, 0).end();
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
   EXPECT_EQ(call_i32(*inst, "peek8", {TypedValue::i32(10)}), 1);
@@ -506,11 +506,11 @@ TEST(Engine, SubWordLoadsSignAndZeroExtend) {
   const uint8_t payload[] = {0xff, 0x80};
   mb.add_data(0, payload);
   auto& s8 = mb.add_func(FuncType{{}, {ValType::kI32}}, "s8");
-  s8.i32_const(0).load(Op::kI32Load8S, 0, 0).end();
+  s8.i32_const(0).mem(Op::kI32Load8S, 0, 0).end();
   auto& u8f = mb.add_func(FuncType{{}, {ValType::kI32}}, "u8");
-  u8f.i32_const(0).load(Op::kI32Load8U, 0, 0).end();
+  u8f.i32_const(0).mem(Op::kI32Load8U, 0, 0).end();
   auto& s16 = mb.add_func(FuncType{{}, {ValType::kI32}}, "s16");
-  s16.i32_const(0).load(Op::kI32Load16S, 0, 1).end();
+  s16.i32_const(0).mem(Op::kI32Load16S, 0, 1).end();
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
   EXPECT_EQ(call_i32(*inst, "s8"), -1);
@@ -550,7 +550,7 @@ TEST(Engine, HostSurvivesRepeatedTraps) {
   ModuleBuilder mb;
   mb.add_memory(1, 1);
   auto& bad = mb.add_func(FuncType{{}, {ValType::kI32}}, "bad");
-  bad.i32_const(-1).load(Op::kI32Load, 0, 2).end();
+  bad.i32_const(-1).mem(Op::kI32Load, 0, 2).end();
   auto& good = mb.add_func(FuncType{{}, {ValType::kI32}}, "good");
   good.i32_const(7).end();
   auto inst = instantiate(mb);

@@ -125,8 +125,9 @@ TEST(Fuzz, ValidatedMutantsAreSafeToRun) {
     auto p = plugin::Plugin::load(mutated, {}, limits);
     if (!p.ok()) continue;
     ++executed;
-    auto out = (*p)->call("schedule", input);
-    (void)out;  // any Result is fine; reaching here without UB is the test
+    std::vector<uint8_t> out;
+    Status st = (*p)->call("schedule", input, out);
+    (void)st;  // any Status is fine; reaching here without UB is the test
   }
   EXPECT_GT(executed, 0);
 }

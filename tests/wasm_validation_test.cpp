@@ -210,7 +210,7 @@ TEST(Validate, BranchDepthOutOfRange) {
 TEST(Validate, MemoryOpWithoutMemory) {
   ModuleBuilder mb;
   auto& f = mb.add_func(FuncType{{}, {ValType::kI32}}, "f");
-  f.i32_const(0).load(Op::kI32Load, 0, 2).end();
+  f.i32_const(0).mem(Op::kI32Load, 0, 2).end();
   auto st = decode_and_validate(mb);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.error().message.find("memory"), std::string::npos);
@@ -220,7 +220,7 @@ TEST(Validate, OverAlignedAccessRejected) {
   ModuleBuilder mb;
   mb.add_memory(1, 1);
   auto& f = mb.add_func(FuncType{{}, {ValType::kI32}}, "f");
-  f.i32_const(0).load(Op::kI32Load, 0, 3).end();  // align 8 > natural 4
+  f.i32_const(0).mem(Op::kI32Load, 0, 3).end();  // align 8 > natural 4
   auto st = decode_and_validate(mb);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.error().message.find("alignment"), std::string::npos);

@@ -204,11 +204,11 @@ TEST(WatRoundTrip, ReassembledPluginBehavesIdentically) {
     for (size_t i = 12; i < input.size(); ++i) {
       input[i] = static_cast<uint8_t>(rng.next());
     }
-    auto o1 = (*p1)->call("schedule", input);
-    auto o2 = (*p2)->call("schedule", input);
-    ASSERT_EQ(o1.ok(), o2.ok());
-    if (o1.ok()) {
-      EXPECT_EQ(*o1, *o2);
+    std::vector<uint8_t> o1, o2;
+    const bool ok1 = (*p1)->call("schedule", input, o1).ok();
+    ASSERT_EQ(ok1, (*p2)->call("schedule", input, o2).ok());
+    if (ok1) {
+      EXPECT_EQ(o1, o2);
     }
   }
 }
@@ -272,11 +272,7 @@ TEST(WatRoundTrip, EveryInstruction) {
       case OpImm::kMem16:
       case OpImm::kMem32:
       case OpImm::kMem64:
-        if (info.has_result) {
-          f.load(op, 16, wasm::natural_align_log2(info.imm));
-        } else {
-          f.store(op, 16, wasm::natural_align_log2(info.imm));
-        }
+        f.mem(op, 16, wasm::natural_align_log2(info.imm));
         break;
       case OpImm::kMemIdx:
       case OpImm::kMemIdx2:

@@ -127,10 +127,11 @@ TEST(WProgram, Crc32MatchesReference) {
   ASSERT_TRUE(p.ok()) << p.error().message;
 
   for (const std::vector<uint8_t>& data : crc32_inputs()) {
-    auto out = (*p)->call("run", data);
-    ASSERT_TRUE(out.ok()) << out.error().message;
+    std::vector<uint8_t> out;
+    Status st = (*p)->call("run", data, out);
+    ASSERT_TRUE(st.ok()) << st.error().message;
     uint32_t got;
-    std::memcpy(&got, out->data(), 4);
+    std::memcpy(&got, out.data(), 4);
     EXPECT_EQ(got, crc32_reference(data)) << "len " << data.size();
   }
 }
@@ -169,10 +170,11 @@ TEST(WProgram, Crc32BitwiseMatchesReference) {
   for (uint8_t& b : random) b = static_cast<uint8_t>(rng.next());
   inputs.push_back(random);
   for (const std::vector<uint8_t>& data : inputs) {
-    auto out = (*p)->call("run", data);
-    ASSERT_TRUE(out.ok()) << out.error().message;
+    std::vector<uint8_t> out;
+    Status st = (*p)->call("run", data, out);
+    ASSERT_TRUE(st.ok()) << st.error().message;
     uint32_t got;
-    std::memcpy(&got, out->data(), 4);
+    std::memcpy(&got, out.data(), 4);
     EXPECT_EQ(got, crc32_reference(data)) << "len " << data.size();
   }
 }
@@ -265,9 +267,9 @@ TEST(WProgram, InsertionSortBytes) {
     for (auto& b : data) b = static_cast<uint8_t>(rng.next());
     std::vector<uint8_t> want = data;
     std::sort(want.begin(), want.end());
-    auto out = (*p)->call("run", data);
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(*out, want);
+    std::vector<uint8_t> out;
+    ASSERT_TRUE((*p)->call("run", data, out).ok());
+    EXPECT_EQ(out, want);
   }
 }
 

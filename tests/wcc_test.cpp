@@ -320,9 +320,10 @@ TEST(Wcc, PluginAbiEcho) {
   auto plugin = plugin::Plugin::load(*bytes);
   ASSERT_TRUE(plugin.ok()) << plugin.error().message;
   std::vector<uint8_t> input = {1, 2, 3, 250};
-  auto out = (*plugin)->call("run", input);
-  ASSERT_TRUE(out.ok()) << out.error().message;
-  EXPECT_EQ(*out, (std::vector<uint8_t>{2, 3, 4, 251}));
+  std::vector<uint8_t> out;
+  Status st = (*plugin)->call("run", input, out);
+  ASSERT_TRUE(st.ok()) << st.error().message;
+  EXPECT_EQ(out, (std::vector<uint8_t>{2, 3, 4, 251}));
 }
 
 // --- Compile-error diagnostics. ---

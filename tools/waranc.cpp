@@ -241,15 +241,16 @@ int cmd_run(int argc, char** argv) {
     std::fprintf(stderr, "waranc: %s\n", plugin.error().message.c_str());
     return 1;
   }
-  auto out = (*plugin)->call(entry, input);
+  std::vector<uint8_t> out;
+  Status st = (*plugin)->call(entry, input, out);
   for (const std::string& line : (*plugin)->log_lines()) {
     std::fprintf(stderr, "[plugin] %s\n", line.c_str());
   }
-  if (!out.ok()) {
-    std::fprintf(stderr, "waranc: call failed: %s\n", out.error().message.c_str());
+  if (!st.ok()) {
+    std::fprintf(stderr, "waranc: call failed: %s\n", st.error().message.c_str());
     return 1;
   }
-  for (uint8_t b : *out) std::printf("%02x", b);
+  for (uint8_t b : out) std::printf("%02x", b);
   std::printf("\n");
   return 0;
 }
