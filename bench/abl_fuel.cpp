@@ -3,10 +3,7 @@
 // armed vs disabled; the delta is the per-instruction metering overhead.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
 #include "plugin/plugin.h"
-#include "wasm/wasm.h"
 #include "wcc/compiler.h"
 
 namespace {
@@ -60,42 +57,5 @@ void BM_PluginCall_FuelOn(benchmark::State& state) {
 
 BENCHMARK(BM_PluginCall_FuelOff);
 BENCHMARK(BM_PluginCall_FuelOn);
-
-// Instance-level cost of the wall-clock deadline guard. The interpreter's
-// charge path keeps a cached poll countdown, so the unarmed run never reads
-// the clock at all and the armed run touches it only every
-// kDeadlinePollStride charge points; the delta between these two is the
-// whole price of arming a deadline.
-void BM_InstanceCall_Deadline(benchmark::State& state) {
-  auto bytes = wcc::compile(kWorkSource);
-  if (!bytes.ok()) std::abort();
-  auto module = wasm::decode_module(*bytes);
-  if (!module.ok() || !wasm::validate_module(*module).ok()) std::abort();
-  if (!wasm::translate_module(*module).ok()) std::abort();
-  wasm::Linker linker;
-  linker.register_func(
-      "waran", "output_write",
-      wasm::HostFunc{wasm::FuncType{{wasm::ValType::kI32, wasm::ValType::kI32}, {}},
-                     [](wasm::HostContext&, std::span<const wasm::Value>)
-                         -> Result<std::optional<wasm::Value>> {
-                       return std::optional<wasm::Value>{};
-                     }});
-  auto inst = wasm::Instance::instantiate(
-      std::make_shared<wasm::Module>(std::move(*module)), linker);
-  if (!inst.ok()) std::abort();
-
-  wasm::CallOptions opts;
-  opts.fuel = uint64_t{10'000'000};
-  if (state.range(0) != 0) opts.deadline = std::chrono::milliseconds(100);
-  wasm::CallStats stats;
-  for (auto _ : state) {
-    auto r = (*inst)->call("run", {}, opts, &stats);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(stats.instrs_retired));
-}
-
-BENCHMARK(BM_InstanceCall_Deadline)->Arg(0)->Arg(1)->ArgName("armed");
 
 }  // namespace

@@ -71,11 +71,10 @@ int main() {
   if (!mac.run_slots(8000).ok()) return 1;
   report("RR after 8 s (equal PRB shares)");
 
-  const plugin::SlotHealth* h = mgr.health("mvno");
   std::printf("\nslot 'mvno': %llu calls, %llu successful swaps — gNB uptime 100%%,\n"
               "no UE detached, scheduler faults answered by host fallback: %llu\n",
-              static_cast<unsigned long long>(h->calls),
-              static_cast<unsigned long long>(h->swaps),
+              static_cast<unsigned long long>(mgr.cost("mvno")->calls()),
+              static_cast<unsigned long long>(mgr.health("mvno")->swaps),
               static_cast<unsigned long long>(mac.slice_stats(1)->scheduler_faults));
   return 0;
 }

@@ -103,10 +103,12 @@ int main() {
               static_cast<unsigned long long>(fairco_after));
 
   for (const Mvno& m : mvnos) {
-    if (const plugin::SlotHealth* h = mgr.health(m.name)) {
+    const plugin::SlotHealth* h = mgr.health(m.name);
+    const CallCostAcc* c = mgr.cost(m.name);
+    if (h != nullptr && c != nullptr) {
       std::printf("%-10s plugin: %llu scheduling calls, %llu faults\n", m.name,
-                  static_cast<unsigned long long>(h->calls),
-                  static_cast<unsigned long long>(h->faults));
+                  static_cast<unsigned long long>(c->calls()),
+                  static_cast<unsigned long long>(h->faults()));
     }
   }
   return 0;

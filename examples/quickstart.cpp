@@ -81,8 +81,8 @@ int main() {
   std::memcpy(&sum, output.data(), 4);
   std::printf("after hot-swap, plugin works again: sum = %d\n", sum);
   std::printf("slot health: %llu calls, %llu faults, %llu swaps\n",
-              static_cast<unsigned long long>(manager.health("demo")->calls),
-              static_cast<unsigned long long>(manager.health("demo")->faults),
+              static_cast<unsigned long long>(manager.cost("demo")->calls()),
+              static_cast<unsigned long long>(manager.health("demo")->faults()),
               static_cast<unsigned long long>(manager.health("demo")->swaps));
   return 0;
 }

@@ -37,4 +37,20 @@ if [ -n "$hits" ]; then
   exit 1
 fi
 
-echo "clock lint: OK (no raw clock reads outside src/rt/ and src/common/)"
+# The interpreter loop reads no clock at all: fuel is the only bound on a
+# call, so its outcome depends on its inputs and budget, never on timing.
+interp_loop=src/wasm/interp_loop.inc
+if [ ! -f "$interp_loop" ]; then
+  echo "clock lint: expected file '$interp_loop' missing — update the lint" >&2
+  exit 2
+fi
+loop_hits=$(grep -nE 'now_ns|Clock::' "$interp_loop")
+if [ -n "$loop_hits" ]; then
+  echo "clock lint: clock reads in $interp_loop:" >&2
+  echo "$loop_hits" | sed "s|^|$interp_loop:|" >&2
+  echo "bound execution with fuel (CallOptions::fuel), not time." >&2
+  exit 1
+fi
+
+echo "clock lint: OK (no raw clock reads outside src/rt/ and src/common/," \
+  "none in the interpreter loop)"

@@ -29,7 +29,7 @@ enum class FaultKind : uint8_t {
   // Sandbox-crossing faults (PluginManager call interceptor).
   kForceTrap = 0,    ///< call fails with a trap before entering the sandbox
   kFuelStarve,       ///< one-call fuel budget of 1: real engine exhaustion
-  kDeadlineOverrun,  ///< 1 ns deadline (+ tiny fuel backstop): real overrun
+  kDeadlineOverrun,  ///< 24-fuel budget: a real exhaustion mid-execution
   kQuarantineStorm,  ///< 3 consecutive forced traps -> deterministic quarantine
   // Lifecycle faults.
   kLoadFailure,  ///< install/swap refused by the load interceptor

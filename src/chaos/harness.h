@@ -44,8 +44,8 @@ struct EpisodeOptions {
   uint32_t cells = 1;
   /// Run the episode on rt::Clock virtual time: the campaign executes as
   /// fast as the CPU allows (no wall-clock pacing or clock syscalls) and
-  /// timing-dependent faults stay deterministic — deadline overruns land
-  /// via the fuel backstop, slot overruns via injected padding.
+  /// slot overruns, the one timing fault, land via injected padding.
+  /// Deadline overruns are tiny fuel budgets, the same on either clock.
   bool virtual_time = false;
 };
 

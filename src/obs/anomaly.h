@@ -1,5 +1,5 @@
 // waran::obs anomaly journal — one canonical record of every containment
-// event in the system: plugin traps, fuel/deadline exhaustion, quarantines,
+// event in the system: plugin traps, fuel exhaustion, quarantines,
 // sanitized allocations, rejected frames, slot-deadline overruns.
 //
 // The paper's reliability story (§6A) is that faults are *contained*, not
@@ -25,7 +25,7 @@ namespace waran::obs {
 
 enum class AnomalyKind : uint8_t {
   kTrap = 0,        ///< wasm trap (OOB, unreachable, stack exhaustion, ...)
-  kFuelExhausted,   ///< fuel budget or wall-clock deadline exceeded
+  kFuelExhausted,   ///< fuel budget exceeded
   kDecline,         ///< plugin-declared rejection (no quarantine)
   kQuarantine,      ///< slot quarantined after repeated faults
   kSanitized,       ///< invalid plugin output dropped/clamped by the host

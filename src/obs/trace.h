@@ -39,7 +39,7 @@ enum class TraceCat : uint8_t {
   kTransport,  ///< Duplex frame send/receive
   kRic,        ///< near-RT RIC dispatch
   kAgent,      ///< gNB agent indication/poll
-  kAnomaly,    ///< trap/fuel/deadline journal entries
+  kAnomaly,    ///< trap/fuel journal entries
   kOther,
 };
 

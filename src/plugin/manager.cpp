@@ -137,7 +137,6 @@ Status PluginManager::call(std::string_view slot, std::string_view fn,
     return Error::state("slot '" + it->first + "' is quarantined after repeated faults");
   }
   obs::ObsSpan span(obs::TraceCat::kPlugin, slot);
-  ++s.health.calls;
   s.m_calls->add();
 
   CallIntercept intercept;
@@ -147,15 +146,12 @@ Status PluginManager::call(std::string_view slot, std::string_view fn,
   if (intercept.fail) {
     // Injected failure: the sandbox is never entered, so the crossing costs
     // nothing — but it still counts as a call so the accounting invariant
-    // (health.calls == cost.calls() == calls_total) holds.
+    // (cost.calls() == calls_total) holds.
     result = *intercept.fail;
     s.cost.add(0, 0);
     s.m_wall_ns->add(0);
   } else {
-    CallOverrides overrides;
-    overrides.fuel = intercept.fuel;
-    overrides.deadline_ns = intercept.deadline_ns;
-    result = s.plugin->call(fn, input, output, overrides);
+    result = s.plugin->call(fn, input, output, CallOverrides{intercept.fuel});
     // Canonical telemetry path: every sandbox crossing feeds the engine's
     // CallStats into both the exact per-slot accumulator (CallCostAcc, for
     // offline p50/p99) and the metrics registry (for live exposition) —
@@ -175,12 +171,9 @@ Status PluginManager::call(std::string_view slot, std::string_view fn,
       s.health.last_error = result.error().message;
       return result.error();
     }
-    ++s.health.faults;
     ++s.health.consecutive_faults;
     s.health.last_error = result.error().message;
     if (result.error().code == Error::Code::kFuelExhausted) {
-      // Covers both fuel-budget and wall-clock-deadline overruns (the
-      // engine reports deadline misses as fuel exhaustion by design).
       ++s.health.fuel_exhaustions;
       s.m_fuel_exhausted->add();
       obs::AnomalyJournal::global().record(obs::AnomalyKind::kFuelExhausted,
@@ -235,13 +228,6 @@ Status PluginManager::reset_quarantine(const std::string& slot) {
   if (it == slots_.end()) return Error::not_found("no such slot: " + slot);
   it->second.health.quarantined = false;
   it->second.health.consecutive_faults = 0;
-  return {};
-}
-
-Status PluginManager::set_fuel(const std::string& slot, uint64_t fuel) {
-  auto it = slots_.find(slot);
-  if (it == slots_.end()) return Error::not_found("no such slot: " + slot);
-  it->second.plugin->set_fuel_per_call(fuel);
   return {};
 }
 

@@ -30,16 +30,19 @@
 
 namespace waran::plugin {
 
+/// A slot's fault ledger. The calls it made are counted once, in its
+/// CallCostAcc (PluginManager::cost).
 struct SlotHealth {
-  uint64_t calls = 0;
-  uint64_t faults = 0;            // sandbox faults: traps, fuel, limits
-  uint64_t traps = 0;             //   .. of which wasm traps (OOB, unreachable, ...)
-  uint64_t fuel_exhaustions = 0;  //   .. of which fuel/deadline exhaustion
+  uint64_t traps = 0;             // wasm traps (OOB, unreachable, ...), limit breaches
+  uint64_t fuel_exhaustions = 0;  // calls cut off by their fuel budget
   uint64_t declines = 0;          // plugin-declared rejections (no quarantine)
   uint32_t consecutive_faults = 0;
   uint64_t swaps = 0;
   bool quarantined = false;
   std::string last_error;
+
+  /// Sandbox faults: every trap and fuel exhaustion.
+  uint64_t faults() const { return traps + fuel_exhaustions; }
 };
 
 class PluginManager {
@@ -91,7 +94,8 @@ class PluginManager {
   /// quarantined slot returns kState immediately. This is the only code
   /// that counts a sandbox crossing: SlotHealth, the slot's CallCostAcc and
   /// its registry instruments are all fed here, and every other per-plugin
-  /// figure (the agent's and RIC's fuel totals) is read back from them.
+  /// figure (call counts, the agent's and RIC's fuel totals) is read back
+  /// from them.
   Status call(std::string_view slot, std::string_view fn, std::span<const uint8_t> input,
               std::vector<uint8_t>& output);
 
@@ -107,9 +111,6 @@ class PluginManager {
   const CallCostAcc* cost(const std::string& slot) const;
   /// Lifts quarantine manually (operator intervention).
   Status reset_quarantine(const std::string& slot);
-
-  /// Adjusts a slot's per-call fuel budget (driven by FuelGovernor, §6B).
-  Status set_fuel(const std::string& slot, uint64_t fuel);
 
   /// Direct access for introspection (memory probes in Fig. 5c).
   Plugin* plugin(const std::string& slot);
@@ -127,10 +128,9 @@ class PluginManager {
     /// error flows through the normal fault-accounting path (kTrap /
     /// kFuelExhausted anomalies, consecutive-fault quarantine).
     std::optional<Error> fail;
-    /// Starve the call for real: one-call fuel / deadline overrides passed
-    /// to the engine, which then reports genuine exhaustion traps.
+    /// Starve the call for real: a one-call fuel budget passed to the
+    /// engine, which then reports genuine exhaustion traps.
     std::optional<uint64_t> fuel;
-    std::optional<uint64_t> deadline_ns;
   };
   using CallInterceptor =
       std::function<CallIntercept(std::string_view slot, std::string_view fn)>;

@@ -167,13 +167,9 @@ Status Plugin::call(std::string_view fn, std::span<const uint8_t> input,
   exchange_.log.clear();
 
   // Per-call policy: fuel_per_call maps directly onto CallOptions (0 means
-  // unmetered in both vocabularies), and an overridden wall-clock deadline
-  // rides along. The instance restores its fuel state after the call.
+  // unmetered in both vocabularies).
   wasm::CallOptions options;
   options.fuel = overrides.fuel.value_or(limits_.fuel_per_call);
-  if (overrides.deadline_ns.value_or(0) > 0) {
-    options.deadline = std::chrono::nanoseconds(*overrides.deadline_ns);
-  }
 
   auto result = instance_->call(fn, {}, options, &last_call_stats_);
   exchange_.input = {};

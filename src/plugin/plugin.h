@@ -39,15 +39,12 @@ struct PluginLimits {
   analysis::AdmissionMode admission = analysis::AdmissionMode::kOff;
 };
 
-/// One-call budget overrides, tightening (or loosening) the slot's standing
-/// PluginLimits for a single sandbox crossing. The chaos harness uses this
-/// to force *real* engine-level fuel/deadline exhaustion on schedule; the
-/// FuelGovernor path keeps using set_fuel_per_call for standing changes.
+/// One-call budget override, replacing the plugin's fuel_per_call for a
+/// single sandbox crossing. The chaos harness uses it to force *real*
+/// engine-level fuel exhaustion on schedule; a plugin's standing limits are
+/// fixed when it loads.
 struct CallOverrides {
   std::optional<uint64_t> fuel;  ///< fuel budget for this call only
-  /// Wall-clock budget for this call only; an overrun surfaces as fuel
-  /// exhaustion. Without it a call has no deadline.
-  std::optional<uint64_t> deadline_ns;
 };
 
 /// One loaded plugin instance.
@@ -70,7 +67,7 @@ class Plugin {
   /// Sandbox faults return kTrap or kFuelExhausted. After any failure
   /// `output` is empty; the call's cost is in last_call_stats() either way.
   /// Counting calls and faults is the PluginManager's job. `overrides`
-  /// tightens the per-call budgets for this call only.
+  /// replaces the fuel budget for this call only.
   Status call(std::string_view fn, std::span<const uint8_t> input,
               std::vector<uint8_t>& output, const CallOverrides& overrides = {});
 
@@ -79,10 +76,6 @@ class Plugin {
 
   const PluginLimits& limits() const { return limits_; }
 
-  /// Adjusts the per-call fuel budget at runtime (driven by FuelGovernor).
-  void set_fuel_per_call(uint64_t fuel) { limits_.fuel_per_call = fuel; }
-  /// Instructions retired by the most recent call (0 before any call).
-  uint64_t last_call_instructions() const { return last_call_stats_.instrs_retired; }
   /// Full cost record of the most recent call (fuel, instructions, wall
   /// time, peak interpreter stack depth).
   const wasm::CallStats& last_call_stats() const { return last_call_stats_; }

@@ -284,7 +284,7 @@ Status GnbMac::run_slot() {
 
   // Slot-deadline accounting: in a real-time deployment the slot budget is
   // config_.slot_us of wall time; an overrun is the anomaly the paper's
-  // fuel/deadline machinery exists to prevent.
+  // per-call fuel budgets exist to prevent.
   uint64_t slot_wall_ns = obs::now_ns() - slot_t0;
   if (slot_padding_) slot_wall_ns += slot_padding_();
   m_slots_->add();

@@ -56,9 +56,12 @@ Result<uint32_t> NearRtRic::add_xapp(const std::string& name,
                  if (len > (1u << 16)) {
                    return Error::trap("xapp_send: message too large");
                  }
-                 std::vector<uint8_t> msg(len);
+                 Inbox& inbox = inboxes_[dst];
+                 if (inbox.tail == inbox.buffers.size()) inbox.buffers.emplace_back();
+                 std::vector<uint8_t>& msg = inbox.buffers[inbox.tail];
+                 msg.resize(len);
                  WARAN_CHECK_OK(ctx.instance.memory()->read_bytes(ptr, msg));
-                 inboxes_[dst].push_back(std::move(msg));
+                 ++inbox.tail;
                  return std::optional<Value>{};
                }});
 
@@ -130,13 +133,20 @@ void NearRtRic::deliver_messages() {
   for (int round = 0; round < 8; ++round) {
     bool any = false;
     for (size_t i = 0; i < xapps_.size(); ++i) {
-      while (!inboxes_[i].empty()) {
-        std::vector<uint8_t> msg = std::move(inboxes_[i].front());
-        inboxes_[i].pop_front();
+      Inbox& inbox = inboxes_[i];
+      while (inbox.head < inbox.tail) {
+        // Take the message out of the inbox, leaving message_'s previous
+        // buffer (grown to fit) in its place: a handler sending to this
+        // inbox may grow `buffers` but cannot touch the message it is
+        // being handed.
+        std::vector<uint8_t>& slot = inbox.buffers[inbox.head];
+        std::swap(message_, slot);
+        slot.reserve(message_.size());
+        if (++inbox.head == inbox.tail) inbox.head = inbox.tail = 0;
         any = true;
         plugin::Plugin* p = plugins_.plugin(xapps_[i]);
         if (p == nullptr || !p->has_export("on_message")) continue;
-        Status r = plugins_.call(xapps_[i], "on_message", msg, xapp_output_);
+        Status r = plugins_.call(xapps_[i], "on_message", message_, xapp_output_);
         if (!r.ok()) {
           ++stats_.xapp_faults;
         } else {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,7 +76,7 @@ class NearRtRic {
   const obs::FleetView& fleet_view() const { return fleet_view_; }
 
   /// Trap/anomaly journal entries recorded under this RIC's observability
-  /// domain: every xApp trap, fuel/deadline exhaustion and quarantine, with
+  /// domain: every xApp trap, fuel exhaustion and quarantine, with
   /// the xApp slot name and the MAC slot that was executing.
   std::vector<obs::AnomalyRecord> anomalies() const {
     return obs::AnomalyJournal::global().snapshot(plugins_.domain());
@@ -89,24 +88,34 @@ class NearRtRic {
     Duplex::Side side;
   };
 
+  /// One xApp's undelivered messages, in send order, at [head, tail) of
+  /// buffers the inbox keeps: a delivered message's buffer serves a later
+  /// send, so steady messaging allocates nothing.
+  struct Inbox {
+    std::vector<std::vector<uint8_t>> buffers;
+    size_t head = 0;
+    size_t tail = 0;
+  };
+
   Status dispatch_indication(std::span<const uint8_t> payload, LinkRef& origin);
   void deliver_messages();
 
   std::vector<LinkRef> links_;
   plugin::PluginManager plugins_;
   std::vector<std::string> xapps_;             // slot names in dispatch order
-  std::vector<std::deque<std::vector<uint8_t>>> inboxes_;
+  std::vector<Inbox> inboxes_;                 // one per xApp, same order
   RicStats stats_;
   obs::FleetView fleet_view_;
   // Per-turn scratch, kept for its capacity so that a warm RIC turn
   // allocates nothing: the frame received and its payload, the host-side
   // decode of an indication, one xApp's output and decoded actions, the
-  // actions aggregated over all xApps, and the control message and frame
-  // sent back.
+  // inter-xApp message being delivered, the actions aggregated over all
+  // xApps, and the control message and frame sent back.
   std::vector<uint8_t> frame_;
   std::vector<uint8_t> payload_;
   IndicationReport report_;
   std::vector<uint8_t> xapp_output_;
+  std::vector<uint8_t> message_;
   std::vector<ControlAction> actions_;
   std::vector<ControlAction> aggregated_;
   std::vector<uint8_t> control_;

@@ -1,8 +1,8 @@
 // waran::rt clock — the stack's single time source.
 //
 // Every layer that used to read std::chrono::steady_clock::now() directly
-// (engine deadline polls in the interpreter, obs trace/anomaly timestamps,
-// MAC slot-budget accounting, bench timing) now goes through
+// (obs trace/anomaly timestamps, engine call timing, MAC slot-budget
+// accounting, bench timing) now goes through
 // rt::Clock::global(). In real mode this is a thin wrapper over
 // steady_clock against a process-fixed epoch — behavior is unchanged. In
 // virtual mode the clock only moves when the driver advances it, so a whole

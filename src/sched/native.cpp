@@ -192,7 +192,7 @@ void WeightedShareInterScheduler::allocate(uint32_t n_prbs,
 void TargetRateInterScheduler::allocate(uint32_t n_prbs,
                                         std::span<const ran::SliceDemand> demands,
                                         std::span<uint32_t> quotas) {
-  std::vector<double> needed(demands.size(), 0.0);
+  needed_.assign(demands.size(), 0.0);
   double total_needed = 0;
   for (size_t i = 0; i < demands.size(); ++i) {
     const ran::SliceDemand& d = demands[i];
@@ -212,8 +212,8 @@ void TargetRateInterScheduler::allocate(uint32_t n_prbs,
                                     static_cast<double>(n_prbs));
 
     double base = d.config->target_rate_bps / (d.est_bits_per_prb * slots_per_s_);
-    needed[i] = std::clamp(base + st.correction_prbs, 0.0, 16.0 * n_prbs);
-    total_needed += needed[i];
+    needed_[i] = std::clamp(base + st.correction_prbs, 0.0, 16.0 * n_prbs);
+    total_needed += needed_[i];
   }
   // Oversubscribed: scale every need down proportionally.
   double scale = total_needed > n_prbs ? n_prbs / total_needed : 1.0;
@@ -221,11 +221,11 @@ void TargetRateInterScheduler::allocate(uint32_t n_prbs,
   std::fill(quotas.begin(), quotas.end(), 0);
   uint32_t assigned = 0;
   for (size_t i = 0; i < demands.size(); ++i) {
-    if (needed[i] <= 0) continue;
+    if (needed_[i] <= 0) continue;
     // Fractional provisioning: carry the remainder across slots so the
     // long-run average equals the (scaled) need exactly.
     SliceState& st = state_[demands[i].config->slice_id];
-    st.credit += needed[i] * scale;
+    st.credit += needed_[i] * scale;
     uint32_t q = static_cast<uint32_t>(st.credit);
     q = std::min(q, n_prbs - assigned);
     st.credit -= q;
@@ -238,13 +238,19 @@ void PriorityInterScheduler::allocate(uint32_t n_prbs,
                                       std::span<const ran::SliceDemand> demands,
                                       std::span<uint32_t> quotas) {
   std::fill(quotas.begin(), quotas.end(), 0);
-  std::vector<size_t> order(demands.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return demands[a].config->weight > demands[b].config->weight;
-  });
+  // Stable insertion sort by descending weight: equal weights keep index
+  // order, and the few slices of a cell sort in place.
+  order_.resize(demands.size());
+  std::iota(order_.begin(), order_.end(), 0);
+  for (size_t i = 1; i < order_.size(); ++i) {
+    const size_t idx = order_[i];
+    const double w = demands[idx].config->weight;
+    size_t j = i;
+    for (; j > 0 && w > demands[order_[j - 1]].config->weight; --j) order_[j] = order_[j - 1];
+    order_[j] = idx;
+  }
   uint32_t remaining = n_prbs;
-  for (size_t i : order) {
+  for (size_t i : order_) {
     if (remaining == 0) break;
     const ran::SliceDemand& d = demands[i];
     if (d.active_ues == 0 || d.est_bits_per_prb <= 0) continue;

@@ -107,6 +107,7 @@ class TargetRateInterScheduler final : public ran::InterSliceScheduler {
   double slots_per_s_;
   double gain_;  // PRBs of correction per slot of 5%+ error
   std::map<uint32_t, SliceState> state_;
+  std::vector<double> needed_;  // per-slot PRB needs, kept for its capacity
 };
 
 /// Strict priority by slice weight (higher weight first); each slice takes
@@ -116,6 +117,9 @@ class PriorityInterScheduler final : public ran::InterSliceScheduler {
   void allocate(uint32_t n_prbs, std::span<const ran::SliceDemand> demands,
                 std::span<uint32_t> quotas) override;
   const char* name() const override { return "priority"; }
+
+ private:
+  std::vector<size_t> order_;  // slice indices by priority, kept for its capacity
 };
 
 /// Factory for the intra-slice baselines by name ("rr", "pf", "mt", "drr").

@@ -260,7 +260,7 @@ export fn schedule() -> i32 {
 )W";
 
 constexpr char kLoopSource[] = R"W(
-// Never terminates; the fuel meter converts this into a deadline fault.
+// Never terminates; the fuel meter cuts it off with a fuel-exhaustion fault.
 export fn schedule() -> i32 {
   var x: i32 = 0;
   while (1) { x = x + 1; }

@@ -201,20 +201,13 @@ Result<std::optional<TypedValue>> Instance::call(std::string_view export_name,
     raw[i] = args[i].value;
   }
 
-  // Per-call fuel policy, restored after the call: nullopt inherits the
-  // instance-level set_fuel state, 0 disables metering, >0 is a fresh budget.
+  // Per-call fuel policy, restored after the call: nullopt continues the
+  // enclosing call's metering, 0 disables metering, >0 is a fresh budget.
   const bool saved_enabled = fuel_enabled_;
   const uint64_t saved_fuel = fuel_;
   if (options.fuel) {
     fuel_enabled_ = *options.fuel > 0;
     if (*options.fuel > 0) fuel_ = *options.fuel;
-  }
-  const bool saved_deadline_armed = deadline_armed_;
-  const uint64_t saved_deadline = deadline_ns_;
-  if (options.deadline) {
-    deadline_armed_ = true;
-    deadline_ns_ = rt::now_ns() + static_cast<uint64_t>(options.deadline->count());
-    poll_countdown_ = kDeadlinePollStride;
   }
 
   const bool metered = fuel_enabled_;
@@ -238,11 +231,6 @@ Result<std::optional<TypedValue>> Instance::call(std::string_view export_name,
   if (options.fuel) {
     fuel_enabled_ = saved_enabled;
     fuel_ = saved_fuel;
-  }
-  if (options.deadline) {
-    deadline_armed_ = saved_deadline_armed;
-    deadline_ns_ = saved_deadline;
-    poll_countdown_ = deadline_armed_ ? kDeadlinePollStride : kIdlePollStride;
   }
 
   if (!st.ok()) return st.error();

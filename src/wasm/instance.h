@@ -13,7 +13,6 @@
 // straight-line segment rather than per instruction — see doc/interpreter.md.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -58,15 +57,13 @@ struct InstanceOptions {
 /// Per-call execution policy, threaded from the embedder (PluginManager,
 /// RIC, scheduler) down to the interpreter.
 struct CallOptions {
-  /// Fuel budget for this call only: nullopt inherits the instance-level
-  /// set_fuel() state, a positive value arms metering with
-  /// exactly that budget (and restores the prior state afterwards), and 0
-  /// runs the call unmetered.
+  /// Fuel budget for this call only, the one bound on its execution: a
+  /// positive value meters the call with exactly that budget, 0 runs it
+  /// unmetered, and nullopt continues the enclosing call's metering (a
+  /// host function re-entering wasm draws on its caller's budget) and runs
+  /// unmetered at top level. A call with its own budget leaves the
+  /// enclosing call's remaining fuel untouched.
   std::optional<uint64_t> fuel;
-  /// Wall-clock budget for this call; checked at fuel-charge points (every
-  /// control transfer), trapping with kFuelExhausted when exceeded so the
-  /// embedder's overrun accounting treats it like a fuel deadline.
-  std::optional<std::chrono::nanoseconds> deadline;
 };
 
 /// Per-call observability, filled by Instance::call for the embedder to
@@ -106,24 +103,11 @@ class Instance {
                                          const CallOptions& options,
                                          CallStats* stats = nullptr);
 
-  /// Convenience overload: default policy (inherits instance-level fuel).
+  /// Convenience overload: default policy (fuel = nullopt).
   Result<std::optional<TypedValue>> call(std::string_view export_name,
                                          std::span<const TypedValue> args) {
     return call(export_name, args, CallOptions{}, nullptr);
   }
-
-  // -- Fuel ----------------------------------------------------------------
-
-  /// Arms instance-level fuel metering: each retired instruction consumes
-  /// one unit; when the budget cannot cover the next straight-line segment
-  /// the current call traps with kFuelExhausted. CallOptions::fuel
-  /// overrides this per call; this state persists across calls.
-  void set_fuel(uint64_t fuel) {
-    fuel_ = fuel;
-    fuel_enabled_ = true;
-  }
-  uint64_t fuel() const { return fuel_; }
-  bool fuel_enabled() const { return fuel_enabled_; }
 
   /// Total instructions retired over the instance lifetime.
   uint64_t instructions_retired() const { return instructions_retired_; }
@@ -214,24 +198,14 @@ class Instance {
   uint32_t max_call_depth_ = 256;
   Dispatch dispatch_ = Dispatch::kSwitch;
 
+  /// Metering state of the running call: each retired instruction consumes
+  /// one unit of fuel_, and when it cannot cover the next straight-line
+  /// segment the call traps with kFuelExhausted. Instance::call sets both
+  /// from CallOptions::fuel and restores them when the call returns.
   bool fuel_enabled_ = false;
   uint64_t fuel_ = 0;
   uint64_t instructions_retired_ = 0;
 
-  bool deadline_armed_ = false;
-  /// rt::Clock::global() timestamp past which the call traps. Routed
-  /// through the rt clock (not steady_clock) so virtual-time campaigns are
-  /// deterministic: with a frozen virtual clock a deadline never expires
-  /// and the fuel budget is the only bound.
-  uint64_t deadline_ns_ = 0;
-  /// Charge-point countdown to the next deadline poll. While a deadline is
-  /// armed it cycles every kDeadlinePollStride charges; unarmed it idles at
-  /// kIdlePollStride so the hot path is a single predictable dec-and-test
-  /// that never touches the clock.
-  uint32_t poll_countdown_ = 1u << 30;
-
-  static constexpr uint32_t kDeadlinePollStride = 64;
-  static constexpr uint32_t kIdlePollStride = 1u << 30;
   static constexpr uint32_t kNullFuncRef = UINT32_MAX;
 };
 

@@ -5,8 +5,7 @@
 //   waran::wasm::validate_module(*module);                  // type check
 //   waran::wasm::translate_module(*module);                 // micro-op lowering
 //   auto inst = waran::wasm::Instance::instantiate(...);    // link + alloc
-//   inst->set_fuel(budget);
-//   auto r = inst->call("run", args);                        // trap-safe
+//   auto r = inst->call("run", args, {.fuel = budget});      // trap-safe
 #pragma once
 
 #include "wasm/decoder.h"     // IWYU pragma: export

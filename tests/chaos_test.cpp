@@ -210,9 +210,9 @@ TEST(ChaosEpisode, DifferentSeedsDiverge) {
 }
 
 TEST(ChaosEpisode, VirtualTimeReplaysBitForBit) {
-  // Same episode on the rt virtual clock: the timing-dependent fault paths
-  // (deadline overruns via the fuel backstop, slot overruns via injected
-  // padding) must stay fully deterministic with no wall clock involved.
+  // Same episode on the rt virtual clock: the timing fault path (slot
+  // overruns via injected padding) must stay fully deterministic with no
+  // wall clock involved.
   EpisodeOptions opts;
   opts.seed = 77;
   opts.virtual_time = true;

@@ -174,8 +174,9 @@ TEST(EngineStress, FuelHaltsDeepRecursionMidway) {
   f.end().end();
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
-  inst->set_fuel(100);  // far less than needed for n=200 recursion
-  auto r = inst->call("f", std::vector<TypedValue>{TypedValue::i32(200)});
+  std::vector<TypedValue> args{TypedValue::i32(200)};
+  // A budget far less than n=200 recursion needs.
+  auto r = inst->call("f", args, {.fuel = 100});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Error::Code::kFuelExhausted);
 }

@@ -6,8 +6,6 @@
 // operator new to count real heap traffic through the heap probe).
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "common/tracked_alloc.h"
 #include "tests/heap_probe_guard.h"
 #include "tests/wasm_test_util.h"
@@ -143,46 +141,63 @@ TEST(ExecContext, SegmentFuelMatchesInstructionCountExactly) {
   }
 }
 
-TEST(ExecContext, PerCallFuelRestoresInstanceState) {
-  auto inst = instantiate(branchy_module());
+TEST(ExecContext, ReentrantCallBudgetNestsInTheEnclosingCall) {
+  // env.reenter calls leaf(x) under `inner`: an inner call with its own
+  // budget leaves the enclosing call's remaining fuel untouched, and a
+  // nullopt inner call draws on it.
+  CallOptions inner;
+  CallStats inner_stats;
+  wasm::Linker linker;
+  linker.register_func(
+      "env", "reenter",
+      HostFunc{FuncType{{ValType::kI32}, {ValType::kI32}},
+               [&](HostContext& ctx, std::span<const Value> args)
+                   -> Result<std::optional<Value>> {
+                 TypedValue arg{ValType::kI32, args[0]};
+                 auto r = ctx.instance.call("leaf", std::span<const TypedValue>(&arg, 1),
+                                            inner, &inner_stats);
+                 if (!r.ok()) return r.error();
+                 return std::optional<Value>((*r)->value);
+               }});
+  auto inst = instantiate(reentrant_module(), linker);
   ASSERT_NE(inst, nullptr);
-  std::vector<TypedValue> args{{ValType::kI32, Value::from_i32(4)}};
+  std::vector<TypedValue> args{{ValType::kI32, Value::from_i32(5)}};
+  CallOptions outer;
+  outer.fuel = 1000;
 
-  inst->set_fuel(1'000'000);
-  CallOptions opts;
-  opts.fuel = 500;  // fresh per-call budget
-  ASSERT_TRUE(inst->call("sum", args, opts, nullptr).ok());
-  EXPECT_TRUE(inst->fuel_enabled());
-  EXPECT_EQ(inst->fuel(), 1'000'000u);  // untouched by the per-call budget
+  inner.fuel = 500;  // its own budget
+  CallStats own;
+  auto r = inst->call("outer", args, outer, &own);
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  EXPECT_EQ((*r)->value.as_i32(), 11);
+  const uint64_t leaf_fuel = inner_stats.fuel_used;
+  ASSERT_GT(leaf_fuel, 0u);
+  // The enclosing call paid only for its own segments; it retired both.
+  EXPECT_EQ(own.instrs_retired, own.fuel_used + leaf_fuel);
 
-  // fuel = 0 runs unmetered even while instance-level metering is armed.
-  CallOptions unmetered;
-  unmetered.fuel = 0;
-  ASSERT_TRUE(inst->call("sum", args, unmetered, nullptr).ok());
-  EXPECT_TRUE(inst->fuel_enabled());
-  EXPECT_EQ(inst->fuel(), 1'000'000u);
+  inner.fuel = 0;  // unmetered: the enclosing budget is untouched too
+  CallStats unmetered;
+  ASSERT_TRUE(inst->call("outer", args, outer, &unmetered).ok());
+  EXPECT_EQ(unmetered.fuel_used, own.fuel_used);
 
-  // Default options inherit the instance-level state and consume from it.
-  ASSERT_TRUE(inst->call("sum", args).ok());
-  EXPECT_LT(inst->fuel(), 1'000'000u);
-}
+  inner.fuel = std::nullopt;  // continues the enclosing call's metering
+  CallStats shared;
+  ASSERT_TRUE(inst->call("outer", args, outer, &shared).ok());
+  EXPECT_EQ(inner_stats.fuel_used, leaf_fuel);
+  EXPECT_EQ(shared.fuel_used, own.fuel_used + leaf_fuel);
 
-TEST(ExecContext, DeadlineTrapsUnboundedLoop) {
-  ModuleBuilder mb;
-  FunctionBuilder& f = mb.add_func(FuncType{{}, {}}, "spin");
-  f.loop().br(0).end().end();
-  auto inst = instantiate(mb);
-  ASSERT_NE(inst, nullptr);
+  // One unit short of both shares: the nested call exhausts the enclosing
+  // budget, while with its own budget the same enclosing budget suffices.
+  outer.fuel = own.fuel_used + leaf_fuel - 1;
+  auto starved = inst->call("outer", args, outer, nullptr);
+  ASSERT_FALSE(starved.ok());
+  EXPECT_EQ(starved.error().code, Error::Code::kFuelExhausted) << starved.error().message;
+  inner.fuel = 500;
+  EXPECT_TRUE(inst->call("outer", args, outer, nullptr).ok());
 
-  CallOptions opts;
-  opts.fuel = 0;  // unmetered: only the wall-clock deadline can stop it
-  opts.deadline = std::chrono::milliseconds(20);
-  CallStats stats;
-  auto r = inst->call("spin", {}, opts, &stats);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, Error::Code::kFuelExhausted) << r.error().message;
-  EXPECT_GE(stats.wall_ns, 20'000'000u);
-  EXPECT_GT(stats.instrs_retired, 0u);
+  // A top-level nullopt call runs unmetered: no budget outlives its call.
+  inner.fuel = std::nullopt;
+  EXPECT_EQ(call_i32(*inst, "outer", args), 11);
 }
 
 TEST(ExecContext, WarmCallMakesNoHeapAllocations) {

@@ -124,7 +124,7 @@ TEST(Integration, QuarantinedPluginSliceRunsOnFallbackIndefinitely) {
   // Sandbox faults stop at quarantine; the fallback keeps serving. After
   // quarantine every slot still counts as a (cheap) scheduler fault at the
   // MAC, but throughput is unaffected.
-  EXPECT_EQ(mgr.health("evil")->faults, 3u);
+  EXPECT_EQ(mgr.health("evil")->faults(), 3u);
   double rate = mac.ue(rnti)->rate_bps(mac.now_s());
   EXPECT_GT(rate, 10e6);  // full RR fallback on 52 PRBs at MCS 20
 }

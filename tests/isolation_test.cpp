@@ -7,7 +7,6 @@
 
 #include <memory>
 
-#include "plugin/governor.h"
 #include "plugin/manager.h"
 #include "ran/mac.h"
 #include "sched/native.h"
@@ -103,40 +102,6 @@ TEST(SliceIsolation, GrantForgeryAgainstVictimUesIsSanitized) {
   // sanitization); the attacker only sabotaged its own slice.
   EXPECT_GT(attacked.attacker_stats.sanitized_allocs, 5000u);
   EXPECT_EQ(attacked.victim_stats.sanitized_allocs, 0u);
-}
-
-TEST(SliceIsolation, FuelBurnerCannotStealComputeFromGovernedPeers) {
-  // Under the FuelGovernor, a spinning plugin saturates its own allocation
-  // but the governor's floor keeps the victim runnable.
-  plugin::PluginLimits limits;
-  limits.fuel_per_call = 500'000;
-  limits.quarantine_after_faults = 1u << 30;  // never quarantine in this test
-  plugin::PluginManager mgr(limits);
-  auto spinner = sched::plugins::faulty("loop");
-  auto benign = sched::plugins::scheduler("rr");
-  ASSERT_TRUE(spinner.ok() && benign.ok());
-  ASSERT_TRUE(mgr.install("spinner", *spinner).ok());
-  ASSERT_TRUE(mgr.install("victim", *benign).ok());
-
-  plugin::FuelGovernor gov({.budget_per_slot = 1'000'000, .floor = 50'000, .alpha = 0.3});
-  ASSERT_TRUE(gov.register_slot("spinner").ok());
-  ASSERT_TRUE(gov.register_slot("victim").ok());
-
-  std::vector<uint8_t> input(52, 0);  // minimal valid request: zero UEs
-  input[4] = 10;
-  std::vector<uint8_t> out;
-  for (int tick = 0; tick < 30; ++tick) {
-    // The spinner always burns its whole allocation; the victim always
-    // completes.
-    EXPECT_FALSE(mgr.call("spinner", "schedule", input, out).ok());
-    gov.record_usage("spinner", mgr.plugin("spinner")->last_call_instructions());
-    EXPECT_TRUE(mgr.call("victim", "schedule", input, out).ok()) << tick;
-    gov.record_usage("victim", mgr.plugin("victim")->last_call_instructions());
-    gov.apply(mgr);
-  }
-  // The spinner soaked up the spare budget, but never below the floor.
-  EXPECT_GE(gov.allocation("victim"), 50'000u);
-  EXPECT_GT(gov.allocation("spinner"), gov.allocation("victim"));
 }
 
 }  // namespace

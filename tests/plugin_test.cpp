@@ -352,7 +352,7 @@ TEST(Manager, DeclinesDoNotQuarantine) {
   }
   EXPECT_FALSE(mgr.health("validator")->quarantined);
   EXPECT_EQ(mgr.health("validator")->declines, 10u);
-  EXPECT_EQ(mgr.health("validator")->faults, 0u);
+  EXPECT_EQ(mgr.health("validator")->faults(), 0u);
 }
 
 TEST(Manager, RemoveSlot) {

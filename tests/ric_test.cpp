@@ -1,11 +1,13 @@
 // Near-RT RIC tests: E2-lite codecs, the framing communication plugin and
 // its sanitization of corrupt frames, xApp decision logic (SLA + traffic
 // steering), inter-xApp messaging, the vendor interop shim, and the full
-// closed loop gNB -> RIC -> gNB.
+// closed loop gNB -> RIC -> gNB. The binary counts its heap allocations
+// (tests/heap_probe_guard.h) to pin warm inter-xApp messaging at zero.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "common/tracked_alloc.h"
 #include "obs/metrics.h"
 #include "plugin/plugin.h"
 #include "ric/e2lite.h"
@@ -15,6 +17,7 @@
 #include "ric/quota_inter.h"
 #include "ric/transport.h"
 #include "sched/native.h"
+#include "tests/heap_probe_guard.h"
 #include "wcc/compiler.h"
 
 namespace waran::ric {
@@ -718,6 +721,19 @@ TEST_F(ClosedLoop, InterXappMessagingDelivers) {
   ASSERT_TRUE(ric_->poll().ok());
   // Both xApps sent a 1-byte note to index 0; receiver got 2 messages.
   EXPECT_EQ(ric_->stats().messages_delivered, 2u);
+
+  // Warm: each later turn delivers its 2 messages in buffers the inbox
+  // kept from the turns before.
+  uint64_t poll_allocs = 0;
+  for (uint64_t round = 1; round <= 20; ++round) {
+    ASSERT_TRUE(mac_->run_slots(5).ok());
+    ASSERT_TRUE(agent_->send_indication().ok());
+    const uint64_t before = heap_probe::allocations();
+    ASSERT_TRUE(ric_->poll().ok());
+    poll_allocs += heap_probe::allocations() - before;
+    ASSERT_EQ(ric_->stats().messages_delivered, 2 + 2 * round);
+  }
+  EXPECT_EQ(poll_allocs, 0u);
 }
 
 }  // namespace

@@ -28,17 +28,9 @@
 #include "rt/executor.h"
 #include "sched/plugins.h"
 #include "tests/heap_probe_guard.h"
-#include "tests/wasm_test_util.h"
 
 namespace waran {
 namespace {
-
-using wasmtest::instantiate;
-using wasmtest::FuncType;
-using wasmtest::FunctionBuilder;
-using wasmtest::ModuleBuilder;
-using wasmtest::Op;
-using wasmtest::ValType;
 
 // ---------------------------------------------------------------------------
 // rt::Clock
@@ -143,52 +135,6 @@ TEST(CellExecutor, WaitIdleIsAHappensBeforeBarrier) {
     ASSERT_EQ(counter, static_cast<uint64_t>(step) + 1);
   }
   exec.stop();
-}
-
-// ---------------------------------------------------------------------------
-// Virtual time vs the engine deadline
-
-TEST(VirtualTime, FrozenClockNeverFiresEngineDeadline) {
-  // A bounded busy loop that takes far longer than 1ns of real time. On the
-  // frozen virtual clock the deadline poll reads a constant `now`, so the
-  // call completes; wall_ns measures 0 because no virtual time elapsed.
-  ModuleBuilder mb;
-  FunctionBuilder& f = mb.add_func(FuncType{{}, {ValType::kI32}}, "spin");
-  uint32_t i = f.add_local(ValType::kI32);
-  f.block()
-      .loop()
-      .local_get(i)
-      .i32_const(200'000)
-      .op(Op::kI32GeS)
-      .br_if(1)
-      .local_get(i)
-      .i32_const(1)
-      .op(Op::kI32Add)
-      .local_set(i)
-      .br(0)
-      .end()
-      .end()
-      .local_get(i)
-      .end();
-  auto inst = instantiate(mb);
-  ASSERT_NE(inst, nullptr);
-
-  wasm::CallOptions opts;
-  opts.fuel = 0;  // unmetered: only the deadline could stop it
-  opts.deadline = std::chrono::nanoseconds(1);
-
-  {
-    rt::VirtualClockGuard guard(0);
-    wasm::CallStats stats;
-    auto r = inst->call("spin", {}, opts, &stats);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    EXPECT_EQ(stats.wall_ns, 0u);  // no virtual time passed during the call
-  }
-
-  // Same call on the real clock blows the 1ns budget at the first poll.
-  auto r = inst->call("spin", {}, opts, nullptr);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, Error::Code::kFuelExhausted) << r.error().message;
 }
 
 // ---------------------------------------------------------------------------
@@ -346,10 +292,10 @@ TEST(GnbDeployment, FirstStepAfterHotSwapAllocatesNothing) {
     SCOPED_TRACE(kind);
     auto bytes = sched::plugins::scheduler(kind);
     ASSERT_TRUE(bytes.ok());
-    const uint64_t calls = dep.sched_plugins(0).health("stream-co")->calls;
+    const uint64_t calls = dep.sched_plugins(0).cost("stream-co")->calls();
     ASSERT_TRUE(dep.sched_plugins(0).swap("stream-co", *bytes).ok());
     EXPECT_EQ(step_allocations(dep, 1), std::vector<uint64_t>{0});
-    EXPECT_EQ(dep.sched_plugins(0).health("stream-co")->calls, calls + 1);
+    EXPECT_EQ(dep.sched_plugins(0).cost("stream-co")->calls(), calls + 1);
   }
 }
 

@@ -1,18 +1,21 @@
 // Scheduler tests: native baseline semantics, Wasm-plugin equivalence with
 // the native implementations on identical inputs (the core correctness
 // claim of the WA-RAN port), inter-slice allocation properties, and the
-// MAC's fault-fallback path.
+// MAC's fault-fallback path. The binary counts its heap allocations
+// (tests/heap_probe_guard.h) to pin a warm inter-slice allocate at zero.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "common/rng.h"
+#include "common/tracked_alloc.h"
 #include "plugin/manager.h"
 #include "ran/mac.h"
 #include "ran/phy_tables.h"
 #include "sched/native.h"
 #include "sched/plugins.h"
 #include "sched/wasm_sched.h"
+#include "tests/heap_probe_guard.h"
 
 namespace waran::sched {
 namespace {
@@ -341,6 +344,47 @@ TEST(Priority, HigherWeightDrainsFirst) {
   auto q = quotas(pr, 52, demands);
   EXPECT_EQ(q[1], 52u);
   EXPECT_EQ(q[0], 0u);
+}
+
+TEST(Priority, EqualWeightsKeepSliceOrder) {
+  PriorityInterScheduler pr;
+  auto lo_a = slice_cfg(1, 0, 1.0);
+  auto hi = slice_cfg(2, 0, 9.0);
+  auto lo_b = slice_cfg(3, 0, 1.0);
+  std::vector<ran::SliceDemand> demands(3);
+  double bits_per_prb = ran::transport_block_bits(20, 1);
+  const uint32_t twenty_prbs = static_cast<uint32_t>(20 * bits_per_prb / 8);
+  demands[0] = {&lo_a, twenty_prbs, 0, 1, bits_per_prb};
+  demands[1] = {&hi, twenty_prbs, 0, 1, bits_per_prb};
+  demands[2] = {&lo_b, twenty_prbs, 0, 1, bits_per_prb};
+  auto q = quotas(pr, 52, demands);
+  EXPECT_EQ(q[1], 20u);
+  EXPECT_EQ(q[0], 20u);  // first of the equal weights, in slice order
+  EXPECT_EQ(q[2], 12u);
+}
+
+TEST(InterSlice, WarmNativeAllocateMakesNoHeapAllocations) {
+  // A MAC calls allocate every slot, so a warm native inter-slice
+  // scheduler keeps whatever scratch it needs.
+  auto c1 = slice_cfg(1, 3e6, 1.0);
+  auto c2 = slice_cfg(2, 12e6, 9.0);
+  auto c3 = slice_cfg(3, 6e6, 1.0);
+  double bits_per_prb = ran::transport_block_bits(28, 1);
+  std::vector<ran::SliceDemand> demands = {{&c1, 1 << 20, 3.5e6, 1, bits_per_prb},
+                                           {&c2, 100000, 11e6, 2, bits_per_prb},
+                                           {&c3, 4000, 0, 1, bits_per_prb}};
+  std::vector<uint32_t> q(demands.size());
+  WeightedShareInterScheduler ws;
+  TargetRateInterScheduler tr;
+  PriorityInterScheduler pr;
+  ran::InterSliceScheduler* schedulers[] = {&ws, &tr, &pr};
+  for (ran::InterSliceScheduler* inter : schedulers) {
+    SCOPED_TRACE(inter->name());
+    inter->allocate(52, demands, q);
+    const uint64_t before = heap_probe::allocations();
+    for (int i = 0; i < 20; ++i) inter->allocate(52, demands, q);
+    EXPECT_EQ(heap_probe::allocations() - before, 0u);
+  }
 }
 
 // --- MAC + scheduler integration, fault fallback. ---

@@ -570,11 +570,11 @@ TEST(Engine, FuelExhaustionStopsInfiniteLoop) {
   f.loop().br(0).end().end();
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
-  inst->set_fuel(10000);
-  auto r = inst->call("spin", std::vector<TypedValue>{});
+  wasm::CallStats stats;
+  auto r = inst->call("spin", {}, {.fuel = 10000}, &stats);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Error::Code::kFuelExhausted);
-  EXPECT_EQ(inst->fuel(), 0u);
+  EXPECT_EQ(stats.fuel_used, 10000u);  // the whole budget, not a unit more
 }
 
 TEST(Engine, FuelAccountingIsPerInstruction) {
@@ -583,9 +583,11 @@ TEST(Engine, FuelAccountingIsPerInstruction) {
   f.i32_const(1).i32_const(2).op(Op::kI32Add).end();  // 4 instructions incl. end
   auto inst = instantiate(mb);
   ASSERT_NE(inst, nullptr);
-  inst->set_fuel(100);
-  EXPECT_EQ(call_i32(*inst, "f"), 3);
-  EXPECT_EQ(inst->fuel(), 96u);
+  wasm::CallStats stats;
+  auto r = inst->call("f", {}, {.fuel = 100}, &stats);
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  EXPECT_EQ((*r)->value.as_i32(), 3);
+  EXPECT_EQ(stats.fuel_used, 4u);
   EXPECT_EQ(inst->instructions_retired(), 4u);
 }
 
@@ -595,13 +597,13 @@ TEST(Engine, ExactFuelSucceedsOneLessTraps) {
   f.i32_const(1).i32_const(2).op(Op::kI32Add).end();
   {
     auto inst = instantiate(mb);
-    inst->set_fuel(4);
-    EXPECT_EQ(call_i32(*inst, "f"), 3);
+    auto r = inst->call("f", {}, {.fuel = 4});
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    EXPECT_EQ((*r)->value.as_i32(), 3);
   }
   {
     auto inst = instantiate(mb);
-    inst->set_fuel(3);
-    auto r = inst->call("f", std::vector<TypedValue>{});
+    auto r = inst->call("f", {}, {.fuel = 3});
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code, Error::Code::kFuelExhausted);
   }

@@ -155,12 +155,12 @@ void print_run(const Options& opt, rt::GnbDeployment& dep, const Run& run) {
       if (h == nullptr || c == nullptr) continue;
       std::printf("%-20s %8llu %8llu %10.0f %10.0f %9.0f %6s\n",
                   (m->domain() + "/" + s).c_str(),
-                  static_cast<unsigned long long>(h->calls),
-                  static_cast<unsigned long long>(h->faults), c->wall_ns().quantile(0.50),
+                  static_cast<unsigned long long>(c->calls()),
+                  static_cast<unsigned long long>(h->faults()), c->wall_ns().quantile(0.50),
                   c->wall_ns().quantile(0.99),
-                  h->calls ? static_cast<double>(c->total_fuel()) /
-                                 static_cast<double>(h->calls)
-                           : 0.0,
+                  c->calls() ? static_cast<double>(c->total_fuel()) /
+                                   static_cast<double>(c->calls())
+                             : 0.0,
                   h->quarantined ? "QUAR" : "ok");
     }
   }
