@@ -8,16 +8,32 @@
 // fuel sweeps, and validated random mutants of every scheduler plugin. The
 // switch loop is the oracle; any divergence is a translation or dispatch
 // bug, not a test environment artifact.
+//
+// Both dispatchers run the same translated stream, so they cannot disagree
+// about a translator bug. Every compared call is therefore also checked
+// against a record kept in tests/data/interp_outcomes.txt, taken from an
+// earlier translator: one line per call, in call order, grouped by test,
+// plus the admission summary of every corpus module. A test fails when one
+// of its lines differs, is missing or is extra. Running the whole binary
+// without a filter writes what it observed to `interp_outcomes.observed` in
+// the working directory, in the record's format.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analysis.h"
 #include "common/rng.h"
+#include "ric/plugin_sources.h"
 #include "sched/plugins.h"
 #include "tests/wasm_test_util.h"
 #include "wasm/wasm.h"
@@ -81,6 +97,125 @@ Outcome run_one(wasm::Instance& inst, const char* fn,
   return o;
 }
 
+// --- Cross-version record ----------------------------------------------------
+
+std::string format_outcome(const Outcome& o) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "ok=%d code=%d value=%s0x%016" PRIx64 " fuel=%" PRIu64
+                " instrs=%" PRIu64 " mem=0x%016" PRIx64 " msg=",
+                o.ok ? 1 : 0, o.error_code, o.has_value ? "" : "none:", o.bits,
+                o.fuel_used, o.instrs, o.mem_hash);
+  return buf + o.message;
+}
+
+std::string describe_call(const char* fn, const std::vector<TypedValue>& args,
+                          const CallOptions& opts) {
+  std::string s = fn;
+  s += "(";
+  for (size_t i = 0; i < args.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%s0x%" PRIx64, i == 0 ? "" : ",",
+                  args[i].value.bits);
+    s += buf;
+  }
+  s += ")";
+  if (opts.fuel) s += " fuel=" + std::to_string(*opts.fuel);
+  return s;
+}
+
+/// The record file: `<test>\t<what>\t<observed>` lines, in the order each
+/// test makes its calls.
+class OutcomeRecord {
+ public:
+  static OutcomeRecord& get() {
+    static OutcomeRecord record;
+    return record;
+  }
+
+  void add(const std::string& what, const std::string& observed) {
+    observed_[current_test()].push_back(what + "\t" + observed);
+  }
+
+  /// Compares the running test's lines with the record.
+  void check_current_test() {
+    const std::string test = current_test();
+    const std::vector<std::string>& seen = observed_[test];
+    const std::vector<std::string>& want = recorded_[test];
+    const size_t common = std::min(seen.size(), want.size());
+    for (size_t i = 0; i < common; ++i) {
+      EXPECT_EQ(seen[i], want[i]) << test << " line " << i;
+    }
+    for (size_t i = common; i < want.size(); ++i) {
+      ADD_FAILURE() << test << ": missing line " << i << ": " << want[i];
+    }
+    for (size_t i = common; i < seen.size(); ++i) {
+      ADD_FAILURE() << test << ": extra line " << i << ": " << seen[i];
+    }
+  }
+
+  /// Fails on a recorded test the binary no longer has.
+  void check_tests_exist() const {
+    const ::testing::TestSuite* suite = nullptr;
+    const ::testing::UnitTest& ut = *::testing::UnitTest::GetInstance();
+    for (int i = 0; i < ut.total_test_suite_count(); ++i) {
+      if (std::string(ut.GetTestSuite(i)->name()) == "InterpDifferential") {
+        suite = ut.GetTestSuite(i);
+      }
+    }
+    ASSERT_NE(suite, nullptr);
+    for (const auto& [test, lines] : recorded_) {
+      bool found = false;
+      for (int j = 0; j < suite->total_test_count(); ++j) {
+        found = found || test == suite->GetTestInfo(j)->name();
+      }
+      EXPECT_TRUE(found) << "record names a test this binary lacks: " << test;
+    }
+  }
+
+  /// Writes every observed line when the whole binary ran.
+  void write_observed() const {
+    const ::testing::UnitTest& ut = *::testing::UnitTest::GetInstance();
+    if (ut.test_to_run_count() != ut.total_test_count()) return;
+    std::ofstream out("interp_outcomes.observed");
+    for (const auto& [test, lines] : observed_) {
+      for (const std::string& line : lines) out << test << "\t" << line << "\n";
+    }
+  }
+
+ private:
+  OutcomeRecord() {
+    std::ifstream in(WARAN_TESTS_DIR "/data/interp_outcomes.txt");
+    std::string line;
+    while (std::getline(in, line)) {
+      const size_t tab = line.find('\t');
+      if (tab == std::string::npos) continue;
+      recorded_[line.substr(0, tab)].push_back(line.substr(tab + 1));
+    }
+  }
+
+  static std::string current_test() {
+    return ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  }
+
+  std::map<std::string, std::vector<std::string>> recorded_;
+  std::map<std::string, std::vector<std::string>> observed_;
+};
+
+class RecordWriter : public ::testing::Environment {
+ public:
+  void TearDown() override { OutcomeRecord::get().write_observed(); }
+};
+
+const auto* const kRecordWriter =
+    ::testing::AddGlobalTestEnvironment(new RecordWriter);
+
+/// Every test of the suite checks its lines against the record when it ends.
+class InterpDifferential : public ::testing::Test {
+ protected:
+  void TearDown() override { OutcomeRecord::get().check_current_test(); }
+};
+
 /// One module instantiated twice — switch oracle vs threaded hot path.
 struct DiffPair {
   std::unique_ptr<wasm::Instance> oracle;    // Dispatch::kSwitch
@@ -88,7 +223,7 @@ struct DiffPair {
 
   /// Runs the call on both instances and asserts identical outcomes.
   void expect_same(const char* fn, const std::vector<TypedValue>& args,
-                   const CallOptions& opts = {}) {
+                   const CallOptions& opts = {}, const std::string& label = "") {
     const Outcome a = run_one(*oracle, fn, args, opts);
     const Outcome b = run_one(*threaded, fn, args, opts);
     EXPECT_EQ(a.ok, b.ok) << fn << ": " << a.message << " vs " << b.message;
@@ -99,6 +234,8 @@ struct DiffPair {
     EXPECT_EQ(a.fuel_used, b.fuel_used) << fn;
     EXPECT_EQ(a.instrs, b.instrs) << fn;
     EXPECT_EQ(a.mem_hash, b.mem_hash) << fn;
+    OutcomeRecord::get().add(label + describe_call(fn, args, opts), format_outcome(a));
+    EXPECT_EQ(format_outcome(b), format_outcome(a)) << fn;
   }
 };
 
@@ -139,7 +276,7 @@ DiffPair make_pair(const ModuleBuilder& mb, const wasm::Linker& linker = {}) {
   return std::move(*pair);
 }
 
-TEST(InterpDifferential, ThreadedDispatchIsAvailableWhereExpected) {
+TEST_F(InterpDifferential, ThreadedDispatchIsAvailableWhereExpected) {
 #if WARAN_HAS_THREADED_DISPATCH
   auto pair = make_pair_wcc("export fn f() -> i32 { return 7; }");
   EXPECT_EQ(pair.oracle->dispatch(), Dispatch::kSwitch);
@@ -149,7 +286,7 @@ TEST(InterpDifferential, ThreadedDispatchIsAvailableWhereExpected) {
 #endif
 }
 
-TEST(InterpDifferential, WccCorpusMatches) {
+TEST_F(InterpDifferential, WccCorpusMatches) {
   // Programs chosen to cover the fused superinstructions (local/local and
   // local/const binops and compares, compare-and-branch), loads/stores,
   // calls, f64 math, and div/rem edge paths.
@@ -188,6 +325,43 @@ TEST(InterpDifferential, WccCorpusMatches) {
            while (i < n) { acc = leaf(acc); i = i + 1; }
            return acc;
          })",
+      // The comm plugin's SWAR byte sum over n pattern bytes.
+      R"(fn checksum(ptr: i32, len: i32) -> i32 {
+           var m: i64 = i64(71777214294589695);
+           var halves: i64 = i64(281470681808895);
+           var sum: i32 = 0;
+           var p: i32 = ptr;
+           var words_end: i32 = ptr + (len & -8);
+           while (p < words_end) {
+             var block_end: i32 = p + 1024;
+             if (block_end > words_end) { block_end = words_end; }
+             var lanes: i64 = i64(0);
+             while (p < block_end) {
+               var x: i64 = load64(p);
+               lanes = lanes + (x & m) + ((x >>> i64(8)) & m);
+               p = p + 8;
+             }
+             var pairs: i64 = (lanes & halves) + ((lanes >>> i64(16)) & halves);
+             sum = sum + i32(pairs) + i32(pairs >>> i64(32));
+           }
+           var end: i32 = ptr + len;
+           while (p < end) { sum = sum + load8u(p); p = p + 1; }
+           return sum;
+         }
+         export fn work(n: i32) -> i32 {
+           var i: i32 = 0;
+           while (i < n) { store8(8 + i, i * 37 + 11); i = i + 1; }
+           return checksum(8, n);
+         })",
+      // Nested calls with several arguments, locals live across the calls.
+      R"(fn mix(a: i32, b: i32, c: i32) -> i32 { return a * 31 + (b ^ c); }
+         fn twice(a: i32, b: i32) -> i32 { return mix(a, b, a - b) + mix(b, a, 3); }
+         export fn work(n: i32) -> i32 {
+           var acc: i32 = 7;
+           var i: i32 = 0;
+           while (i < n) { acc = twice(acc, i) - mix(i, acc, n); i = i + 1; }
+           return acc;
+         })",
   };
   for (const char* src : corpus) {
     DiffPair pair = make_pair_wcc(src);
@@ -197,7 +371,7 @@ TEST(InterpDifferential, WccCorpusMatches) {
   }
 }
 
-TEST(InterpDifferential, BrTableMatches) {
+TEST_F(InterpDifferential, BrTableMatches) {
   // br_table across three depths plus default, with per-arm side effects on
   // a local so divergent target resolution changes the result.
   ModuleBuilder mb;
@@ -224,7 +398,7 @@ TEST(InterpDifferential, BrTableMatches) {
   }
 }
 
-TEST(InterpDifferential, DeepBrTableMatches) {
+TEST_F(InterpDifferential, DeepBrTableMatches) {
   // 300 lanes: the lane count and the deeper targets need multi-byte LEBs,
   // and resolution unwinds through hundreds of enclosing blocks — the
   // widest dispatch shape the translator has to get right.
@@ -255,7 +429,7 @@ TEST(InterpDifferential, DeepBrTableMatches) {
   }
 }
 
-TEST(InterpDifferential, MemoryGrowAtLimitsMatches) {
+TEST_F(InterpDifferential, MemoryGrowAtLimitsMatches) {
   // memory 1..4 pages. Both dispatchers must agree on every grow result
   // (previous size on success, -1 on denial), on memory.size, and on
   // whether a probe at the moving boundary traps — before, across, and at
@@ -287,7 +461,7 @@ TEST(InterpDifferential, MemoryGrowAtLimitsMatches) {
   pair.expect_same("probe", {TypedValue::i32(4 * kPage)});      // oob at max
 }
 
-TEST(InterpDifferential, ReentrantHostCallsMatch) {
+TEST_F(InterpDifferential, ReentrantHostCallsMatch) {
   // outer -> host import -> back into the instance's exported leaf, all on
   // the shared ExecContext. Both dispatchers must agree across the host
   // boundary — results, metering, and where the budget dies when it runs
@@ -309,7 +483,7 @@ TEST(InterpDifferential, ReentrantHostCallsMatch) {
   }
 }
 
-TEST(InterpDifferential, LoopWithValueCarryingBranchMatches) {
+TEST_F(InterpDifferential, LoopWithValueCarryingBranchMatches) {
   // A block-typed branch that keeps one value across the unwind, exercising
   // the (keep, height) baked into the translated branch.
   ModuleBuilder mb;
@@ -334,7 +508,7 @@ TEST(InterpDifferential, LoopWithValueCarryingBranchMatches) {
   }
 }
 
-TEST(InterpDifferential, TrapsMatch) {
+TEST_F(InterpDifferential, TrapsMatch) {
   DiffPair div = make_pair_wcc(
       "export fn work(a: i32, b: i32) -> i32 { return a / b; }");
   div.expect_same("work", {TypedValue::i32(7), TypedValue::i32(0)});
@@ -362,7 +536,7 @@ TEST(InterpDifferential, TrapsMatch) {
   boom.expect_same("work", {});
 }
 
-TEST(InterpDifferential, IndirectCallTrapsMatch) {
+TEST_F(InterpDifferential, IndirectCallTrapsMatch) {
   ModuleBuilder mb;
   FuncType unop{{ValType::kI32}, {ValType::kI32}};
   FuncType nullary{{}, {ValType::kI32}};
@@ -384,7 +558,7 @@ TEST(InterpDifferential, IndirectCallTrapsMatch) {
   pair.expect_same("work", {TypedValue::i32(9)});   // out of bounds
 }
 
-TEST(InterpDifferential, FuelBoundariesMatch) {
+TEST_F(InterpDifferential, FuelBoundariesMatch) {
   DiffPair pair = make_pair_wcc(R"(
     export fn work(n: i32) -> i32 {
       var acc: i32 = 0;
@@ -445,7 +619,7 @@ wasm::Linker stub_linker(const wasm::Module& m) {
   return linker;
 }
 
-TEST(InterpDifferential, VerifierAcceptsTierStreams) {
+TEST_F(InterpDifferential, VerifierAcceptsTierStreams) {
   // Every tier-1 lowering passes the stream verifier: the module's shared
   // translation (translate_module) and the private lowering an instance
   // makes when the embedder skipped it. Both are verified for every
@@ -470,11 +644,11 @@ TEST(InterpDifferential, VerifierAcceptsTierStreams) {
     }
     CallOptions opts;
     opts.fuel = 200'000;
-    pair->expect_same("schedule", {}, opts);
+    pair->expect_same("schedule", {}, opts, std::string(kind) + " ");
   }
 }
 
-TEST(InterpDifferential, CorruptedStreamsAreRejected) {
+TEST_F(InterpDifferential, CorruptedStreamsAreRejected) {
   // Deterministic corruptions of uop immediates, each guaranteed to break a
   // stream invariant (arbitrary bit flips can land on another legal stream,
   // e.g. in kConst payload bits — those are the mutants above). Applied to
@@ -581,7 +755,10 @@ TEST(InterpDifferential, CorruptedStreamsAreRejected) {
   EXPECT_GE(corruptions, 42);
 }
 
-TEST(InterpDifferential, ValidatedMutantsMatch) {
+/// Validated mutants the translator refuses on a representation limit.
+constexpr std::array<std::string_view, 0> kRepresentationLimitMutants = {};
+
+TEST_F(InterpDifferential, ValidatedMutantsMatch) {
   // Random mutants (1-3 byte edits) of every real scheduler plugin that
   // still pass validation: run each through both dispatchers under a
   // stubbed host ABI and a tight fuel budget, and require identical
@@ -607,8 +784,16 @@ TEST(InterpDifferential, ValidatedMutantsMatch) {
       if (!wasm::validate_module(*decoded).ok()) continue;
 
       // Every validated mutant's lowering must pass the stream verifier.
-      // Translation may legally reject a mutant on representation limits.
-      if (!wasm::translate_module(*decoded).ok()) continue;
+      // Translation may legally reject a mutant on representation limits;
+      // the record then still holds that mutant's line, so each one is
+      // named here.
+      const std::string name = std::string(kind) + " round " + std::to_string(round);
+      if (!wasm::translate_module(*decoded).ok()) {
+        bool listed = false;
+        for (std::string_view l : kRepresentationLimitMutants) listed = listed || name == l;
+        EXPECT_TRUE(listed) << name << " failed to translate";
+        continue;
+      }
       Status v = analysis::verify_module(*decoded, *decoded->translated);
       ASSERT_TRUE(v.ok()) << kind << " mutant round " << round << ": "
                           << v.error().message;
@@ -618,9 +803,66 @@ TEST(InterpDifferential, ValidatedMutantsMatch) {
       ++executed;
       CallOptions opts;
       opts.fuel = 200'000;
-      pair->expect_same("schedule", {}, opts);
+      pair->expect_same("schedule", {}, opts, name + " ");
     }
     EXPECT_GT(executed, 0) << kind;
+  }
+}
+
+/// The plugin corpus: every scheduler, fault and RIC-side plugin.
+std::vector<std::pair<std::string, Result<std::vector<uint8_t>>>> plugin_corpus() {
+  std::vector<std::pair<std::string, Result<std::vector<uint8_t>>>> out;
+  for (const char* kind : {"rr", "drr", "pf", "mt"}) {
+    out.emplace_back(kind, sched::plugins::scheduler(kind));
+  }
+  for (const char* kind :
+       {"oob", "null", "loop", "doublefree", "leak", "badalloc", "shortoutput"}) {
+    out.emplace_back(kind, sched::plugins::faulty(kind));
+  }
+  namespace ps = ric::plugin_sources;
+  out.emplace_back("comm_framing", ps::comm_framing());
+  out.emplace_back("control_dispatch", ps::control_dispatch());
+  out.emplace_back("control_dispatch_v2", ps::control_dispatch_v2());
+  out.emplace_back("vendor_widen", ps::vendor_widen());
+  out.emplace_back("sla_xapp", ps::sla_xapp());
+  out.emplace_back("steer_xapp", ps::steer_xapp());
+  out.emplace_back("counter_xapp", ps::counter_xapp());
+  return out;
+}
+
+/// An admission summary line without its first per-export field, which
+/// describes how the stream lays out its values rather than what any call
+/// costs: the recorded lines keep the verdict, frame and fuel bounds and the
+/// loop class.
+std::string without_layout_field(const std::string& line) {
+  const size_t open = line.find("): ");
+  if (line.rfind("  export ", 0) != 0 || open == std::string::npos) return line;
+  const size_t comma = line.find(", ", open + 3);
+  if (comma == std::string::npos) return line;
+  return line.substr(0, open + 3) + line.substr(comma + 2);
+}
+
+TEST_F(InterpDifferential, CorpusAdmissionMatchesRecord) {
+  OutcomeRecord::get().check_tests_exist();
+  const auto corpus = plugin_corpus();
+  ASSERT_EQ(corpus.size(), 18u);
+  for (const auto& [name, bytes] : corpus) {
+    ASSERT_TRUE(bytes.ok()) << name;
+    auto m = wasm::decode_module(*bytes);
+    ASSERT_TRUE(m.ok()) << name;
+    ASSERT_TRUE(wasm::validate_module(*m).ok()) << name;
+    auto tm = wasm::translate(*m);
+    ASSERT_TRUE(tm.ok()) << name;
+    const std::string summary =
+        analysis::admit(*m, **tm, analysis::AdmissionLimits{2'000'000, 256}).summary();
+    size_t line_no = 0;
+    for (size_t pos = 0; pos < summary.size(); ++line_no) {
+      const size_t nl = summary.find('\n', pos);
+      const std::string line = summary.substr(pos, nl - pos);
+      OutcomeRecord::get().add(name + " summary " + std::to_string(line_no),
+                               without_layout_field(line));
+      pos = nl == std::string::npos ? summary.size() : nl + 1;
+    }
   }
 }
 
