@@ -11,6 +11,7 @@
 #include "bench/json_capture.h"
 #include "common/tracked_alloc.h"
 #include "plugin/plugin.h"
+#include "ric/plugin_sources.h"
 #include "tests/heap_probe_guard.h"
 #include "wasm/wasm.h"
 #include "wasmbuilder/builder.h"
@@ -216,6 +217,28 @@ void BM_DispatchThroughput(benchmark::State& state) {
   state.counters["warm_heap_allocs"] = static_cast<double>(warm_allocs);
 }
 
+void BM_CommFrame(benchmark::State& state) {
+  // The comm plugin's `frame` of one 1,456-byte indication payload through
+  // Plugin::call: the sandbox work the E2 loop pays twice per indication
+  // (frame at the agent, unframe at the RIC), nearly all of it the SWAR
+  // checksum's word loop.
+  auto bytes = ric::plugin_sources::comm_framing();
+  if (!bytes.ok()) std::abort();
+  auto plugin = plugin::Plugin::load(*bytes);
+  if (!plugin.ok()) std::abort();
+  std::vector<uint8_t> payload(1456);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  std::vector<uint8_t> framed;
+  for (auto _ : state) {
+    if (!(*plugin)->call("frame", payload, framed).ok()) std::abort();
+    benchmark::DoNotOptimize(framed.data());
+  }
+  state.counters["fuel_per_call"] =
+      static_cast<double>((*plugin)->last_call_stats().fuel_used);
+}
+
 void BM_DecodeValidate(benchmark::State& state) {
   // Toolchain-side cost: how long from plugin bytes to a validated module
   // (the static-analysis step MNOs run before deployment, §3A).
@@ -246,6 +269,7 @@ BENCHMARK(BM_DispatchThroughput)
     ->Args({100000, 0})
     ->Args({100000, 1})
     ->ArgNames({"n", "metered"});
+BENCHMARK(BM_CommFrame);
 BENCHMARK(BM_DecodeValidate);
 
 }  // namespace

@@ -5,18 +5,17 @@
 //  1. Stream verifier (verify_func / verify_module): checks any
 //     TranslatedFunc against the structural invariants the interpreter relies
 //     on but never re-checks at run time: branch targets land on micro-op
-//     boundaries with matching operand heights, fuel-segment charges tile
-//     the stream (every straight-line run entered through exactly one
-//     charge, never zero, never two), operand-stack effects of every
-//     micro-op stay within TranslatedFunc::max_stack, call/resume points
-//     are followed by a charge, and every local/global/function/type index
-//     is in range. A stream that passes cannot make the interpreter read
-//     outside its reserved operand region, jump into the middle of a fused
-//     superinstruction, or execute a run of micro-ops uncharged.
+//     boundaries, fuel-segment charges tile the stream (every straight-line
+//     run entered through exactly one charge, never zero, never two), every
+//     frame slot a micro-op names lies inside TranslatedFunc::frame_cells,
+//     call/resume points are followed by a charge, and every global/
+//     function/type index is in range. A stream that passes cannot make the
+//     interpreter read or write outside its frame window, jump outside the
+//     stream, or execute a run of micro-ops uncharged.
 //
 //  2. Abstract interpreter (analyze): computes per-function worst-case
-//     bounds over the verified stream — maximum operand-stack depth,
-//     minimum/maximum frame depth through the static call graph,
+//     bounds over the verified stream — the frame slots its deepest call
+//     chain holds, minimum/maximum frame depth through the static call graph,
 //     min-fuel-to-complete and worst-case fuel, and a "may loop"
 //     classification. Bounds are sound: min_* are true lower bounds on any
 //     completing execution, max_*/worst_* are true upper bounds when
@@ -64,10 +63,6 @@ Status verify_module(const wasm::Module& m, const wasm::TranslatedModule& tm);
 inline constexpr uint64_t kUnbounded = UINT64_MAX;
 
 struct FuncBounds {
-  /// Max operand-stack height reached on any path (== the region the
-  /// interpreter must reserve; always <= TranslatedFunc::max_stack on a
-  /// verified stream).
-  uint32_t max_operand_depth = 0;
   /// Min fuel any completing execution charges (shortest path to return
   /// through the call graph; host-call and indirect-call bodies count 0).
   /// kUnbounded: no path completes (every path loops or traps).
@@ -83,12 +78,11 @@ struct FuncBounds {
   /// Frame-depth upper bound across all paths; kUnbounded on recursion or
   /// indirect calls.
   uint64_t max_frames = kUnbounded;
-  /// Operand-arena and locals-arena cells the deepest call chain from this
-  /// function can hold: the sums of TranslatedFunc::max_stack and of
-  /// num_locals over its frames, which the interpreter reserves so that no
-  /// call allocates. kUnbounded exactly when max_frames is.
-  uint64_t max_operand_cells = kUnbounded;
-  uint64_t max_local_cells = kUnbounded;
+  /// Arena slots the deepest call chain from this function can hold: the
+  /// sum of TranslatedFunc::frame_cells over its frames, which the
+  /// interpreter reserves so that no call allocates. kUnbounded exactly
+  /// when max_frames is.
+  uint64_t max_frame_cells = kUnbounded;
   /// A cycle is reachable in the function's own control-flow graph or in
   /// any statically-known callee: fuel is what bounds execution, not the
   /// stream length.

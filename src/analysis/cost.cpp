@@ -223,10 +223,7 @@ Result<ModuleAnalysis> analyze(const wasm::Module& m, const wasm::TranslatedModu
   ModuleAnalysis out;
   out.funcs.resize(nf);
   std::vector<bool> local_cycle(nf);
-  for (size_t i = 0; i < nf; ++i) {
-    out.funcs[i].max_operand_depth = graphs[i].max_height;
-    local_cycle[i] = has_local_cycle(graphs[i]);
-  }
+  for (size_t i = 0; i < nf; ++i) local_cycle[i] = has_local_cycle(graphs[i]);
 
   // Min bounds: iterate to a fixpoint — estimates start at kUnbounded and
   // only decrease, so one pass per call-graph level converges.
@@ -252,16 +249,14 @@ Result<ModuleAnalysis> analyze(const wasm::Module& m, const wasm::TranslatedModu
   // on-stack callee means a call cycle, which is kUnbounded by definition.
   enum class VState : uint8_t { kNew, kOnStack, kDone };
   std::vector<VState> state(nf, VState::kNew);
-  std::vector<uint64_t> worst_fuel(nf), max_frames(nf);
-  std::vector<uint64_t> operand_cells(nf), local_cells(nf);
+  std::vector<uint64_t> worst_fuel(nf), max_frames(nf), frame_cells(nf);
   std::vector<bool> may_loop(nf);
   std::function<void(size_t)> solve = [&](size_t i) {
     if (state[i] == VState::kDone) return;
     state[i] = VState::kOnStack;
     bool loop = local_cycle[i];
     uint64_t frames = 1;
-    uint64_t callee_operands = 0;
-    uint64_t callee_locals = 0;
+    uint64_t callee_cells = 0;
     bool callee_worst_unbounded = false;
     std::vector<uint64_t> callee_worst(nf, kUnbounded);
     for (const Node& nd : graphs[i].nodes) {
@@ -281,18 +276,15 @@ Result<ModuleAnalysis> analyze(const wasm::Module& m, const wasm::TranslatedModu
       solve(c);
       loop = loop || may_loop[c];
       frames = std::max(frames, sat_add(1, max_frames[c]));
-      callee_operands = std::max(callee_operands, operand_cells[c]);
-      callee_locals = std::max(callee_locals, local_cells[c]);
+      callee_cells = std::max(callee_cells, frame_cells[c]);
       if (worst_fuel[c] == kUnbounded) callee_worst_unbounded = true;
       callee_worst[c] = worst_fuel[c];
     }
     may_loop[i] = loop;
     max_frames[i] = frames;
-    const bool chain_finite = frames != kUnbounded;
-    operand_cells[i] =
-        chain_finite ? sat_add(tm.funcs[i].max_stack, callee_operands) : kUnbounded;
-    local_cells[i] =
-        chain_finite ? sat_add(tm.funcs[i].num_locals, callee_locals) : kUnbounded;
+    frame_cells[i] = frames != kUnbounded
+                         ? sat_add(tm.funcs[i].frame_cells, callee_cells)
+                         : kUnbounded;
     worst_fuel[i] = (loop || callee_worst_unbounded)
                         ? kUnbounded
                         : worst_fuel_dag(graphs[i], m, callee_worst);
@@ -305,8 +297,7 @@ Result<ModuleAnalysis> analyze(const wasm::Module& m, const wasm::TranslatedModu
     out.funcs[i].min_frames = min_frames[i];
     out.funcs[i].worst_fuel = worst_fuel[i];
     out.funcs[i].max_frames = max_frames[i];
-    out.funcs[i].max_operand_cells = operand_cells[i];
-    out.funcs[i].max_local_cells = local_cells[i];
+    out.funcs[i].max_frame_cells = frame_cells[i];
     out.funcs[i].may_loop = may_loop[i];
   }
   return out;
@@ -343,7 +334,7 @@ std::string AdmissionReport::summary() const {
   for (const ExportReport& e : exports) {
     const FuncBounds& b = e.bounds;
     s += "  export " + e.name + " (func " + std::to_string(e.func_index) + "): ";
-    s += "stack " + std::to_string(b.max_operand_depth);
+    s += "cells " + bound_str(b.max_frame_cells);
     s += ", frames [" + bound_str(b.min_frames) + ", " + bound_str(b.max_frames) + "]";
     s += ", fuel [" + bound_str(b.min_fuel) + ", " + bound_str(b.worst_fuel) + "]";
     s += b.may_loop ? ", may loop" : ", loop-free";

@@ -22,11 +22,6 @@ struct TakenEdge {
   /// collapse onto one uop index.
   uint64_t charge = 0;
   bool ret = false;     ///< edge pops the frame (kRetTarget)
-  /// kBr/kBrIf/kBrTable carry an explicit unwind: the operand stack is cut
-  /// to `unwind_height` + `keep` kept values before the jump.
-  bool has_unwind = false;
-  uint32_t unwind_height = 0;
-  uint16_t keep = 0;
 };
 
 struct Node {
@@ -50,8 +45,7 @@ struct Node {
 };
 
 struct StreamGraph {
-  std::vector<Node> nodes;       ///< parallel to TranslatedFunc::ops
-  uint32_t max_height = 0;       ///< max operand height over reachable ops
+  std::vector<Node> nodes;  ///< parallel to TranslatedFunc::ops
 };
 
 /// Verifies `tf` against every stream invariant and, on success, fills

@@ -12,15 +12,12 @@
 //                       run was already charged by the edge)
 //   target-range        every branch target is a micro-op index inside the
 //                       stream (or kRetTarget where the handler allows it)
-//   height-merge        operand height is consistent at every join
-//   stack-underflow     every op finds its operands on the stack
-//   stack-overflow      no height exceeds TranslatedFunc::max_stack (the
-//                       region the interpreter reserves)
-//   unwind              kBr/kBrIf/kBrTable unwind heights fit under the
-//                       current height and match the target's height
-//   return-arity        every frame-popping edge has >= result_arity values
-//   index-range         locals/globals/functions/types/imports in range,
+//   slot-range          every frame slot an op reads or writes, a branch
+//                       carries or a call passes lies inside the frame
+//                       (TranslatedFunc::frame_cells)
+//   index-range         globals/functions/types/imports in range,
 //                       memory/table ops only with a memory/table present
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -40,8 +37,6 @@ using wasm::uop_name;
 
 namespace {
 
-constexpr uint32_t kNoHeight = UINT32_MAX;
-
 constexpr uint16_t ord(UOp op) { return static_cast<uint16_t>(op); }
 constexpr bool between(UOp op, UOp lo, UOp hi) {
   return ord(op) >= ord(lo) && ord(op) <= ord(hi);
@@ -56,30 +51,22 @@ Error inv(const char* invariant, uint32_t i, UOp op, const std::string& msg) {
                            " (" + uop_name(op) + "): " + msg);
 }
 
-/// Operand-stack effect plus control shape of one micro-op. `pops` happen
-/// before `pushes` and before any branch decision, matching the handlers.
-struct Shape {
-  uint32_t pops = 0;
-  uint32_t pushes = 0;
-  Node node;  ///< edges + call/return classification (heights added later)
-};
-
-Status check_local(const TranslatedFunc& tf, uint32_t i, UOp op, uint32_t idx) {
-  if (idx >= tf.num_locals) {
-    return inv("index-range", i, op,
-               "local " + std::to_string(idx) + " out of range (num_locals " +
-                   std::to_string(tf.num_locals) + ")");
-  }
-  return {};
-}
-
-/// Builds the shape of ops[i], validating every op-local field (indices,
-/// targets, charges). Height-dependent checks happen in the dataflow pass.
-Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s) {
+/// Builds the node of ops[i] (its edges and call/return classification),
+/// validating every field: targets, charges, slots and indices.
+Status node_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Node* nd) {
   const UInstr& u = tf.ops[i];
   const UOp op = u.op;
   const uint32_t n = static_cast<uint32_t>(tf.ops.size());
 
+  // Slots [first, first + count) must lie inside the frame.
+  auto slots = [&](uint64_t first, uint64_t count = 1) -> Status {
+    if (first + count > tf.frame_cells) {
+      return inv("slot-range", i, op,
+                 "slot " + std::to_string(first + count - 1) + " outside a frame of " +
+                     std::to_string(tf.frame_cells));
+    }
+    return {};
+  };
   auto target_in_range = [&](uint32_t target) -> Status {
     if (target >= n) {
       return inv("target-range", i, op,
@@ -97,15 +84,25 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
     return {};
   };
   // A taken edge jumping to `target` charging `seg`.
-  auto taken = [&](uint32_t target, uint64_t seg, bool has_unwind = false,
-                   uint32_t unwind_height = 0, uint16_t keep = 0) -> Status {
+  auto taken = [&](uint32_t target, uint64_t seg) -> Status {
     if (target == kRetTarget) {
-      s->node.taken.push_back({0, 0, /*ret=*/true, false, 0, 0});
+      nd->taken.push_back({0, 0, /*ret=*/true});
       return {};
     }
     WARAN_CHECK_OK(target_in_range(target));
     WARAN_CHECK_OK(charged(seg));
-    s->node.taken.push_back({target, seg, false, has_unwind, unwind_height, keep});
+    nd->taken.push_back({target, seg, false});
+    return {};
+  };
+  auto carried = [&](uint32_t c) -> Status {
+    WARAN_CHECK_OK(slots(wasm::carry_src(c)));
+    return slots(wasm::carry_dst(c));
+  };
+  // Call arguments [a, a + nparams), plus the table index when indirect.
+  auto args = [&](uint32_t nparams, bool has_result, bool indirect) -> Status {
+    WARAN_CHECK_OK(slots(u.a, uint64_t{nparams} + (indirect ? 1 : 0)));
+    if (has_result) WARAN_CHECK_OK(slots(u.a));
+    nd->falls_through = true;
     return {};
   };
 
@@ -113,8 +110,8 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
     // --- control ---
     case UOp::kSeg:
       WARAN_CHECK_OK(charged(u.b));
-      s->node.falls_through = true;
-      s->node.fall_charge = u.b;
+      nd->falls_through = true;
+      nd->fall_charge = u.b;
       return {};
     case UOp::kBr:
       // The kBr handler takes the branch unconditionally with no kRetTarget
@@ -122,20 +119,23 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
       if (u.b == kRetTarget) {
         return inv("target-range", i, op, "kBr cannot carry kRetTarget");
       }
-      return taken(u.b, u.imm.pair.y, /*has_unwind=*/true, u.imm.pair.x, u.a);
+      WARAN_CHECK_OK(carried(u.imm.pair.x));
+      return taken(u.b, u.imm.pair.y);
     case UOp::kBrIf:
-      s->pops = 1;
-      s->node.falls_through = true;
-      return taken(u.b, u.imm.pair.y, /*has_unwind=*/true, u.imm.pair.x, u.a);
+      WARAN_CHECK_OK(slots(u.a));
+      WARAN_CHECK_OK(carried(u.imm.pair.x));
+      nd->falls_through = true;
+      return taken(u.b, u.imm.pair.y);
     case UOp::kJump:
       return taken(u.b, u.imm.pair.y);
     case UOp::kJumpZ:
     case UOp::kJumpNZ:
-      s->pops = 1;
-      s->node.falls_through = true;
+      WARAN_CHECK_OK(slots(u.a));
+      nd->falls_through = true;
       return taken(u.b, u.imm.pair.y);
     case UOp::kBrTable: {
-      s->pops = 1;
+      WARAN_CHECK_OK(slots(u.a));
+      WARAN_CHECK_OK(slots(u.imm.pair.y));
       const uint64_t base = u.b;
       const uint64_t arms = static_cast<uint64_t>(u.imm.pair.x) + 1;  // + default
       if (base + arms > tf.br_entries.size()) {
@@ -146,27 +146,28 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
       }
       for (uint64_t e = 0; e < arms; ++e) {
         const wasm::UBrEntry& be = tf.br_entries[base + e];
-        WARAN_CHECK_OK(
-            taken(be.target, be.seg, /*has_unwind=*/true, be.height, be.keep));
+        WARAN_CHECK_OK(slots(be.dst));
+        WARAN_CHECK_OK(taken(be.target, be.seg));
       }
       return {};
     }
     case UOp::kReturn:
-      s->node.is_return = true;
+      WARAN_CHECK_OK(slots(u.a));
+      nd->is_return = true;
       return {};
     case UOp::kUnreachable:
       return {};  // terminal: traps, no successors
     case UOp::kCallWasm: {
-      if (u.b < m.num_imported_funcs || u.b >= m.num_funcs()) {
+      if (u.b < m.num_imported_funcs || u.b >= m.num_funcs() ||
+          u.imm.pair.x != u.b - m.num_imported_funcs) {
         return inv("index-range", i, op,
                    "callee " + std::to_string(u.b) + " is not a defined function");
       }
       const wasm::FuncType& ft = m.func_type(u.b);
-      s->pops = static_cast<uint32_t>(ft.params.size());
-      s->pushes = static_cast<uint32_t>(ft.results.size());
-      s->node.falls_through = true;
-      s->node.is_call_wasm = true;
-      s->node.callee = u.b;
+      WARAN_CHECK_OK(args(static_cast<uint32_t>(ft.params.size()), !ft.results.empty(),
+                          false));
+      nd->is_call_wasm = true;
+      nd->callee = u.b;
       return {};
     }
     case UOp::kCallHost: {
@@ -175,13 +176,10 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
                    "import " + std::to_string(u.b) + " out of range");
       }
       const wasm::FuncType& ft = m.func_type(u.b);
-      if (u.a != ft.params.size() || u.imm.pair.x != ft.results.size()) {
+      if (u.imm.pair.x != ft.params.size() || u.imm.pair.y != ft.results.size()) {
         return inv("index-range", i, op, "arity does not match the import signature");
       }
-      s->pops = u.a;
-      s->pushes = u.imm.pair.x;
-      s->node.falls_through = true;
-      return {};
+      return args(u.imm.pair.x, u.imm.pair.y != 0, false);
     }
     case UOp::kCallIndirect: {
       if (u.b >= m.types.size()) {
@@ -189,126 +187,38 @@ Status shape_of(const Module& m, const TranslatedFunc& tf, uint32_t i, Shape* s)
       }
       if (!m.has_table()) return inv("index-range", i, op, "module has no table");
       const wasm::FuncType& ft = m.types[u.b];
-      if (u.a != ft.params.size() || u.imm.pair.x != ft.results.size()) {
+      if (u.imm.pair.x != ft.params.size() || u.imm.pair.y != ft.results.size()) {
         return inv("index-range", i, op, "arity does not match the expected type");
       }
-      s->pops = 1 + u.a;  // element index + arguments
-      s->pushes = u.imm.pair.x;
-      s->node.falls_through = true;
-      s->node.is_call_indirect = true;
-      return {};
+      nd->is_call_indirect = true;
+      return args(u.imm.pair.x, u.imm.pair.y != 0, true);
     }
-
-    // --- parametric & variables ---
-    case UOp::kDrop:
-      s->pops = 1;
-      break;
-    case UOp::kSelect:
-      s->pops = 3;
-      s->pushes = 1;
-      break;
-    case UOp::kLocalGet:
-      WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-      s->pushes = 1;
-      break;
-    case UOp::kLocalSet:
-      WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-      s->pops = 1;
-      break;
-    case UOp::kLocalTee:
-      WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-      s->pops = 1;
-      s->pushes = 1;
-      break;
     case UOp::kGlobalGet:
-    case UOp::kGlobalSet:
-      if (u.b >= m.num_globals()) {
-        return inv("index-range", i, op,
-                   "global " + std::to_string(u.b) + " out of range");
+    case UOp::kGlobalSet: {
+      const uint32_t g = op == UOp::kGlobalGet ? u.imm.pair.x : u.b;
+      if (g >= m.num_globals()) {
+        return inv("index-range", i, op, "global " + std::to_string(g) + " out of range");
       }
-      s->pops = (op == UOp::kGlobalSet) ? 1 : 0;
-      s->pushes = (op == UOp::kGlobalGet) ? 1 : 0;
       break;
-    case UOp::kConst:
-      s->pushes = 1;
-      break;
-
-    // --- memory ---
-    case UOp::kMemorySize:
-    case UOp::kMemoryGrow:
-    case UOp::kMemoryCopy:
-    case UOp::kMemoryFill:
-      if (!m.has_memory()) return inv("index-range", i, op, "module has no memory");
-      s->pops = (op == UOp::kMemoryGrow) ? 1
-                : (op == UOp::kMemorySize) ? 0
-                                           : 3;
-      s->pushes = (op == UOp::kMemoryCopy || op == UOp::kMemoryFill) ? 0 : 1;
-      break;
-
-    // --- fused superinstructions ---
-    case UOp::kLocalMove:
-    case UOp::kLCAddSetI32:
-      WARAN_CHECK_OK(check_local(tf, i, op, u.a));
-      WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-      break;
-
-    default: {
-      // The remaining ops are straight-line and classify by X-macro range.
-      if (between(op, UOp::kI32Load, UOp::kI64Load32U)) {  // loads
-        if (!m.has_memory()) return inv("index-range", i, op, "module has no memory");
-        s->pops = 1;
-        s->pushes = 1;
-      } else if (between(op, UOp::kI32Store, UOp::kI64Store32)) {  // stores
-        if (!m.has_memory()) return inv("index-range", i, op, "module has no memory");
-        s->pops = 2;
-      } else if (op == UOp::kI32Eqz || op == UOp::kI64Eqz) {
-        s->pops = 1;
-        s->pushes = 1;
-      } else if (between(op, UOp::kI32Eq, UOp::kI32GeU) ||
-                 between(op, UOp::kI64Eq, UOp::kI64GeU) ||
-                 between(op, UOp::kF32Eq, UOp::kF64Ge)) {  // binary compares
-        s->pops = 2;
-        s->pushes = 1;
-      } else if (between(op, UOp::kI32Clz, UOp::kI32Popcnt) ||
-                 between(op, UOp::kI64Clz, UOp::kI64Popcnt) ||
-                 between(op, UOp::kF32Abs, UOp::kF32Sqrt) ||
-                 between(op, UOp::kF64Abs, UOp::kF64Sqrt) ||
-                 between(op, UOp::kI32WrapI64, UOp::kI64Extend32S)) {  // unary
-        s->pops = 1;
-        s->pushes = 1;
-      } else if (between(op, UOp::kI32Add, UOp::kI32Rotr) ||
-                 between(op, UOp::kI64Add, UOp::kI64Rotr) ||
-                 between(op, UOp::kF32Add, UOp::kF32Copysign) ||
-                 between(op, UOp::kF64Add, UOp::kF64Copysign)) {  // binary numeric
-        s->pops = 2;
-        s->pushes = 1;
-      } else if (between(op, UOp::kLLAddI32, UOp::kLLXorI32) ||
-                 between(op, UOp::kLLEqI32, UOp::kLLGeUI32)) {  // two-local fusions
-        WARAN_CHECK_OK(check_local(tf, i, op, u.a));
-        WARAN_CHECK_OK(check_local(tf, i, op, u.b));
-        s->pushes = 1;
-      } else if (between(op, UOp::kLCAddI32, UOp::kLCShrUI32) ||
-                 between(op, UOp::kLCEqI32, UOp::kLCGeUI32)) {  // local+const fusions
-        WARAN_CHECK_OK(check_local(tf, i, op, u.a));
-        s->pushes = 1;
-      } else if (between(op, UOp::kCAddI32, UOp::kCAndI32)) {  // const-folded in place
-        s->pops = 1;
-        s->pushes = 1;
-      } else if (between(op, UOp::kBrIfLLEq, UOp::kBrIfLLGeU)) {  // fused br: 2 locals
-        WARAN_CHECK_OK(check_local(tf, i, op, u.a));
-        WARAN_CHECK_OK(check_local(tf, i, op, u.imm.pair.x));
-        s->node.falls_through = true;
-        return taken(u.b, u.imm.pair.y);
-      } else if (between(op, UOp::kBrIfLCEq, UOp::kBrIfLCGeU)) {  // fused br: local+c
-        WARAN_CHECK_OK(check_local(tf, i, op, u.a));
-        s->node.falls_through = true;
-        return taken(u.b, u.imm.pair.y);
-      } else {
-        return inv("bad-opcode", i, op, "no verifier model for this op");
-      }
     }
+    default:
+      break;
   }
-  s->node.falls_through = true;  // plain straight-line op
+
+  if (between(op, UOp::kJumpI32Eq, UOp::kJumpI32GeU)) {  // compare-and-jump
+    WARAN_CHECK_OK(slots(u.a));
+    WARAN_CHECK_OK(slots(u.imm.pair.x));
+    nd->falls_through = true;
+    return taken(u.b, u.imm.pair.y);
+  }
+  if (between(op, UOp::kI32Load, UOp::kMemoryFill) && !m.has_memory()) {
+    return inv("index-range", i, op, "module has no memory");
+  }
+  // Every remaining op is a straight-line value op over named slots.
+  const wasm::UOperands o = wasm::value_operands(u);
+  if (o.dst != wasm::UOperands::kNoSlot) WARAN_CHECK_OK(slots(o.dst));
+  for (uint32_t k = 0; k < o.num_src; ++k) WARAN_CHECK_OK(slots(o.src[k]));
+  nd->falls_through = true;
   return {};
 }
 
@@ -329,12 +239,12 @@ Status build_stream_graph(const Module& m, const TranslatedFunc& tf, StreamGraph
                "function entry is not a charge-carrying uop");
   }
 
-  // Pass 1: per-op structural checks over the WHOLE stream (a corrupted op
-  // is rejected even if a corrupted target also made it unreachable).
-  std::vector<Shape> shapes(n);
+  // Per-op structural checks over the WHOLE stream (a corrupted op is
+  // rejected even if a corrupted target also made it unreachable).
+  std::vector<Node> nodes(n);
   for (uint32_t i = 0; i < n; ++i) {
-    WARAN_CHECK_OK(shape_of(m, tf, i, &shapes[i]));
-    const Node& nd = shapes[i].node;
+    WARAN_CHECK_OK(node_of(m, tf, i, &nodes[i]));
+    const Node& nd = nodes[i];
     if (nd.falls_through && i + 1 == n) {
       return inv("fall-off-end", i, tf.ops[i].op,
                  "fall-through successor past the end of the stream");
@@ -353,87 +263,25 @@ Status build_stream_graph(const Module& m, const TranslatedFunc& tf, StreamGraph
     }
   }
 
-  // Pass 2: operand-height dataflow over the reachable ops, checking
-  // underflow/overflow, join consistency and unwind targets.
-  std::vector<uint32_t> height(n, kNoHeight);
-  std::vector<uint32_t> work;
-  height[0] = 0;
-  work.push_back(0);
-  uint32_t max_height = 0;
-
-  auto merge = [&](uint32_t i, uint32_t from, uint32_t to, uint32_t h) -> Status {
-    if (height[to] == kNoHeight) {
-      height[to] = h;
-      work.push_back(to);
-      return {};
-    }
-    if (height[to] != h) {
-      return inv("height-merge", from, tf.ops[from].op,
-                 "operand height " + std::to_string(h) + " into uop " +
-                     std::to_string(to) + " conflicts with height " +
-                     std::to_string(height[to]));
-    }
-    (void)i;
-    return {};
-  };
-
+  // Reachability from the entry.
+  std::vector<uint32_t> work{0};
+  nodes[0].reachable = true;
   while (!work.empty()) {
     const uint32_t i = work.back();
     work.pop_back();
-    const Shape& s = shapes[i];
-    shapes[i].node.reachable = true;
-    const uint32_t h = height[i];
-    if (h < s.pops) {
-      return inv("stack-underflow", i, tf.ops[i].op,
-                 "needs " + std::to_string(s.pops) + " operands, height is " +
-                     std::to_string(h));
-    }
-    const uint32_t h2 = h - s.pops + s.pushes;
-    if (h2 > tf.max_stack) {
-      return inv("stack-overflow", i, tf.ops[i].op,
-                 "height " + std::to_string(h2) + " exceeds max_stack " +
-                     std::to_string(tf.max_stack));
-    }
-    if (h2 > max_height) max_height = h2;
-
-    if (s.node.is_return && h2 < tf.result_arity) {
-      return inv("return-arity", i, tf.ops[i].op,
-                 "height " + std::to_string(h2) + " below result arity " +
-                     std::to_string(tf.result_arity));
-    }
-    for (const TakenEdge& e : s.node.taken) {
-      if (e.ret) {
-        if (h2 < tf.result_arity) {
-          return inv("return-arity", i, tf.ops[i].op,
-                     "height " + std::to_string(h2) + " below result arity " +
-                         std::to_string(tf.result_arity));
-        }
-        continue;
+    auto reach = [&](uint32_t to) {
+      if (!nodes[to].reachable) {
+        nodes[to].reachable = true;
+        work.push_back(to);
       }
-      uint32_t h_target = h2;
-      if (e.has_unwind) {
-        const uint32_t floor = e.unwind_height + e.keep;
-        if (h2 < floor) {
-          return inv("unwind", i, tf.ops[i].op,
-                     "unwind to height " + std::to_string(e.unwind_height) +
-                         " keeping " + std::to_string(e.keep) +
-                         " from height " + std::to_string(h2));
-        }
-        h_target = floor;
-      }
-      WARAN_CHECK_OK(merge(i, i, e.to, h_target));
+    };
+    for (const TakenEdge& e : nodes[i].taken) {
+      if (!e.ret) reach(e.to);
     }
-    if (s.node.falls_through) {
-      WARAN_CHECK_OK(merge(i, i, i + 1, h2));
-    }
+    if (nodes[i].falls_through) reach(i + 1);
   }
 
-  if (out != nullptr) {
-    out->nodes.clear();
-    out->nodes.reserve(n);
-    for (Shape& s : shapes) out->nodes.push_back(std::move(s.node));
-    out->max_height = max_height;
-  }
+  if (out != nullptr) out->nodes = std::move(nodes);
   return {};
 }
 
@@ -453,10 +301,15 @@ Status verify_module(const wasm::Module& m, const wasm::TranslatedModule& tm) {
     const wasm::TranslatedFunc& tf = tm.funcs[i];
     const wasm::FuncType& ft = m.func_type(m.num_imported_funcs + i);
     // The frame layout the interpreter derives from the stream must match
-    // the module signature the embedder calls through.
+    // the module signature the embedder calls through, and a call must
+    // start the declared locals at zero.
+    const size_t declared = m.codes[i].locals.size();
+    bool zeroed = tf.init.size() >= declared;
+    for (size_t k = 0; zeroed && k < declared; ++k) zeroed = tf.init[k].bits == 0;
     if (tf.num_params != ft.params.size() || tf.result_arity != ft.results.size() ||
-        tf.num_locals != ft.params.size() + m.codes[i].locals.size() ||
-        tf.max_stack < m.codes[i].max_stack) {
+        tf.num_locals != ft.params.size() + declared || !zeroed ||
+        tf.max_stack < m.codes[i].max_stack ||
+        tf.frame_cells != std::max<uint64_t>(1, uint64_t{tf.temp_base()} + tf.max_stack)) {
       return Error::validation("func " + std::to_string(i) +
                                ": stream frame shape does not match the module "
                                "signature");

@@ -95,7 +95,7 @@ Result<int64_t> ByteReader::sleb(unsigned max_bits) {
     shift += 7;
     if ((b & 0x80) == 0) {
       pos_ = p;
-      if (shift < 64 && (b & 0x40)) result |= -(int64_t(1) << shift);
+      if (shift < 64 && (b & 0x40)) result |= static_cast<int64_t>(~uint64_t{0} << shift);
       return result;
     }
   }

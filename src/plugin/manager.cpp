@@ -28,15 +28,14 @@ namespace {
 // without such bounds (recursion, indirect calls) grow the arenas on
 // first use, as an instance loaded with admission off does.
 void reserve_arenas(wasm::Instance& inst, const analysis::AdmissionReport& report) {
-  uint64_t frames = 0, operands = 0, locals = 0;
+  uint64_t frames = 0, cells = 0;
   for (const analysis::ExportReport& e : report.exports) {
     const analysis::FuncBounds& b = e.bounds;
     if (b.max_frames > inst.max_call_depth()) continue;  // also kUnbounded
     frames = std::max(frames, b.max_frames);
-    operands = std::max(operands, b.max_operand_cells);
-    locals = std::max(locals, b.max_local_cells);
+    cells = std::max(cells, b.max_frame_cells);
   }
-  inst.reserve_arenas(frames, operands, locals);
+  inst.reserve_arenas(frames, cells);
 }
 
 }  // namespace

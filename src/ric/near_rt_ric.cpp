@@ -128,13 +128,16 @@ Status NearRtRic::dispatch_indication(std::span<const uint8_t> payload, LinkRef&
 }
 
 void NearRtRic::deliver_messages() {
-  // Deliver until quiescent, with a hard round bound so two xApps cannot
-  // ping-pong forever.
-  for (int round = 0; round < 8; ++round) {
+  // Each round delivers what was queued when it began, so a handler's own
+  // sends wait for the next round. What the last round leaves queued is
+  // dropped: a handler that keeps sending cannot hold poll() or grow an
+  // inbox from one poll to the next.
+  for (int round = 0; round < kMessageRounds; ++round) {
     bool any = false;
+    for (Inbox& inbox : inboxes_) inbox.round_end = inbox.tail;
     for (size_t i = 0; i < xapps_.size(); ++i) {
       Inbox& inbox = inboxes_[i];
-      while (inbox.head < inbox.tail) {
+      while (inbox.head < inbox.round_end) {
         // Take the message out of the inbox, leaving message_'s previous
         // buffer (grown to fit) in its place: a handler sending to this
         // inbox may grow `buffers` but cannot touch the message it is
@@ -142,7 +145,7 @@ void NearRtRic::deliver_messages() {
         std::vector<uint8_t>& slot = inbox.buffers[inbox.head];
         std::swap(message_, slot);
         slot.reserve(message_.size());
-        if (++inbox.head == inbox.tail) inbox.head = inbox.tail = 0;
+        if (++inbox.head == inbox.tail) inbox.head = inbox.tail = inbox.round_end = 0;
         any = true;
         plugin::Plugin* p = plugins_.plugin(xapps_[i]);
         if (p == nullptr || !p->has_export("on_message")) continue;
@@ -155,6 +158,10 @@ void NearRtRic::deliver_messages() {
       }
     }
     if (!any) break;
+  }
+  for (Inbox& inbox : inboxes_) {
+    stats_.messages_dropped += inbox.tail - inbox.head;
+    inbox.head = inbox.tail = 0;
   }
 }
 

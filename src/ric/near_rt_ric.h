@@ -8,6 +8,9 @@
 // Host functions exposed to xApps (module "env"):
 //   xapp_send(dst_index, ptr, len) — inter-xApp messaging; delivered after
 //   the current dispatch round to the destination's exported `on_message`.
+//   A poll delivers in at most 8 rounds, each taking what was queued when
+//   it began; what is still queued after the 8th is dropped and counted
+//   (RicStats::messages_dropped).
 #pragma once
 
 #include <cstdint>
@@ -30,6 +33,9 @@ struct RicStats {
   uint64_t actions_sent = 0;
   uint64_t xapp_faults = 0;       // xApp call errors + undecodable outputs
   uint64_t messages_delivered = 0;
+  // Inter-xApp messages still queued after the last delivery round of a
+  // poll, discarded there.
+  uint64_t messages_dropped = 0;
   // Fuel the sandboxed xApps consumed of the near-RT budget: the sum of
   // the registered xApp slots' CallCostAcc totals, filled by stats().
   uint64_t xapp_fuel_used = 0;
@@ -95,7 +101,10 @@ class NearRtRic {
     std::vector<std::vector<uint8_t>> buffers;
     size_t head = 0;
     size_t tail = 0;
+    size_t round_end = 0;  // the tail when the delivery round began
   };
+  /// Delivery rounds per poll, so two xApps cannot ping-pong forever.
+  static constexpr int kMessageRounds = 8;
 
   Status dispatch_indication(std::span<const uint8_t> payload, LinkRef& origin);
   void deliver_messages();

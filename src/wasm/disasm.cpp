@@ -209,9 +209,20 @@ std::string disassemble(const Module& module) {
 
 namespace {
 
-bool uop_in(UOp op, UOp lo, UOp hi) {
-  const auto v = static_cast<uint16_t>(op);
-  return v >= static_cast<uint16_t>(lo) && v <= static_cast<uint16_t>(hi);
+/// A frame slot by region: l<i> parameter or local, #<value> constant,
+/// t<h> temp of operand height h.
+std::string slot_name(const TranslatedFunc& tf, uint32_t slot) {
+  char buf[32];
+  if (slot < tf.num_locals) {
+    std::snprintf(buf, sizeof(buf), "l%u", slot);
+  } else if (slot >= tf.temp_base()) {
+    std::snprintf(buf, sizeof(buf), "t%u", slot - tf.temp_base());
+  } else if (const uint64_t bits = tf.init[slot - tf.num_params].bits; bits <= UINT32_MAX) {
+    std::snprintf(buf, sizeof(buf), "#%d", static_cast<int32_t>(bits));
+  } else {
+    std::snprintf(buf, sizeof(buf), "#0x%" PRIx64, bits);
+  }
+  return buf;
 }
 
 void append_target(std::ostringstream& out, uint32_t target, uint32_t charge) {
@@ -222,26 +233,39 @@ void append_target(std::ostringstream& out, uint32_t target, uint32_t charge) {
   }
 }
 
+void append_carry(std::ostringstream& out, const TranslatedFunc& tf, uint32_t c) {
+  if (carry_src(c) != carry_dst(c)) {
+    out << " " << slot_name(tf, carry_src(c)) << " => " << slot_name(tf, carry_dst(c));
+  }
+}
+
 void append_uop(std::ostringstream& out, const TranslatedFunc& tf, const UInstr& u) {
   out << uop_name(u.op);
+  const auto slot = [&](uint32_t s) { return slot_name(tf, s); };
   switch (u.op) {
     case UOp::kSeg:
       out << " charge=" << u.b;
       return;
-    case UOp::kBr:
-    case UOp::kBrIf:
-      if (u.b != kRetTarget) {
-        out << " keep=" << u.a << " height=" << u.imm.pair.x;
-      }
+    case UOp::kJump:
       append_target(out, u.b, u.imm.pair.y);
       return;
-    case UOp::kJump:
     case UOp::kJumpZ:
     case UOp::kJumpNZ:
+      out << " " << slot(u.a);
+      append_target(out, u.b, u.imm.pair.y);
+      return;
+    case UOp::kBr:
+      append_carry(out, tf, u.imm.pair.x);
+      append_target(out, u.b, u.imm.pair.y);
+      return;
+    case UOp::kBrIf:
+      out << " " << slot(u.a);
+      append_carry(out, tf, u.imm.pair.x);
       append_target(out, u.b, u.imm.pair.y);
       return;
     case UOp::kBrTable: {
       // pair.x explicit targets, then the default arm.
+      out << " " << slot(u.a);
       for (uint32_t i = 0; i <= u.imm.pair.x; ++i) {
         const UBrEntry& e = tf.br_entries[u.b + i];
         out << (i == 0 ? " [" : " ");
@@ -251,55 +275,47 @@ void append_uop(std::ostringstream& out, const TranslatedFunc& tf, const UInstr&
         } else {
           out << "@" << e.target << "(charge=" << e.seg << ")";
         }
+        if (e.dst != u.imm.pair.y) out << "(" << slot(u.imm.pair.y) << " => " << slot(e.dst) << ")";
       }
       out << "]";
       return;
     }
+    case UOp::kReturn:
+      if (tf.result_arity != 0) out << " " << slot(u.a);
+      return;
+    case UOp::kUnreachable:
+      return;
     case UOp::kCallWasm:
-      out << " func=" << u.b;
+      out << " func=" << u.b << " args@" << slot(u.a);
       return;
     case UOp::kCallHost:
-      out << " import=" << u.b << " nparams=" << u.a
-          << (u.imm.pair.x != 0 ? " -> result" : "");
-      return;
     case UOp::kCallIndirect:
-      out << " type=" << u.b << " nparams=" << u.a
-          << (u.imm.pair.x != 0 ? " -> result" : "");
+      out << (u.op == UOp::kCallHost ? " import=" : " type=") << u.b
+          << " nparams=" << u.imm.pair.x << " args@" << slot(u.a)
+          << (u.imm.pair.y != 0 ? " -> result" : "");
       return;
-    case UOp::kConst: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), " bits=0x%" PRIx64, u.imm.u64);
-      out << buf;
+    case UOp::kGlobalGet:
+      out << " " << slot(u.b) << " = g" << u.imm.pair.x;
       return;
-    }
-    case UOp::kLocalMove:
-      out << " l" << u.a << " -> l" << u.b;
-      return;
-    case UOp::kLCAddSetI32:
-      out << " l" << u.b << " = l" << u.a << " + " << u.imm.i32;
+    case UOp::kGlobalSet:
+      out << " g" << u.b << " = " << slot(u.imm.pair.x);
       return;
     default:
       break;
   }
-  if (uop_in(u.op, UOp::kLocalGet, UOp::kLocalTee) ||
-      uop_in(u.op, UOp::kGlobalGet, UOp::kGlobalSet)) {
-    out << " " << u.b;
-  } else if (uop_in(u.op, UOp::kI32Load, UOp::kI64Store32)) {
-    out << " offset=" << u.b;
-  } else if (uop_in(u.op, UOp::kLLAddI32, UOp::kLLXorI32) ||
-             uop_in(u.op, UOp::kLLEqI32, UOp::kLLGeUI32)) {
-    out << " l" << u.a << ", l" << u.b;
-  } else if (uop_in(u.op, UOp::kLCAddI32, UOp::kLCShrUI32) ||
-             uop_in(u.op, UOp::kLCEqI32, UOp::kLCGeUI32)) {
-    out << " l" << u.a << ", " << u.imm.i32;
-  } else if (uop_in(u.op, UOp::kCAddI32, UOp::kCAndI32)) {
-    out << " " << u.imm.i32;
-  } else if (uop_in(u.op, UOp::kBrIfLLEq, UOp::kBrIfLLGeU)) {
-    out << " l" << u.a << ", l" << u.imm.pair.x;
+  if (static_cast<uint16_t>(u.op) >= static_cast<uint16_t>(UOp::kJumpI32Eq) &&
+      static_cast<uint16_t>(u.op) <= static_cast<uint16_t>(UOp::kJumpI32GeU)) {
+    out << " " << slot(u.a) << ", " << slot(u.imm.pair.x);
     append_target(out, u.b, u.imm.pair.y);
-  } else if (uop_in(u.op, UOp::kBrIfLCEq, UOp::kBrIfLCGeU)) {
-    out << " l" << u.a << ", " << static_cast<int32_t>(u.imm.pair.x);
-    append_target(out, u.b, u.imm.pair.y);
+    return;
+  }
+  const UOperands o = value_operands(u);
+  out << " ";
+  if (o.dst != UOperands::kNoSlot) out << slot(o.dst) << " = ";
+  for (uint32_t i = 0; i < o.num_src; ++i) out << (i == 0 ? "" : ", ") << slot(o.src[i]);
+  if (static_cast<uint16_t>(u.op) >= static_cast<uint16_t>(UOp::kI32Load) &&
+      static_cast<uint16_t>(u.op) <= static_cast<uint16_t>(UOp::kI64Store32)) {
+    out << " offset=" << u.imm.pair.y;
   }
 }
 
@@ -319,9 +335,10 @@ std::string disassemble_translated(const Module& module, uint32_t defined_index)
   }
   std::ostringstream out;
   out << ";; func " << (module.num_imported_funcs + defined_index) << ": "
-      << tf->ops.size() << " uops, max_stack=" << tf->max_stack << ", params="
-      << tf->num_params << ", locals=" << tf->num_locals << ", results="
-      << static_cast<int>(tf->result_arity) << "\n";
+      << tf->ops.size() << " uops, frame=" << tf->frame_cells << " (params "
+      << tf->num_params << ", locals " << tf->num_locals - tf->num_params
+      << ", constants " << tf->temp_base() - tf->num_locals << ", temps "
+      << tf->max_stack << "), results=" << static_cast<int>(tf->result_arity) << "\n";
   for (size_t i = 0; i < tf->ops.size(); ++i) {
     char head[24];
     std::snprintf(head, sizeof(head), "@%-5zu ", i);

@@ -18,9 +18,10 @@ std::string disassemble(const Module& module);
 std::string disassemble_function(const Module& module, uint32_t defined_index);
 
 /// The translated micro-op stream of one defined function (wasm/translate.h):
-/// one line per micro-op with fused superinstruction names, resolved branch
-/// targets (`-> @n`, or `-> @ret` for branches to the function label) and
-/// the baked fuel-segment charges. Uses the module's attached translation
+/// one line per micro-op with the frame slots it names (l<i> parameter or
+/// local, #<value> constant, t<h> temp), resolved branch targets (`-> @n`,
+/// or `-> @ret` for branches to the function label) and the baked
+/// fuel-segment charges. Uses the module's attached translation
 /// when present, else lowers the body on the fly. Debug/inspection aid for
 /// the threaded interpreter ("which stream does my plugin actually run?").
 std::string disassemble_translated(const Module& module, uint32_t defined_index);

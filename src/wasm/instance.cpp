@@ -1,5 +1,6 @@
 #include "wasm/instance.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -214,7 +215,7 @@ Result<std::optional<TypedValue>> Instance::call(std::string_view export_name,
   const uint64_t fuel_before = fuel_;
   const uint64_t retired_before = instructions_retired_;
   const uint32_t prev_peak = exec_.peak_frames;
-  exec_.peak_frames = static_cast<uint32_t>(exec_.frames.size());
+  exec_.peak_frames = exec_.depth;
 
   const uint64_t t0 = rt::now_ns();
   Value result{};
@@ -238,12 +239,28 @@ Result<std::optional<TypedValue>> Instance::call(std::string_view export_name,
   return std::optional<TypedValue>{TypedValue{ft.results[0], result}};
 }
 
-void Instance::reserve_arenas(size_t frames, size_t operand_cells, size_t local_cells) {
-  exec_.frames.reserve(frames);
-  // The operand arena is sized, not just reserved: push_frame grows it
-  // only when a frame's region would end past size().
-  if (exec_.values.size() < operand_cells) exec_.values.resize(operand_cells);
-  exec_.locals.reserve(local_cells);
+void Instance::reserve_arenas(size_t frames, size_t frame_cells) {
+  if (exec_.frames.size() < frames) set_frames(frames);
+  if (exec_.arena.size() < frame_cells) exec_.arena.resize(frame_cells);
+}
+
+void Instance::set_frames(size_t count) {
+  ExecContext& ec = exec_;
+  ec.frames.resize(count);
+  ec.rec_limit = ec.frames.data() + std::min<size_t>(count, max_call_depth_);
+}
+
+Status Instance::grow_for_call(uint32_t depth, size_t window_end) {
+  ExecContext& ec = exec_;
+  if (depth >= max_call_depth_) return Error::trap("call stack exhausted");
+  if (ec.frames.size() <= depth) {
+    set_frames(std::min<size_t>(max_call_depth_,
+                                std::max<size_t>(2 * ec.frames.size(), depth + 16)));
+  }
+  if (ec.arena.size() < window_end) {
+    ec.arena.resize(std::max(window_end, 2 * ec.arena.size()));
+  }
+  return {};
 }
 
 Status Instance::invoke_host(uint32_t import_index, std::span<const Value> args,
@@ -269,70 +286,36 @@ Status Instance::invoke_host(uint32_t import_index, std::span<const Value> args,
   return {};
 }
 
-Status Instance::push_frame(uint32_t func_index) {
-  ExecContext& ec = exec_;
-  if (ec.frames.size() >= max_call_depth_) return Error::trap("call stack exhausted");
-  const TranslatedFunc& tf = translated_->funcs[func_index - module_->num_imported_funcs];
-  const uint32_t nparams = tf.num_params;
-  const uint32_t locals_base = static_cast<uint32_t>(ec.locals.size());
-  const uint32_t stack_base = ec.top - nparams;
-
-  // Arguments move off the operand arena into the locals arena; the
-  // remaining declared locals are value-initialized (zeroed) by resize.
-  ec.locals.resize(locals_base + tf.num_locals);
-  if (nparams > 0) {
-    std::memcpy(ec.locals.data() + locals_base, ec.values.data() + stack_base,
-                nparams * sizeof(Value));
-  }
-  ec.top = stack_base;
-  // Reserve the frame's whole worst-case operand region once; the hot loop
-  // then runs a raw Value* with no per-push capacity checks. The arena only
-  // ever grows, so a warm call never reallocates.
-  if (ec.values.size() < static_cast<size_t>(stack_base) + tf.max_stack) {
-    ec.values.resize(static_cast<size_t>(stack_base) + tf.max_stack);
-  }
-  ec.frames.push_back(
-      {&tf, 0, func_index, locals_base, stack_base, tf.result_arity});
-  if (ec.frames.size() > ec.peak_frames) {
-    ec.peak_frames = static_cast<uint32_t>(ec.frames.size());
-  }
-  return {};
-}
-
 Status Instance::invoke(uint32_t func_index, std::span<const Value> args, Value* result) {
   if (func_index < module_->num_imported_funcs) {
     return invoke_host(func_index, args, result);
   }
   ExecContext& ec = exec_;
-  const size_t base_frames = ec.frames.size();
-  const uint32_t base_top = ec.top;
-  const size_t base_locals = ec.locals.size();
-
-  if (ec.values.size() < static_cast<size_t>(ec.top) + args.size()) {
-    ec.values.resize(static_cast<size_t>(ec.top) + args.size());
-  }
-  if (!args.empty()) {
-    std::memcpy(ec.values.data() + ec.top, args.data(), args.size() * sizeof(Value));
-  }
-  ec.top += static_cast<uint32_t>(args.size());
-
-  Status st = push_frame(func_index);
-  if (st.ok()) st = run(base_frames, result);
-  if (!st.ok()) {
-    // Unwind everything this call pushed so the shared ExecContext stays
-    // consistent for the enclosing call (or the next one).
-    ec.frames.resize(base_frames);
-    ec.locals.resize(base_locals);
-    ec.top = base_top;
-  }
-  return st;
-}
-
-Status Instance::run(size_t base_frames, Value* result) {
+  const TranslatedFunc& tf = translated_->funcs[func_index - module_->num_imported_funcs];
+  const uint32_t base = ec.depth;
+  const uint32_t fp = ec.top;  // above every suspended frame
+  Status st = grow_for_call(base, size_t{fp} + tf.frame_cells);
+  if (!st.ok()) return st;
+  Value* window = ec.arena.data() + fp;
+  if (!args.empty()) std::memcpy(window, args.data(), args.size() * sizeof(Value));
+  std::copy(tf.init.begin(), tf.init.end(), window + tf.num_params);
+  ec.frames[base] = {nullptr, nullptr, 0};
+  ec.depth = base + 1;
+  if (ec.depth > ec.peak_frames) ec.peak_frames = ec.depth;
 #if WARAN_HAS_THREADED_DISPATCH
-  if (dispatch_ == Dispatch::kThreaded) return run_threaded(base_frames, result);
+  if (dispatch_ == Dispatch::kThreaded) {
+    st = run_threaded(base, fp, &tf, result);
+  } else {
+    st = run_switch(base, fp, &tf, result);
+  }
+#else
+  st = run_switch(base, fp, &tf, result);
 #endif
-  return run_switch(base_frames, result);
+  // Unwind everything this call pushed, also after a trap, so the shared
+  // ExecContext stays consistent for the enclosing call (or the next one).
+  ec.depth = base;
+  ec.top = fp;
+  return st;
 }
 
 // The two dispatcher bodies are generated from one shared core so their
@@ -346,10 +329,6 @@ Status Instance::run(size_t base_frames, Value* result) {
 #define WARAN_RUN_NAME run_threaded
 #define WARAN_INTERP_THREADED 1
 #include "wasm/interp_loop.inc"
-#else
-Status Instance::run_threaded(size_t base_frames, Value* result) {
-  return run_switch(base_frames, result);
-}
 #endif
 
 void Linker::register_func(std::string module, std::string name, HostFunc fn) {

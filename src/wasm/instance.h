@@ -1,16 +1,17 @@
 // Module instantiation and execution. An Instance owns the runtime state of
 // one loaded plugin: linear memory, globals, the indirect-call table, and
-// resolved host imports. Execution is an explicit-frame interpreter over the
+// resolved host imports. Execution is a register-form interpreter over the
 // translated micro-op stream (wasm/translate.h): control flow is
-// pre-resolved into direct jumps, the operand stack is a raw Value* against
-// a buffer reserved once per frame entry, and dispatch is computed-goto
-// threaded on GCC/Clang (with a portable switch fallback that doubles as
-// the differential-test oracle). wasm->wasm calls push interpreter frames
-// onto a reusable ExecContext instead of recursing natively, so call depth
-// is bounded exactly and cheaply, and a warm repeated call performs zero
-// heap allocations. Fuel metering (the mechanism WA-RAN uses to bound
-// plugin execution time against the 5G slot deadline) is charged per
-// straight-line segment rather than per instruction — see doc/interpreter.md.
+// pre-resolved into direct jumps, every micro-op names the frame slots it
+// reads and writes, and dispatch is computed-goto threaded on GCC/Clang
+// (with a portable switch fallback that doubles as the differential-test
+// oracle). A wasm->wasm call slides the frame window onto the caller's
+// argument slots and pushes a return record onto a reusable ExecContext
+// instead of recursing natively, so call depth is bounded exactly and
+// cheaply, and a warm repeated call performs zero heap allocations. Fuel
+// metering (the mechanism WA-RAN uses to bound plugin execution time against
+// the 5G slot deadline) is charged per straight-line segment rather than per
+// instruction — see doc/interpreter.md.
 #pragma once
 
 #include <cstdint>
@@ -119,16 +120,16 @@ class Instance {
   const Module& module() const { return *module_; }
   void* user_data() const { return user_data_; }
 
-  /// Frame-depth limit enforced by push_frame (admission analysis checks
+  /// Frame-depth limit enforced at every call (admission analysis checks
   /// static frame needs against this).
   uint32_t max_call_depth() const { return max_call_depth_; }
 
-  /// Reserves the interpreter arenas for calls that nest at most `frames`
-  /// frames holding at most `operand_cells` operand and `local_cells` local
-  /// values, so that no call within those bounds allocates, not even the
-  /// first. PluginManager sizes them at admission from the report's finite
-  /// bounds; without a reservation the arenas grow on first use.
-  void reserve_arenas(size_t frames, size_t operand_cells, size_t local_cells);
+  /// Reserves the interpreter arena and return records for calls that nest
+  /// at most `frames` frames holding at most `frame_cells` slots, so that no
+  /// call within those bounds allocates, not even the first. PluginManager
+  /// sizes them at admission from the report's finite bounds; without a
+  /// reservation they grow on first use.
+  void reserve_arenas(size_t frames, size_t frame_cells);
 
   /// The dispatch strategy actually in use (kThreaded resolved).
   Dispatch dispatch() const { return dispatch_; }
@@ -147,40 +148,46 @@ class Instance {
  private:
   Instance() = default;
 
-  /// Reusable interpreter state: one operand-value arena, one explicit
-  /// call-frame stack and one locals arena shared by every call on this
-  /// instance (including re-entrant host->wasm calls, which nest on the
-  /// same stacks). The arenas only ever grow, so a warm call allocates
-  /// nothing, and reserve_arenas() makes the first call warm too. The
-  /// operand arena is oversized: each frame reserves stack_base + max_stack
-  /// cells at entry and the hot loop then runs a raw Value* with no bounds
-  /// checks; `top` is the live height, maintained only at suspension points
-  /// (calls, host trampolines, returns).
+  /// Reusable interpreter state shared by every call on this instance,
+  /// including re-entrant host->wasm calls, which nest above the calling
+  /// frame. Every frame is a window of frame_cells slots in one arena; a
+  /// wasm->wasm call opens the callee's window at the caller's first
+  /// argument slot, so arguments are never copied and the callee's result,
+  /// written to its slot 0, lands where the caller expects it. Each frame
+  /// has one return record, written by pointer bump. Both only ever grow,
+  /// so a warm call allocates nothing, and reserve_arenas() makes the first
+  /// call warm too. `depth` and `top` are kept at suspension points only
+  /// (host trampolines, returns to the embedder).
   struct ExecContext {
+    /// Where the caller of a frame resumes (null for a run's first frame).
     struct Frame {
+      const UInstr* ip;
       const TranslatedFunc* tf;
-      uint32_t ip;           // resume point (micro-op index)
-      uint32_t func_index;   // for diagnostics / signature lookups
-      uint32_t locals_base;  // offset of this frame's locals in the arena
-      uint32_t stack_base;   // operand height at entry (args consumed)
-      uint8_t result_arity;
+      uint32_t fp;  // the caller's window, as an arena offset
     };
-    std::vector<Value> values;  // operand arena; live region is [0, top)
-    uint32_t top = 0;
-    std::vector<Frame> frames;
-    std::vector<Value> locals;  // arena: frame locals live at [locals_base, ...)
-    uint32_t peak_frames = 0;   // high-water mark for the current call
+    std::vector<Value> arena;
+    std::vector<Frame> frames;  // [0, depth) live
+    /// One past the last record a call may take: frames' end, or the depth
+    /// limit's when that comes first. Kept by set_frames().
+    Frame* rec_limit = nullptr;
+    uint32_t depth = 0;
+    uint32_t top = 0;          // arena slots the suspended frames hold
+    uint32_t peak_frames = 0;  // high-water mark for the current call
   };
 
-  /// Runs `func_index` with `args`, iterating frames until the call that
-  /// pushed `base_frames` returns. Never recurses for wasm->wasm calls;
-  /// host functions may re-enter via Instance::call, nesting on exec_.
+  /// Runs `func_index` with `args` in a window above every suspended frame
+  /// until it returns. Never recurses for wasm->wasm calls; host functions
+  /// may re-enter via Instance::call, nesting on exec_.
   Status invoke(uint32_t func_index, std::span<const Value> args, Value* result);
-  Status run(size_t base_frames, Value* result);
-  // The two dispatcher bodies, generated from wasm/interp_loop.inc.
-  Status run_switch(size_t base_frames, Value* result);
-  Status run_threaded(size_t base_frames, Value* result);
-  Status push_frame(uint32_t func_index);
+  // The two dispatcher bodies, generated from wasm/interp_loop.inc: run the
+  // frame at depth `base` (window at arena offset `fp`) to its return.
+  Status run_switch(uint32_t base, uint32_t fp, const TranslatedFunc* tf, Value* result);
+  Status run_threaded(uint32_t base, uint32_t fp, const TranslatedFunc* tf, Value* result);
+  /// The cold half of a call: grows the return records or the arena, or
+  /// traps when the depth limit is reached.
+  Status grow_for_call(uint32_t depth, size_t window_end);
+  /// Resizes the return records and recomputes ExecContext::rec_limit.
+  void set_frames(size_t count);
   Status invoke_host(uint32_t import_index, std::span<const Value> args, Value* result);
 
   std::shared_ptr<const Module> module_;
@@ -201,7 +208,9 @@ class Instance {
   /// Metering state of the running call: each retired instruction consumes
   /// one unit of fuel_, and when it cannot cover the next straight-line
   /// segment the call traps with kFuelExhausted. Instance::call sets both
-  /// from CallOptions::fuel and restores them when the call returns.
+  /// from CallOptions::fuel and restores them when the call returns; the
+  /// dispatch loop keeps them in locals and stores them back whenever
+  /// control leaves it.
   bool fuel_enabled_ = false;
   uint64_t fuel_ = 0;
   uint64_t instructions_retired_ = 0;

@@ -51,13 +51,16 @@ wasm::Module ctx_module() {
   return std::move(*m);
 }
 
+/// A stream over a frame of one local and `max_stack` temps.
 TranslatedFunc make_tf(std::vector<UInstr> ops, uint32_t max_stack = 4,
-                       uint8_t result_arity = 1, uint32_t num_locals = 1) {
+                       uint8_t result_arity = 1) {
   TranslatedFunc tf;
   tf.ops = std::move(ops);
   tf.max_stack = max_stack;
   tf.num_params = 0;
-  tf.num_locals = num_locals;
+  tf.num_locals = 1;
+  tf.init.resize(1);
+  tf.frame_cells = tf.temp_base() + max_stack;
   tf.result_arity = result_arity;
   return tf;
 }
@@ -73,64 +76,60 @@ void expect_invariant(const wasm::Module& m, const TranslatedFunc& tf,
 TEST(StreamVerifier, RejectsEachInvariantViolation) {
   const wasm::Module m = ctx_module();
   const UInstr kSeg1 = ui(UOp::kSeg, 0, 1);
-  const UInstr kConst = ui(UOp::kConst);
-  const UInstr kRet = ui(UOp::kReturn);
+  const UInstr kVal = ui(UOp::kCopy, 0, /*dst=*/1, /*src=*/0);  // t0 = l0
+  const UInstr kRet = ui(UOp::kReturn, /*result slot=*/1);
 
   // entry-charge: first op carries no segment charge.
-  expect_invariant(m, make_tf({kConst, kRet}), "entry-charge");
+  expect_invariant(m, make_tf({kVal, kRet}), "entry-charge");
   // zero-charge: a kSeg charging nothing runs its whole run unmetered.
-  expect_invariant(m, make_tf({ui(UOp::kSeg, 0, 0), kConst, kRet}), "zero-charge");
+  expect_invariant(m, make_tf({ui(UOp::kSeg, 0, 0), kVal, kRet}), "zero-charge");
   // zero-charge on a taken edge.
   expect_invariant(
-      m, make_tf({kSeg1, kConst, ui(UOp::kJumpZ, 0, 4, 0, 0), kSeg1, kRet}),
+      m, make_tf({kSeg1, kVal, ui(UOp::kJumpZ, 1, 4, 0, 0), kSeg1, kRet}),
       "zero-charge");
   // fall-off-end: the last op falls through past the stream.
-  expect_invariant(m, make_tf({kSeg1, kConst}), "fall-off-end");
+  expect_invariant(m, make_tf({kSeg1, kVal}), "fall-off-end");
   // uncharged-resume: a conditional branch whose untaken run has no charge.
   expect_invariant(
-      m, make_tf({kSeg1, kConst, ui(UOp::kJumpZ, 0, 4, 0, 1), kConst, kRet}),
+      m, make_tf({kSeg1, kVal, ui(UOp::kJumpZ, 1, 4, 0, 1), kVal, kRet}),
       "uncharged-resume");
   // uncharged-resume after a call (the resume segment is missing).
-  expect_invariant(m, make_tf({kSeg1, ui(UOp::kCallWasm, 0, 0), kConst, kRet}),
+  expect_invariant(m, make_tf({kSeg1, ui(UOp::kCallWasm, 1, 0), kVal, kRet}),
                    "uncharged-resume");
   // double-charge: taken edge lands on a charge-carrying op (op 0).
   expect_invariant(
-      m, make_tf({kSeg1, kConst, ui(UOp::kJumpZ, 0, 0, 0, 1), kSeg1, kRet}),
+      m, make_tf({kSeg1, kVal, ui(UOp::kJumpZ, 1, 0, 0, 1), kSeg1, kRet}),
       "double-charge");
   // target-range: branch outside the stream.
   expect_invariant(
-      m, make_tf({kSeg1, kConst, ui(UOp::kJumpZ, 0, 99, 0, 1), kSeg1, kRet}),
+      m, make_tf({kSeg1, kVal, ui(UOp::kJumpZ, 1, 99, 0, 1), kSeg1, kRet}),
       "target-range");
   // target-range: kBr cannot carry kRetTarget (its handler never checks).
   expect_invariant(
-      m, make_tf({kSeg1, kConst, ui(UOp::kBr, 0, wasm::kRetTarget, 0, 1)}),
+      m, make_tf({kSeg1, kVal, ui(UOp::kBr, 0, wasm::kRetTarget, 0, 1)}),
       "target-range");
   // target-range: br_table slice outside br_entries.
   expect_invariant(
-      m, make_tf({kSeg1, kConst, ui(UOp::kBrTable, 0, 0, 0, 0)}, 4, 0),
+      m, make_tf({kSeg1, kVal, ui(UOp::kBrTable, 1, 0, 0, 0)}, 4, 0),
       "target-range");
-  // stack-underflow: pop from an empty operand stack.
-  expect_invariant(m, make_tf({kSeg1, ui(UOp::kDrop), kRet}), "stack-underflow");
-  // stack-overflow: height exceeds the reserved max_stack region.
-  expect_invariant(m, make_tf({kSeg1, kConst, kConst, kRet}, /*max_stack=*/1),
-                   "stack-overflow");
-  // return-arity: frame pop with fewer values than the signature returns.
-  expect_invariant(m, make_tf({kSeg1, kRet}), "return-arity");
-  // height-merge: the same join reached at two different operand heights.
-  expect_invariant(m,
-                   make_tf({kSeg1, kConst, ui(UOp::kJumpZ, 0, 5, 0, 1), kSeg1, kConst,
-                            kRet},
-                           4, /*result_arity=*/0),
-                   "height-merge");
-  // unwind: branch unwinds to a height above the current operand height.
+  // slot-range: an operand outside the frame (1 local + 4 temps).
+  expect_invariant(m, make_tf({kSeg1, ui(UOp::kCopy, 0, 1, 5), kRet}), "slot-range");
+  // slot-range: a result written outside the frame.
+  expect_invariant(m, make_tf({kSeg1, ui(UOp::kCopy, 0, 9, 0), kRet}), "slot-range");
+  // slot-range: a taken branch carrying its value outside the frame.
   expect_invariant(
-      m, make_tf({kSeg1, kConst, ui(UOp::kBr, 0, 1, /*height=*/2, 1)}, 4, 0),
-      "unwind");
-  // index-range: local out of range.
-  expect_invariant(m, make_tf({kSeg1, ui(UOp::kLocalGet, 0, 7), kRet}),
+      m, make_tf({kSeg1, kVal, ui(UOp::kBr, 0, 1, wasm::carry(1, 50), 1)}, 4, 0),
+      "slot-range");
+  // slot-range: a call whose result slot lies past the frame.
+  expect_invariant(m, make_tf({kSeg1, ui(UOp::kCallWasm, 5, 0), kSeg1, kRet}),
+                   "slot-range");
+  // slot-range: a return of a slot outside the frame.
+  expect_invariant(m, make_tf({kSeg1, ui(UOp::kReturn, 7)}), "slot-range");
+  // index-range: global out of range.
+  expect_invariant(m, make_tf({kSeg1, ui(UOp::kGlobalGet, 0, 1, 7), kRet}),
                    "index-range");
   // index-range: callee is not a defined function.
-  expect_invariant(m, make_tf({kSeg1, ui(UOp::kCallWasm, 0, 5), kSeg1, kRet}),
+  expect_invariant(m, make_tf({kSeg1, ui(UOp::kCallWasm, 1, 5), kSeg1, kRet}),
                    "index-range");
   // bad-opcode: op value outside the dispatch table.
   expect_invariant(
@@ -184,7 +183,7 @@ TEST(Bounds, StraightLineFunctionIsFullyBounded) {
   EXPECT_EQ(b.min_fuel, b.worst_fuel);  // single path
   EXPECT_EQ(b.min_frames, 1u);
   EXPECT_EQ(b.max_frames, 1u);
-  EXPECT_GE(b.max_operand_depth, 1u);
+  EXPECT_GE(b.max_frame_cells, 1u);
 }
 
 TEST(Bounds, LoopMakesWorstCaseUnboundedButMinFinite) {
@@ -219,11 +218,10 @@ TEST(Bounds, CallChainCountsFramesInterprocedurally) {
   EXPECT_TRUE(b.completes());
   EXPECT_NE(b.worst_fuel, analysis::kUnbounded);
   EXPECT_GE(b.worst_fuel, b.min_fuel);
-  // The arena cells the chain can hold sum both frames' regions.
+  // The arena slots the chain can hold sum both frames' windows.
   const std::vector<wasm::TranslatedFunc>& funcs = m.translated->funcs;
   ASSERT_EQ(funcs.size(), 2u);
-  EXPECT_EQ(b.max_operand_cells, uint64_t{funcs[0].max_stack} + funcs[1].max_stack);
-  EXPECT_EQ(b.max_local_cells, uint64_t{funcs[0].num_locals} + funcs[1].num_locals);
+  EXPECT_EQ(b.max_frame_cells, uint64_t{funcs[0].frame_cells} + funcs[1].frame_cells);
 }
 
 TEST(Bounds, RecursionNeverCompletes) {
@@ -241,8 +239,7 @@ TEST(Bounds, RecursionNeverCompletes) {
   EXPECT_FALSE(b.completes());
   EXPECT_EQ(b.min_fuel, analysis::kUnbounded);
   EXPECT_EQ(b.max_frames, analysis::kUnbounded);
-  EXPECT_EQ(b.max_operand_cells, analysis::kUnbounded);
-  EXPECT_EQ(b.max_local_cells, analysis::kUnbounded);
+  EXPECT_EQ(b.max_frame_cells, analysis::kUnbounded);
 
   analysis::AdmissionReport report =
       analysis::admit(*m, *m->translated, analysis::AdmissionLimits{});

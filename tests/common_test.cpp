@@ -79,8 +79,11 @@ TEST(Leb128, UnsignedRoundTrip) {
 }
 
 TEST(Leb128, SignedRoundTrip) {
+  // -2^62 and -2^62 - 1 end on a ninth byte whose sign extension starts
+  // at bit 63.
   const int64_t cases[] = {0,  1,    -1,   63,
                            64, -64,  -65,  8191,
+                           -(int64_t{1} << 62), -(int64_t{1} << 62) - 1,
                            std::numeric_limits<int64_t>::min(),
                            std::numeric_limits<int64_t>::max()};
   for (int64_t v : cases) {

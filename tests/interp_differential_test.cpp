@@ -658,7 +658,8 @@ TEST_F(InterpDifferential, CorruptedStreamsAreRejected) {
 
   auto is_branch = [](UOp op) {
     return op == UOp::kJump || op == UOp::kJumpZ || op == UOp::kJumpNZ ||
-           op == UOp::kBr || op == UOp::kBrIf;
+           op == UOp::kBr || op == UOp::kBrIf ||
+           (op >= UOp::kJumpI32Eq && op <= UOp::kJumpI32GeU);
   };
   auto first_branch = [&](const TranslatedFunc& tf) -> int64_t {
     for (size_t i = 0; i < tf.ops.size(); ++i) {
@@ -666,10 +667,9 @@ TEST_F(InterpDifferential, CorruptedStreamsAreRejected) {
     }
     return -1;
   };
-  auto first_local_op = [](const TranslatedFunc& tf) -> int64_t {
+  auto first_result_op = [](const TranslatedFunc& tf) -> int64_t {
     for (size_t i = 0; i < tf.ops.size(); ++i) {
-      const UOp op = tf.ops[i].op;
-      if (op == UOp::kLocalGet || op == UOp::kLocalSet || op == UOp::kLocalTee) {
+      if (wasm::value_operands(tf.ops[i]).dst != wasm::UOperands::kNoSlot) {
         return static_cast<int64_t>(i);
       }
     }
@@ -694,7 +694,7 @@ TEST_F(InterpDifferential, CorruptedStreamsAreRejected) {
     {  // entry-charge: first op no longer charges its segment
       TranslatedFunc tf = base;
       tf.ops[0] = wasm::UInstr{};
-      tf.ops[0].op = UOp::kDrop;
+      tf.ops[0].op = UOp::kCopy;
       expect_rejected(m, tf, (tag + "/entry-charge").c_str());
       ++corruptions;
     }
@@ -728,11 +728,11 @@ TEST_F(InterpDifferential, CorruptedStreamsAreRejected) {
         ++corruptions;
       }
     }
-    if (int64_t i = first_local_op(base); i >= 0) {
-      // index-range: local slot far outside the frame
+    if (int64_t i = first_result_op(base); i >= 0) {
+      // slot-range: a result slot far outside the frame
       TranslatedFunc tf = base;
       tf.ops[static_cast<size_t>(i)].b = 0xFFFE;
-      expect_rejected(m, tf, (tag + "/index-range").c_str());
+      expect_rejected(m, tf, (tag + "/slot-range").c_str());
       ++corruptions;
     }
   };

@@ -736,6 +736,42 @@ TEST_F(ClosedLoop, InterXappMessagingDelivers) {
   EXPECT_EQ(poll_allocs, 0u);
 }
 
+TEST_F(ClosedLoop, SelfSendingXappCannotHoldThePoll) {
+  // An echo xApp at index 0 answers every indication and every message by
+  // sending itself another: its inbox never drains on its own.
+  auto echo = wcc::compile(R"W(
+    extern fn xapp_send(dst: i32, ptr: i32, len: i32);
+    export fn on_indication() -> i32 {
+      store8(0, 7);
+      xapp_send(0, 0, 1);
+      store32(100, 2);     // empty control message
+      store32(104, 0);
+      output_write(100, 8);
+      return 0;
+    }
+    export fn on_message() -> i32 {
+      input_read(0, 0, 1);
+      xapp_send(0, 0, 1);
+      return 0;
+    }
+  )W");
+  ASSERT_TRUE(echo.ok()) << echo.error().message;
+  ASSERT_TRUE(ric_->add_xapp("echo", *echo).ok());
+
+  uint64_t warm_allocs = 0;
+  for (uint64_t i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(mac_->run_slots(5).ok());
+    ASSERT_TRUE(agent_->send_indication().ok());
+    const uint64_t before = heap_probe::allocations();
+    ASSERT_TRUE(ric_->poll().ok());
+    if (i > 2) warm_allocs += heap_probe::allocations() - before;
+    // Eight rounds deliver one message each; the eighth's echo is dropped.
+    ASSERT_EQ(ric_->stats().messages_delivered, 8 * i);
+    ASSERT_EQ(ric_->stats().messages_dropped, i);
+  }
+  EXPECT_EQ(warm_allocs, 0u);
+}
+
 }  // namespace
 }  // namespace waran::ric
 

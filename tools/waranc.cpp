@@ -309,8 +309,8 @@ int cmd_analyze(int argc, char** argv) {
         break;
       }
     }
-    std::printf("func %u%s: stack %u, frames [%s, %s], fuel [%s, %s], %s\n",
-                func_index, name.c_str(), b.max_operand_depth,
+    std::printf("func %u%s: cells %s, frames [%s, %s], fuel [%s, %s], %s\n",
+                func_index, name.c_str(), bound_str(b.max_frame_cells).c_str(),
                 bound_str(b.min_frames).c_str(), bound_str(b.max_frames).c_str(),
                 bound_str(b.min_fuel).c_str(), bound_str(b.worst_fuel).c_str(),
                 b.may_loop ? "may loop" : "loop-free");
