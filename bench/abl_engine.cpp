@@ -218,7 +218,7 @@ void BM_DispatchThroughput(benchmark::State& state) {
 }
 
 void BM_CommFrame(benchmark::State& state) {
-  // The comm plugin's `frame` of one 1,456-byte indication payload through
+  // The comm plugin's `frame` of one 1,456-byte payload through
   // Plugin::call: the sandbox work the E2 loop pays twice per indication
   // (frame at the agent, unframe at the RIC), nearly all of it the SWAR
   // checksum's word loop.

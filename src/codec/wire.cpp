@@ -1,18 +1,8 @@
 #include "codec/wire.h"
 
-#include <cstring>
-
 #include "common/bytes.h"
 
 namespace waran::codec::wire {
-namespace {
-
-template <typename T>
-void store(uint8_t* at, T v) {
-  std::memcpy(at, &v, sizeof v);
-}
-
-}  // namespace
 
 void encode_request(const SchedRequest& req, std::vector<uint8_t>& out) {
   // Sized once and written in place: the request is on the per-slot path

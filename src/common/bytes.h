@@ -3,6 +3,7 @@
 // LEB128 variable-length encodings the wasm binary format requires.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -14,6 +15,25 @@
 #include "common/result.h"
 
 namespace waran {
+
+static_assert(std::endian::native == std::endian::little,
+              "the fixed-width wire formats are the host's own little-endian bytes");
+
+/// Writes `v` as its little-endian bytes at `at`, unchecked: for codecs that
+/// size their buffer once and then write every field through one pointer.
+template <typename T>
+void store(uint8_t* at, T v) {
+  std::memcpy(at, &v, sizeof v);
+}
+
+/// Reads a little-endian `T` at `at`, unchecked: for decoders that check a
+/// section's length once and then read its fields.
+template <typename T>
+T load(const uint8_t* at) {
+  T v;
+  std::memcpy(&v, at, sizeof v);
+  return v;
+}
 
 /// Non-owning sequential reader over a byte span. All reads are
 /// bounds-checked and return Result; the cursor does not advance on failure.

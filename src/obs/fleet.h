@@ -49,8 +49,10 @@ namespace waran::obs {
 class TraceRing;
 
 /// One cell's telemetry summary (or a rollup of several — see merge()).
-/// Flat POD so it crosses the E2 wire as fixed-width little-endian fields
-/// and compares exactly with operator==.
+/// Flat POD that compares exactly with operator==. On the E2 wire
+/// (ric/e2lite.h) the ids and counters are fixed-width little-endian
+/// fields; each histogram's buckets go at 4 bytes while its count and every
+/// bucket fit in 32 bits, and at 8 after that, and decode bit for bit.
 struct CellTelemetry {
   uint32_t gnb = 0;  ///< 0: a deployment is one gNB (kept in the E2 block and JSON)
   uint32_t cell = 0;

@@ -29,69 +29,126 @@ struct E2Metrics {
   }
 };
 
-// Telemetry block body: 3 u32 ids + the u64 counters of
-// obs::kTelemetryCounters + 2 histogram states of (65 buckets + sum +
-// count) u64s each. Field order matches the CellTelemetry declaration;
-// both sides are fixed-width little endian so the summary round-trips
-// exactly (histogram buckets included).
-constexpr uint32_t kTelemetryLen =
-    12 + std::size(obs::kTelemetryCounters) * 8 + 2 * (obs::Histogram::kBuckets + 2) * 8;
-
-// Encoded size of an indication, so it is written into one exact-size buffer.
-size_t indication_size(const IndicationReport& report) {
-  size_t n = 4 + 4 + 24 * report.slices.size() + 4 + 24 * report.ues.size();
-  if (report.telemetry.has_value()) n += 4 + 4 + kTelemetryLen;  // tag, len, body
-  return n;
+// Every rejected message counts once, whatever section it fails in.
+Status reject(const char* why) {
+  E2Metrics::get().dec_errors.add();
+  return Error::decode(why);
 }
 
-void write_hist(ByteWriter& w, const obs::HistState& h) {
-  for (uint64_t b : h.buckets) w.u64le(b);
-  w.u64le(h.sum);
-  w.u64le(h.count);
+constexpr size_t kSliceRecord = 24;
+constexpr size_t kUeRecord = 24;
+constexpr size_t kActionRecord = 12;
+
+// Telemetry block body: 3 u32 ids and the u64 counters of
+// obs::kTelemetryCounters, then the two histograms (see e2lite.h).
+constexpr size_t kHistAt = 12 + std::size(obs::kTelemetryCounters) * 8;
+
+// A histogram's buckets cross the wire at 4 bytes while its count and
+// every bucket fit in 32 bits, and at 8 after that. Sample counts only
+// grow, so a deployment switches each histogram at most once; durations
+// (the sum) never set the width, so an indication's length is the same on
+// the real clock and on virtual time.
+uint8_t bucket_width(const obs::HistState& h) {
+  uint64_t high = h.count;
+  for (uint64_t b : h.buckets) high |= b;
+  return high >> 32 == 0 ? 4 : 8;
 }
 
-Status read_hist(ByteReader& r, obs::HistState& h) {
-  for (uint64_t& b : h.buckets) {
-    WARAN_TRY(v, r.u64le());
-    b = v;
+// Width byte, u64 count, u64 sum, then the buckets at `width` bytes each.
+constexpr size_t hist_len(size_t width) { return 1 + 8 + 8 + obs::Histogram::kBuckets * width; }
+
+uint8_t* store_hist(uint8_t* p, const obs::HistState& h, uint8_t width) {
+  *p = width;
+  store(p + 1, h.count);
+  store(p + 9, h.sum);
+  p += 17;
+  if (width == 4) {
+    for (uint64_t b : h.buckets) {
+      store(p, static_cast<uint32_t>(b));
+      p += 4;
+    }
+  } else {
+    for (uint64_t b : h.buckets) {
+      store(p, b);
+      p += 8;
+    }
   }
-  WARAN_TRY(sum, r.u64le());
-  WARAN_TRY(count, r.u64le());
-  h.sum = sum;
-  h.count = count;
-  return {};
+  return p;
 }
 
-void write_telemetry(ByteWriter& w, const obs::CellTelemetry& t) {
-  w.u32le(kTelemetryTag);
-  w.u32le(kTelemetryLen);
-  w.u32le(t.gnb);
-  w.u32le(t.cell);
-  w.u32le(t.cells_merged);
-  for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) w.u64le(t.*c.member);
-  write_hist(w, t.slot_wall_ns);
-  write_hist(w, t.sched_wall_ns);
-}
-
-Result<obs::CellTelemetry> read_telemetry(ByteReader& r) {
-  WARAN_TRY(len, r.u32le());
-  if (len != kTelemetryLen || r.remaining() < len) {
-    return Error::decode("indication: bad telemetry block length");
+// Reads one histogram whose width byte the caller has already checked.
+const uint8_t* load_hist(const uint8_t* p, obs::HistState& h) {
+  const uint8_t width = *p;
+  h.count = load<uint64_t>(p + 1);
+  h.sum = load<uint64_t>(p + 9);
+  p += 17;
+  if (width == 4) {
+    for (uint64_t& b : h.buckets) {
+      b = load<uint32_t>(p);
+      p += 4;
+    }
+  } else {
+    for (uint64_t& b : h.buckets) {
+      b = load<uint64_t>(p);
+      p += 8;
+    }
   }
-  obs::CellTelemetry t;
-  WARAN_TRY(gnb, r.u32le());
-  WARAN_TRY(cell, r.u32le());
-  WARAN_TRY(merged, r.u32le());
-  t.gnb = gnb;
-  t.cell = cell;
-  t.cells_merged = merged;
+  return p;
+}
+
+void store_telemetry(uint8_t* p, const obs::CellTelemetry& t, uint8_t w_slot,
+                     uint8_t w_sched) {
+  store(p, kTelemetryTag);
+  store(p + 4, static_cast<uint32_t>(kHistAt + hist_len(w_slot) + hist_len(w_sched)));
+  store(p + 8, t.gnb);
+  store(p + 12, t.cell);
+  store(p + 16, t.cells_merged);
+  p += 20;
   for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) {
-    WARAN_TRY(v, r.u64le());
-    t.*c.member = v;
+    store(p, t.*c.member);
+    p += 8;
   }
-  WARAN_CHECK_OK(read_hist(r, t.slot_wall_ns));
-  WARAN_CHECK_OK(read_hist(r, t.sched_wall_ns));
-  return t;
+  p = store_hist(p, t.slot_wall_ns, w_slot);
+  store_hist(p, t.sched_wall_ns, w_sched);
+}
+
+// The block after the UE records, [p, end) non-empty. Its length field must
+// equal both the bytes left and the length its two width bytes imply, so
+// every field read below lies inside the span.
+Status load_telemetry(const uint8_t* p, const uint8_t* end,
+                      std::optional<obs::CellTelemetry>& out) {
+  if (end - p < 8 || load<uint32_t>(p) != kTelemetryTag) {
+    return reject("indication: trailing bytes");
+  }
+  const uint32_t len = load<uint32_t>(p + 4);
+  const uint8_t* body = p + 8;
+  const auto avail = static_cast<size_t>(end - body);
+  if (len != avail || avail <= kHistAt) {
+    return reject("indication: bad telemetry block length");
+  }
+  auto valid = [](uint8_t w) { return w == 4 || w == 8; };
+  const uint8_t w_slot = body[kHistAt];
+  if (!valid(w_slot)) return reject("indication: bad histogram width");
+  const size_t sched_at = kHistAt + hist_len(w_slot);
+  if (avail <= sched_at) return reject("indication: bad telemetry block length");
+  const uint8_t w_sched = body[sched_at];
+  if (!valid(w_sched)) return reject("indication: bad histogram width");
+  if (avail != sched_at + hist_len(w_sched)) {
+    return reject("indication: bad telemetry block length");
+  }
+
+  obs::CellTelemetry& t = out.emplace();
+  t.gnb = load<uint32_t>(body);
+  t.cell = load<uint32_t>(body + 4);
+  t.cells_merged = load<uint32_t>(body + 8);
+  p = body + 12;
+  for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) {
+    t.*c.member = load<uint64_t>(p);
+    p += 8;
+  }
+  p = load_hist(p, t.slot_wall_ns);
+  load_hist(p, t.sched_wall_ns);
+  return {};
 }
 
 }  // namespace
@@ -99,28 +156,38 @@ Result<obs::CellTelemetry> read_telemetry(ByteReader& r) {
 void encode_indication(const IndicationReport& report, std::vector<uint8_t>& out) {
   obs::ObsSpan span(obs::TraceCat::kE2, "encode_indication",
                     static_cast<uint32_t>(report.ues.size()));
-  E2Metrics::get().enc_msgs.add();
-  ByteWriter w(std::move(out));
-  w.reserve(indication_size(report));
-  w.u32le(kMsgIndication);
-  w.u32le(static_cast<uint32_t>(report.slices.size()));
+  const obs::CellTelemetry* t = report.telemetry ? &*report.telemetry : nullptr;
+  const uint8_t w_slot = t != nullptr ? bucket_width(t->slot_wall_ns) : 0;
+  const uint8_t w_sched = t != nullptr ? bucket_width(t->sched_wall_ns) : 0;
+  const size_t tail = t != nullptr ? 8 + kHistAt + hist_len(w_slot) + hist_len(w_sched) : 0;
+  // Sized once and written in place; a buffer of the same size is reused
+  // untouched.
+  out.resize(8 + kSliceRecord * report.slices.size() + 4 + kUeRecord * report.ues.size() +
+             tail);
+  uint8_t* p = out.data();
+  store(p, kMsgIndication);
+  store(p + 4, static_cast<uint32_t>(report.slices.size()));
+  p += 8;
   for (const SliceReport& s : report.slices) {
-    w.u32le(s.slice_id);
-    w.u32le(s.quota_prbs);
-    w.f64le(s.target_bps);
-    w.f64le(s.rate_bps);
+    store(p, s.slice_id);
+    store(p + 4, s.quota_prbs);
+    store(p + 8, s.target_bps);
+    store(p + 16, s.rate_bps);
+    p += kSliceRecord;
   }
-  w.u32le(static_cast<uint32_t>(report.ues.size()));
+  store(p, static_cast<uint32_t>(report.ues.size()));
+  p += 4;
   for (const UeReport& u : report.ues) {
-    w.u32le(u.rnti);
-    w.u32le(u.serving_cell);
-    w.u32le(static_cast<uint32_t>(u.rsrp_serving_dbm));
-    w.u32le(static_cast<uint32_t>(u.rsrp_neighbor_dbm));
-    w.u32le(u.cqi);
-    w.u32le(u.neighbor_cell);
+    store(p, u.rnti);
+    store(p + 4, u.serving_cell);
+    store(p + 8, u.rsrp_serving_dbm);
+    store(p + 12, u.rsrp_neighbor_dbm);
+    store(p + 16, u.cqi);
+    store(p + 20, u.neighbor_cell);
+    p += kUeRecord;
   }
-  if (report.telemetry.has_value()) write_telemetry(w, *report.telemetry);
-  out = w.take();
+  if (t != nullptr) store_telemetry(p, *t, w_slot, w_sched);
+  E2Metrics::get().enc_msgs.add();
   E2Metrics::get().enc_bytes.add(out.size());
 }
 
@@ -129,89 +196,62 @@ Status decode_indication(std::span<const uint8_t> bytes, IndicationReport& repor
                     static_cast<uint32_t>(bytes.size()));
   E2Metrics::get().dec_msgs.add();
   E2Metrics::get().dec_bytes.add(bytes.size());
-  ByteReader r(bytes);
-  WARAN_TRY(type, r.u32le());
-  if (type != kMsgIndication) {
-    E2Metrics::get().dec_errors.add();
-    return Error::decode("not an indication message");
-  }
+  const uint8_t* p = bytes.data();
+  const uint8_t* const end = p + bytes.size();
+  auto left = [&] { return static_cast<uint64_t>(end - p); };
+  if (left() < 4) return reject("unexpected end of input");
+  if (load<uint32_t>(p) != kMsgIndication) return reject("not an indication message");
   report.slices.clear();
   report.ues.clear();
   report.telemetry.reset();
-  WARAN_TRY(n_slices, r.u32le());
-  if (static_cast<uint64_t>(n_slices) * 24 > r.remaining()) {
-    return Error::decode("indication: slice count exceeds payload");
+  if (left() < 8) return reject("unexpected end of input");
+  const uint32_t n_slices = load<uint32_t>(p + 4);
+  p += 8;
+  // The slice records and the UE count that follows them.
+  if (n_slices * kSliceRecord + 4 > left()) {
+    return reject("indication: slice count exceeds payload");
   }
-  report.slices.reserve(n_slices);
-  for (uint32_t i = 0; i < n_slices; ++i) {
-    SliceReport s;
-    WARAN_TRY(id, r.u32le());
-    WARAN_TRY(quota, r.u32le());
-    WARAN_TRY(target, r.f64le());
-    WARAN_TRY(rate, r.f64le());
-    s.slice_id = id;
-    s.quota_prbs = quota;
-    s.target_bps = target;
-    s.rate_bps = rate;
-    report.slices.push_back(s);
+  report.slices.resize(n_slices);
+  for (SliceReport& s : report.slices) {
+    s.slice_id = load<uint32_t>(p);
+    s.quota_prbs = load<uint32_t>(p + 4);
+    s.target_bps = load<double>(p + 8);
+    s.rate_bps = load<double>(p + 16);
+    p += kSliceRecord;
   }
-  WARAN_TRY(n_ues, r.u32le());
-  if (static_cast<uint64_t>(n_ues) * 24 > r.remaining()) {
-    return Error::decode("indication: UE count exceeds payload");
+  const uint32_t n_ues = load<uint32_t>(p);
+  p += 4;
+  if (n_ues * kUeRecord > left()) return reject("indication: UE count exceeds payload");
+  report.ues.resize(n_ues);
+  for (UeReport& u : report.ues) {
+    u.rnti = load<uint32_t>(p);
+    u.serving_cell = load<uint32_t>(p + 4);
+    u.rsrp_serving_dbm = load<int32_t>(p + 8);
+    u.rsrp_neighbor_dbm = load<int32_t>(p + 12);
+    u.cqi = load<uint32_t>(p + 16);
+    u.neighbor_cell = load<uint32_t>(p + 20);
+    p += kUeRecord;
   }
-  report.ues.reserve(n_ues);
-  for (uint32_t i = 0; i < n_ues; ++i) {
-    UeReport u;
-    WARAN_TRY(rnti, r.u32le());
-    WARAN_TRY(cell, r.u32le());
-    WARAN_TRY(rsrp_s, r.u32le());
-    WARAN_TRY(rsrp_n, r.u32le());
-    WARAN_TRY(cqi, r.u32le());
-    WARAN_TRY(ncell, r.u32le());
-    u.rnti = rnti;
-    u.serving_cell = cell;
-    u.rsrp_serving_dbm = static_cast<int32_t>(rsrp_s);
-    u.rsrp_neighbor_dbm = static_cast<int32_t>(rsrp_n);
-    u.cqi = cqi;
-    u.neighbor_cell = ncell;
-    report.ues.push_back(u);
-  }
-  if (!r.at_end()) {
-    // Only the tagged telemetry block may follow the UE records; anything
-    // else keeps the strict trailing-bytes rejection.
-    WARAN_TRY(tag, r.u32le());
-    if (tag != kTelemetryTag) {
-      E2Metrics::get().dec_errors.add();
-      return Error::decode("indication: trailing bytes");
-    }
-    auto telemetry = read_telemetry(r);
-    if (!telemetry.ok()) {
-      E2Metrics::get().dec_errors.add();
-      return telemetry.error();
-    }
-    report.telemetry = *telemetry;
-    if (!r.at_end()) {
-      E2Metrics::get().dec_errors.add();
-      return Error::decode("indication: trailing bytes");
-    }
-  }
-  return {};
+  // Only the tagged telemetry block may follow the UE records.
+  if (p == end) return {};
+  return load_telemetry(p, end, report.telemetry);
 }
 
 void encode_control(const std::vector<ControlAction>& actions, std::vector<uint8_t>& out) {
   obs::ObsSpan span(obs::TraceCat::kE2, "encode_control",
                     static_cast<uint32_t>(actions.size()));
-  E2Metrics::get().enc_msgs.add();
-  ByteWriter w(std::move(out));
-  w.reserve(4 + 4 + 12 * actions.size());  // type, count, 12 B per action
-  w.u32le(kMsgControl);
-  w.u32le(static_cast<uint32_t>(actions.size()));
+  out.resize(8 + kActionRecord * actions.size());
+  uint8_t* p = out.data();
+  store(p, kMsgControl);
+  store(p + 4, static_cast<uint32_t>(actions.size()));
+  p += 8;
   for (const ControlAction& a : actions) {
-    w.u32le(static_cast<uint32_t>(a.type));
-    w.u32le(a.a);
-    w.u32le(a.b);
+    store(p, static_cast<uint32_t>(a.type));
+    store(p + 4, a.a);
+    store(p + 8, a.b);
+    p += kActionRecord;
   }
-  out = w.take();
+  E2Metrics::get().enc_msgs.add();
   E2Metrics::get().enc_bytes.add(out.size());
 }
 
@@ -220,28 +260,25 @@ Status decode_control(std::span<const uint8_t> bytes, std::vector<ControlAction>
                     static_cast<uint32_t>(bytes.size()));
   E2Metrics::get().dec_msgs.add();
   E2Metrics::get().dec_bytes.add(bytes.size());
-  ByteReader r(bytes);
-  WARAN_TRY(type, r.u32le());
-  if (type != kMsgControl) {
-    E2Metrics::get().dec_errors.add();
-    return Error::decode("not a control message");
-  }
+  const uint8_t* p = bytes.data();
+  if (bytes.size() < 4) return reject("unexpected end of input");
+  if (load<uint32_t>(p) != kMsgControl) return reject("not a control message");
   actions.clear();
-  WARAN_TRY(n, r.u32le());
-  if (static_cast<uint64_t>(n) * 12 > r.remaining()) {
-    return Error::decode("control: action count exceeds payload");
+  if (bytes.size() < 8) return reject("unexpected end of input");
+  const uint32_t n = load<uint32_t>(p + 4);
+  p += 8;
+  // Bytes after the last action are ignored.
+  if (n * kActionRecord > bytes.size() - 8) {
+    return reject("control: action count exceeds payload");
   }
-  actions.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ControlAction a;
-    WARAN_TRY(t, r.u32le());
-    WARAN_TRY(av, r.u32le());
-    WARAN_TRY(bv, r.u32le());
-    if (t < 1 || t > 4) return Error::decode("control: unknown action type");
-    a.type = static_cast<ActionType>(t);
-    a.a = av;
-    a.b = bv;
-    actions.push_back(a);
+  actions.resize(n);
+  for (ControlAction& a : actions) {
+    const uint32_t type = load<uint32_t>(p);
+    if (type < 1 || type > 4) return reject("control: unknown action type");
+    a.type = static_cast<ActionType>(type);
+    a.a = load<uint32_t>(p + 4);
+    a.b = load<uint32_t>(p + 8);
+    p += kActionRecord;
   }
   return {};
 }

@@ -15,14 +15,21 @@
 //   .. u32 n_ues
 //   .. UE records, 24 B: { u32 rnti, u32 serving_cell, i32 rsrp_serving_dbm,
 //                          i32 rsrp_neighbor_dbm, u32 cqi, u32 neighbor_cell }
-//   .. optional telemetry block (v3 extension; the fleet plane's per-cell
-//      summary riding in-band — see obs/fleet.h):
-//        u32 tag 'TEL1' (0x314c4554), u32 len,
+//   .. optional telemetry block (the fleet plane's per-cell summary riding
+//      in-band — see obs/fleet.h):
+//        u32 tag 'TEL2' (0x324c4554), u32 len (of the body that follows),
 //        { u32 gnb, u32 cell, u32 cells_merged, 17 x u64 counters,
-//          2 x histogram state (65 x u64 buckets, u64 sum, u64 count) }
+//          2 x histogram { u8 width, u64 count, u64 sum,
+//                          65 buckets of `width` bytes } }
+//      A histogram's width is 4 while its count and every bucket are below
+//      2^32, and 8 after that: it follows sample counts, never durations,
+//      so equal counts give equal lengths on the real clock and on virtual
+//      time. The body is 702 bytes with both widths 4, 1,222 with both 8.
 //      The W xApps bound their reads by n_slices/n_ues and skip the tail
-//      untouched; the host decoder round-trips it exactly. Absent tag =
-//      older sender; any other trailing bytes stay a decode error.
+//      untouched; the host decoder round-trips it exactly. A message may
+//      end after the UE records; anything else after them (another tag, a
+//      width other than 4 or 8, a len that disagrees with the widths or
+//      with the bytes left) is a decode error.
 //
 // Control (msg_type 2):
 //   0  u32 msg_type
@@ -77,8 +84,8 @@ struct IndicationReport {
   bool operator==(const IndicationReport&) const = default;
 };
 
-/// Telemetry-block tag ("TEL1" little endian) and fixed payload size.
-inline constexpr uint32_t kTelemetryTag = 0x314c4554;
+/// Telemetry-block tag ("TEL2" little endian).
+inline constexpr uint32_t kTelemetryTag = 0x324c4554;
 
 enum class ActionType : uint32_t {
   kSetSliceQuota = 1,

@@ -78,11 +78,19 @@ uint64_t hash_memory(const wasm::Instance& inst) {
   return h;
 }
 
+/// The budget a call that passes no fuel runs under, so a miscompiled loop
+/// that spins fails with a record mismatch instead of hanging the binary.
+/// Far above any recorded call's use; a completed call reports the same
+/// fuel_used metered or not, so the record does not see it.
+constexpr uint64_t kHangGuardFuel = 100'000'000;
+
 Outcome run_one(wasm::Instance& inst, const char* fn,
                 const std::vector<TypedValue>& args, const CallOptions& opts) {
   Outcome o;
   CallStats stats;
-  auto r = inst.call(fn, args, opts, &stats);
+  CallOptions guarded = opts;
+  if (!guarded.fuel || *guarded.fuel == 0) guarded.fuel = kHangGuardFuel;
+  auto r = inst.call(fn, args, guarded, &stats);
   o.fuel_used = stats.fuel_used;
   o.instrs = stats.instrs_retired;
   o.ok = r.ok();

@@ -18,7 +18,9 @@
 //   - A cell's anomaly count covers every AnomalyKind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <set>
 #include <string>
@@ -33,7 +35,9 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "ric/e2lite.h"
+#include "ric/gnb_agent.h"
 #include "ric/near_rt_ric.h"
+#include "ric/transport.h"
 #include "rt/deployment.h"
 #include "sched/plugins.h"
 #include "wasm/wasm.h"
@@ -169,7 +173,8 @@ TEST(CellTelemetry, MergeSumsCountersAndBuckets) {
   EXPECT_EQ(a.sched_wall_ns.buckets[7], 600u);
 }
 
-TEST(E2Telemetry, TelemetryBlockRoundTripsBitForBit) {
+// One slice and one UE ahead of the telemetry block.
+ric::IndicationReport one_ue_report(const obs::CellTelemetry& t) {
   ric::IndicationReport report;
   ric::SliceReport s;
   s.slice_id = 1;
@@ -182,19 +187,159 @@ TEST(E2Telemetry, TelemetryBlockRoundTripsBitForBit) {
   u.serving_cell = 2;
   u.cqi = 9;
   report.ues.push_back(u);
-  report.telemetry = sample_telemetry(2);
+  report.telemetry = t;
+  return report;
+}
 
+// Bytes of one_ue_report() before its telemetry block.
+constexpr size_t kOneUeRecords = 8 + 24 + 4 + 24;
+// Block header (tag, len), then the body's ids and counters, after which
+// the first histogram's width byte sits.
+constexpr size_t kBlockHeader = 8;
+constexpr size_t kFirstWidthAt = kOneUeRecords + kBlockHeader + 12 + 17 * 8;
+// One histogram on the wire: width, count, sum and 65 buckets.
+constexpr size_t hist_bytes(size_t width) { return 17 + 65 * width; }
+
+std::vector<uint8_t> encoded(const ric::IndicationReport& report) {
   std::vector<uint8_t> wire;
   ric::encode_indication(report, wire);
-  ric::IndicationReport decoded;
-  Status st = ric::decode_indication(wire, decoded);
-  ASSERT_TRUE(st.ok()) << st.error().message;
-  ASSERT_TRUE(decoded.telemetry.has_value());
-  for (const obs::TelemetryCounter& c : obs::kTelemetryCounters) {
-    EXPECT_EQ((*decoded.telemetry).*c.member, (*report.telemetry).*c.member) << c.name;
+  return wire;
+}
+
+TEST(E2Telemetry, TelemetryBlockRoundTripsBitForBit) {
+  // Buckets go at 4 bytes while a histogram's count and every bucket fit
+  // in 32 bits and at 8 after that; either way they decode bit for bit.
+  struct Case {
+    const char* name;
+    obs::CellTelemetry t;
+    size_t slot_width, sched_width;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"sample", sample_telemetry(2), 4, 4});
+
+  obs::CellTelemetry t = sample_telemetry(2);
+  t.slot_wall_ns.count = UINT32_MAX;
+  t.slot_wall_ns.buckets[20] = UINT32_MAX - 94;
+  t.slot_wall_ns.sum = UINT64_MAX;
+  cases.push_back({"count 2^32-1", t, 4, 4});
+
+  t = sample_telemetry(2);
+  t.slot_wall_ns.count = uint64_t{1} << 32;
+  t.slot_wall_ns.buckets[20] = (uint64_t{1} << 32) - 94;
+  cases.push_back({"count 2^32", t, 8, 4});
+
+  t = sample_telemetry(2);
+  t.sched_wall_ns.buckets[obs::Histogram::kBuckets - 1] = UINT64_MAX;
+  cases.push_back({"UINT64_MAX bucket, small count", t, 4, 8});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ric::IndicationReport report = one_ue_report(c.t);
+    const std::vector<uint8_t> wire = encoded(report);
+    EXPECT_EQ(wire.size(), kFirstWidthAt + hist_bytes(c.slot_width) +
+                               hist_bytes(c.sched_width));
+    EXPECT_EQ(wire[kFirstWidthAt], c.slot_width);
+    ric::IndicationReport decoded;
+    Status st = ric::decode_indication(wire, decoded);
+    ASSERT_TRUE(st.ok()) << st.error().message;
+    ASSERT_TRUE(decoded.telemetry.has_value());
+    for (const obs::TelemetryCounter& counter : obs::kTelemetryCounters) {
+      EXPECT_EQ((*decoded.telemetry).*counter.member, c.t.*counter.member) << counter.name;
+    }
+    EXPECT_EQ(*decoded.telemetry, c.t);
+    EXPECT_EQ(decoded, report);
   }
-  EXPECT_EQ(*decoded.telemetry, *report.telemetry);
-  EXPECT_EQ(decoded, report);
+}
+
+TEST(E2Telemetry, EqualCountsEncodeToEqualLengths) {
+  // A histogram's width follows its sample counts, never the durations it
+  // holds: the same number of quick and of widely spread samples encode to
+  // the same length.
+  obs::Histogram quick, spread;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    quick.add(200 + i);
+    spread.add(uint64_t{1} << (i % 40));
+  }
+  obs::CellTelemetry a = sample_telemetry(0);
+  obs::CellTelemetry b = sample_telemetry(0);
+  a.slot_wall_ns = a.sched_wall_ns = obs::HistState::from(quick);
+  b.slot_wall_ns = b.sched_wall_ns = obs::HistState::from(spread);
+  ASSERT_EQ(a.slot_wall_ns.count, b.slot_wall_ns.count);
+  ASSERT_NE(a.slot_wall_ns.sum, b.slot_wall_ns.sum);
+  ASSERT_NE(a, b);
+  EXPECT_EQ(encoded(one_ue_report(a)).size(), encoded(one_ue_report(b)).size());
+}
+
+// A fresh exact-size copy of `wire` with `extra` zero bytes appended, so a
+// decoder that reads past the end of a case trips the address sanitizer.
+std::vector<uint8_t> copy_of(const std::vector<uint8_t>& wire, size_t extra = 0) {
+  std::vector<uint8_t> out(wire.size() + extra, 0);
+  std::copy(wire.begin(), wire.end(), out.begin());
+  return out;
+}
+
+TEST(E2Telemetry, MalformedBlocksAreRejected) {
+  const std::vector<uint8_t> good = encoded(one_ue_report(sample_telemetry(1)));
+  const size_t len_at = kOneUeRecords + 4;
+  const size_t sched_width_at = kFirstWidthAt + hist_bytes(4);
+  ric::IndicationReport decoded;
+  ASSERT_TRUE(ric::decode_indication(good, decoded).ok());
+  auto rejected = [&](const std::vector<uint8_t>& wire) {
+    return !ric::decode_indication(wire, decoded).ok();
+  };
+  auto set_u32 = [](std::vector<uint8_t>& wire, size_t at, uint32_t v) {
+    std::memcpy(wire.data() + at, &v, 4);
+  };
+
+  std::vector<uint8_t> wire = copy_of(good);
+  set_u32(wire, kOneUeRecords, 0x314c4554);  // "TEL1", the previous format's tag
+  EXPECT_TRUE(rejected(wire)) << "TEL1 tag";
+
+  // Width bytes other than 4 and 8, in a block whose length field and size
+  // agree with them, so that only the width check can refuse it.
+  auto with_widths = [&](uint8_t slot_width, uint8_t sched_width) {
+    std::vector<uint8_t> block(good.begin(), good.begin() + kFirstWidthAt);
+    block.resize(kFirstWidthAt + hist_bytes(slot_width) + hist_bytes(sched_width), 0x11);
+    block[kFirstWidthAt] = slot_width;
+    block[kFirstWidthAt + hist_bytes(slot_width)] = sched_width;
+    set_u32(block, len_at, static_cast<uint32_t>(block.size() - len_at - 4));
+    return copy_of(block);
+  };
+  ASSERT_FALSE(rejected(with_widths(8, 4)));
+  for (uint8_t w : {0, 5, 9}) {
+    EXPECT_TRUE(rejected(with_widths(w, 4))) << "slot width " << int{w};
+    EXPECT_TRUE(rejected(with_widths(4, w))) << "sched width " << int{w};
+  }
+  // 0 + 8 and 5 + 3 bucket bytes fill a 4 + 4 block exactly.
+  EXPECT_TRUE(rejected(with_widths(0, 8)));
+  EXPECT_TRUE(rejected(with_widths(5, 3)));
+  // A valid width that disagrees with the length field and the bytes left.
+  for (size_t at : {kFirstWidthAt, sched_width_at}) {
+    wire = copy_of(good);
+    wire[at] = 8;
+    EXPECT_TRUE(rejected(wire)) << "width 8 in a 4-byte histogram at byte " << at;
+  }
+
+  // The length field must agree with the widths and with the bytes left.
+  const uint32_t body = static_cast<uint32_t>(good.size() - len_at - 4);
+  for (uint32_t len : {body - 1, body + 1, body + 260, body + 520}) {
+    wire = copy_of(good);
+    set_u32(wire, len_at, len);
+    EXPECT_TRUE(rejected(wire)) << "len " << len << " over " << body << " bytes";
+  }
+  for (uint32_t extra : {1u, 260u, 520u}) {
+    wire = copy_of(good, extra);
+    set_u32(wire, len_at, body + extra);
+    EXPECT_TRUE(rejected(wire)) << "len " << body + extra << " matches the bytes, not the widths";
+  }
+
+  // Every cut is rejected but the two valid ones: right after the UE
+  // records (no telemetry block) and the whole message.
+  for (size_t k = 0; k <= good.size(); ++k) {
+    const std::vector<uint8_t> cut(good.begin(), good.begin() + k);
+    const bool valid = k == kOneUeRecords || k == good.size();
+    EXPECT_EQ(ric::decode_indication(cut, decoded).ok(), valid) << "cut at " << k;
+  }
 }
 
 TEST(E2Telemetry, AbsentBlockDecodesAsNullopt) {
@@ -258,6 +403,38 @@ TEST(FleetPlane, RicReconstructionEqualsShippedGroundTruth) {
   // crossed the wire (frame -> link -> unframe -> decode) equals the exact
   // summaries the cells last shipped — bucket for bucket.
   EXPECT_EQ(dep.ric().fleet_view(), dep.shipped_view());
+}
+
+TEST(FleetPlane, RealClockAndVirtualTimeSendEqualIndications) {
+  // Same seed, E2 every slot, one deployment on the real clock and one on
+  // virtual time: their slot durations differ, their event counts do not,
+  // so every indication frame has the same size and the agent's comm
+  // plugin spends the same fuel framing them.
+  struct Run {
+    std::vector<size_t> indication_sizes;
+    uint64_t comm_fuel = 0;
+  };
+  auto run = [](bool virtual_time) {
+    Run r;
+    reset_global_obs();
+    rt::DeploymentConfig cfg = fleet_config(1, /*threaded=*/false);
+    cfg.virtual_time = virtual_time;
+    cfg.report_period_slots = 1;
+    rt::GnbDeployment dep(cfg);
+    EXPECT_TRUE(dep.status().ok());
+    dep.link(0).add_fault_stage([&r](std::vector<uint8_t>& frame, ric::Duplex::Side to) {
+      if (to == ric::Duplex::Side::kB) r.indication_sizes.push_back(frame.size());
+      return ric::Duplex::Fault{};
+    });
+    EXPECT_TRUE(dep.run_slots(200).ok());
+    r.comm_fuel = dep.agent(0).plugin_cost("comm")->total_fuel();
+    return r;
+  };
+  const Run real = run(false);
+  const Run virt = run(true);
+  ASSERT_EQ(real.indication_sizes.size(), 200u);
+  EXPECT_EQ(real.indication_sizes, virt.indication_sizes);
+  EXPECT_EQ(real.comm_fuel, virt.comm_fuel);
 }
 
 TEST(FleetPlane, RollupHierarchyIsExact) {

@@ -108,8 +108,9 @@ TEST(E2Lite, EncodesIntoOneExactSizeBuffer) {
   r.telemetry = obs::CellTelemetry{};
   std::vector<uint8_t> indication;
   encode_indication(r, indication);
-  // Header, 24 B per slice, 24 B per UE, then the tagged telemetry block.
-  EXPECT_EQ(indication.size(), 8u + 2 * 24 + 4 + 2 * 24 + 8 + 1220);
+  // Header, 24 B per slice, 24 B per UE, then the tagged telemetry block:
+  // its 702-byte body carries both histograms' buckets at 4 bytes.
+  EXPECT_EQ(indication.size(), 8u + 2 * 24 + 4 + 2 * 24 + 8 + 702);
   // Sized once up front; a buffer grown field by field keeps spare capacity.
   EXPECT_EQ(indication.capacity(), indication.size());
   // A second encode into the same buffer writes over its storage.
@@ -279,8 +280,7 @@ TEST_F(CommPluginTest, LargePayloadFramesWithinDefaultFuel) {
 
 TEST_F(CommPluginTest, FrameFuelIsPinned) {
   // Regression gate for the framing kernel: the exact fuel of framing a
-  // 1,456-byte indication (3 slices, 6 UEs and the telemetry tail). The
-  // byte-at-a-time loop it replaced cost 26,250.
+  // 1,456-byte payload. The byte-at-a-time loop it replaced cost 26,250.
   std::vector<uint8_t> payload = pattern_payload(1456, 5);
   ASSERT_TRUE(call(*plugin_, "frame", payload).ok());
   EXPECT_EQ(plugin_->last_call_stats().fuel_used, 4887u);
