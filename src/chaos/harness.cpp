@@ -1,7 +1,6 @@
 #include "chaos/harness.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -211,9 +210,6 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
     if (!st.ok()) ++rep.contained_errors;
   };
 
-  auto& journal = obs::AnomalyJournal::global();
-  journal.set_capacity(1 << 16);
-  journal.clear();
   auto& reg = obs::MetricsRegistry::global();
   reg.reset_values();
 
@@ -384,8 +380,16 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
   if (options.warm_path_probe) run_warm_probe(rep, expect);
 
   // --- Invariants ---------------------------------------------------------
-  auto snapshot = journal.snapshot();
-  rep.anomalies = journal.total();
+  // Per-kind counts over every journal of the deployment. A journal counts
+  // each record once, evicted or not, so the audit is exact however long
+  // the episode runs.
+  const std::vector<const obs::AnomalyJournal*> journals = dep.journals();
+  for (const obs::AnomalyJournal* j : journals) rep.anomalies += j->total();
+  auto anomalies_of = [&journals](obs::AnomalyKind kind) {
+    uint64_t n = 0;
+    for (const obs::AnomalyJournal* j : journals) n += j->count(kind);
+    return n;
+  };
   auto sum_count = [&plans](FaultKind k) {
     uint64_t n = 0;
     for (const auto& p : plans) n += p->count(k);
@@ -400,36 +404,27 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
     rep.injected_by_kind[k] = sum_count(static_cast<FaultKind>(k));
   }
 
-  expect(snapshot.size() == journal.total(), "anomaly journal overflowed its capacity");
-
-  std::map<obs::AnomalyKind, uint64_t> by_kind;
-  std::map<std::string, uint64_t> sanitized_by_domain;
-  for (const auto& r : snapshot) {
-    ++by_kind[r.kind];
-    if (r.kind == obs::AnomalyKind::kSanitized) ++sanitized_by_domain[r.domain];
-  }
-
   // 1:1 fault -> anomaly accounting, kind by kind, summed across cells.
-  eq(by_kind[obs::AnomalyKind::kTrap], sum_count(FaultKind::kForceTrap),
+  eq(anomalies_of(obs::AnomalyKind::kTrap), sum_count(FaultKind::kForceTrap),
      "kTrap anomalies vs injected traps");
-  eq(by_kind[obs::AnomalyKind::kFuelExhausted],
+  eq(anomalies_of(obs::AnomalyKind::kFuelExhausted),
      sum_count(FaultKind::kFuelStarve) + sum_count(FaultKind::kDeadlineOverrun),
      "kFuelExhausted anomalies vs injected starvations");
-  eq(by_kind[obs::AnomalyKind::kQuarantine], sum_count(FaultKind::kQuarantineStorm),
+  eq(anomalies_of(obs::AnomalyKind::kQuarantine), sum_count(FaultKind::kQuarantineStorm),
      "kQuarantine anomalies vs completed storms");
-  eq(by_kind[obs::AnomalyKind::kLoadFailed], sum_count(FaultKind::kLoadFailure),
+  eq(anomalies_of(obs::AnomalyKind::kLoadFailed), sum_count(FaultKind::kLoadFailure),
      "kLoadFailed anomalies vs injected load failures");
-  eq(by_kind[obs::AnomalyKind::kFrameRejected], sum_count(FaultKind::kLinkCorrupt),
+  eq(anomalies_of(obs::AnomalyKind::kFrameRejected), sum_count(FaultKind::kLinkCorrupt),
      "kFrameRejected anomalies vs corrupted frames");
-  eq(by_kind[obs::AnomalyKind::kSanitized], sum_count(FaultKind::kSchedGarbage),
+  eq(anomalies_of(obs::AnomalyKind::kSanitized), sum_count(FaultKind::kSchedGarbage),
      "kSanitized anomalies vs injected garbage responses");
-  eq(by_kind[obs::AnomalyKind::kSlotOverrun], sum_count(FaultKind::kSlotOverrun),
+  eq(anomalies_of(obs::AnomalyKind::kSlotOverrun), sum_count(FaultKind::kSlotOverrun),
      "kSlotOverrun anomalies vs injected overruns");
-  eq(by_kind[obs::AnomalyKind::kDecline], 0, "unexpected kDecline anomalies");
-  eq(by_kind[obs::AnomalyKind::kOther], 0, "unexpected kOther anomalies");
+  eq(anomalies_of(obs::AnomalyKind::kDecline), 0, "unexpected kDecline anomalies");
+  eq(anomalies_of(obs::AnomalyKind::kOther), 0, "unexpected kOther anomalies");
   // SLO breach accounting is exact: every breached verdict the engine
   // produced landed as one kSloBreach journal entry, and vice versa.
-  eq(by_kind[obs::AnomalyKind::kSloBreach], rep.slo_breaches,
+  eq(anomalies_of(obs::AnomalyKind::kSloBreach), rep.slo_breaches,
      "kSloBreach anomalies vs breached SLO verdicts");
   expect(rep.slo_breaches == 0 || !rep.flight_bundle.empty(),
          "SLO breach occurred but no flight bundle was captured");
@@ -438,9 +433,9 @@ EpisodeReport run_episode(const EpisodeOptions& options) {
     const FaultPlan& plan = *plans[i];
     const std::string ci = "cell " + std::to_string(i) + " ";
 
-    // Per-cell attribution: each cell's sanitizations land in its own MAC
-    // domain (so none come from the xApp, and none smear between shards).
-    eq(sanitized_by_domain["mac" + std::to_string(i)],
+    // Per-cell attribution: each cell's sanitizations land in its own MAC's
+    // journal (so none come from the xApp, and none smear between shards).
+    eq(dep.mac(i).journal().count(obs::AnomalyKind::kSanitized),
        plan.count(FaultKind::kSchedGarbage), ci + "kSanitized anomalies vs its plan");
 
     // Spec-conformant growth denial: denied exactly as scheduled, no anomaly.

@@ -74,7 +74,7 @@ struct EpisodeReport {
 };
 
 /// Runs one seeded chaos episode against a fresh deployment and checks
-/// every invariant. Resets the global anomaly journal and metric values.
+/// every invariant. Resets the global metric values.
 EpisodeReport run_episode(const EpisodeOptions& options);
 
 struct CampaignReport {

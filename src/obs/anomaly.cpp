@@ -1,5 +1,7 @@
 #include "obs/anomaly.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -22,11 +24,6 @@ const char* to_string(AnomalyKind kind) {
   return "other";
 }
 
-AnomalyJournal& AnomalyJournal::global() {
-  static AnomalyJournal journal;
-  return journal;
-}
-
 void AnomalyJournal::record(AnomalyKind kind, std::string_view domain,
                             std::string_view source, std::string_view detail) {
   MetricsRegistry::global().counter(
@@ -43,24 +40,15 @@ void AnomalyJournal::record(AnomalyKind kind, std::string_view domain,
   rec.source = std::string(source);
   rec.detail = std::string(detail);
   std::lock_guard<std::mutex> lock(mu_);
-  rec.seq = next_seq_++;
+  rec.seq = total_.fetch_add(1, std::memory_order_relaxed);
+  counts_[static_cast<size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
   records_.push_back(std::move(rec));
   while (records_.size() > capacity_) records_.pop_front();
 }
 
-std::vector<AnomalyRecord> AnomalyJournal::snapshot(std::string_view domain) const {
+std::vector<AnomalyRecord> AnomalyJournal::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<AnomalyRecord> out;
-  out.reserve(records_.size());
-  for (const AnomalyRecord& rec : records_) {
-    if (domain.empty() || rec.domain == domain) out.push_back(rec);
-  }
-  return out;
-}
-
-uint64_t AnomalyJournal::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_seq_;
+  return {records_.begin(), records_.end()};
 }
 
 void AnomalyJournal::set_capacity(size_t capacity) {
@@ -69,10 +57,20 @@ void AnomalyJournal::set_capacity(size_t capacity) {
   while (records_.size() > capacity_) records_.pop_front();
 }
 
-void AnomalyJournal::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  next_seq_ = 0;
+std::vector<AnomalyRecord> merge_journals(std::span<const AnomalyJournal* const> journals) {
+  std::vector<AnomalyRecord> out;
+  for (const AnomalyJournal* j : journals) {
+    std::vector<AnomalyRecord> records = j->snapshot();
+    out.insert(out.end(), std::make_move_iterator(records.begin()),
+               std::make_move_iterator(records.end()));
+  }
+  // Stable: ties keep journal order, then record order.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const AnomalyRecord& a, const AnomalyRecord& b) {
+                     if (a.slot != b.slot) return a.slot < b.slot;
+                     return a.domain < b.domain;
+                   });
+  return out;
 }
 
 }  // namespace waran::obs

@@ -1,7 +1,6 @@
 #include "obs/fleet.h"
 
 #include <algorithm>
-#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
@@ -57,117 +56,17 @@ std::string CellTelemetry::to_json() const {
 // ---------------------------------------------------------------------------
 // FleetAggregator
 
-namespace {
-
-// Every kind, derived from the enum range kTrap..kOther (kOther is the
-// last enumerator), so a newly added kind cannot be left out of a cell's
-// anomaly count.
-static_assert(static_cast<size_t>(AnomalyKind::kTrap) == 0);
-constexpr auto kAllAnomalyKinds = [] {
-  std::array<AnomalyKind, static_cast<size_t>(AnomalyKind::kOther) + 1> kinds{};
-  for (size_t k = 0; k < kinds.size(); ++k) kinds[k] = static_cast<AnomalyKind>(k);
-  return kinds;
-}();
-
-}  // namespace
-
-FleetAggregator::FleetAggregator(std::vector<FleetCellSpec> specs)
-    : specs_(std::move(specs)) {
-  auto& reg = MetricsRegistry::global();
-  handles_.resize(specs_.size());
-  totals_.resize(specs_.size());
-  window_base_.resize(specs_.size());
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    const FleetCellSpec& spec = specs_[i];
-    CellHandles& h = handles_[i];
-    const std::string cell_label = std::to_string(spec.cell);
-    // find_or_create pre-registers at zero anything not yet written, so
-    // every pointer below is valid for the registry's lifetime.
-    h.slots = &reg.counter("waran_cell_slots_total", {{"cell", cell_label}});
-    h.overruns = &reg.counter("waran_cell_slot_overrun_total", {{"cell", cell_label}});
-    h.slot_wall = &reg.histogram("waran_cell_slot_wall_ns", {{"cell", cell_label}});
-    h.slices.reserve(spec.slice_ids.size());
-    for (const std::string& sid : spec.slice_ids) {
-      Labels labels = {{"cell", cell_label}, {"slice", sid}};
-      SliceHandles sh;
-      sh.prb_granted = &reg.counter("waran_mac_prb_granted_total", labels);
-      sh.sched_faults = &reg.counter("waran_mac_sched_faults_total", labels);
-      sh.sanitized = &reg.counter("waran_mac_sanitized_allocs_total", labels);
-      sh.slots_scheduled = &reg.counter("waran_mac_slots_scheduled_total", labels);
-      h.slices.push_back(sh);
-    }
-    auto add_slot = [&](const std::string& domain, const std::string& slot,
-                        bool sched) {
-      Labels labels = {{"domain", domain}, {"slot", slot}};
-      SlotHandles sh;
-      sh.calls = &reg.counter("waran_plugin_calls_total", labels);
-      sh.traps = &reg.counter("waran_plugin_traps_total", labels);
-      sh.fuel_exhausted = &reg.counter("waran_plugin_fuel_exhausted_total", labels);
-      sh.declines = &reg.counter("waran_plugin_declines_total", labels);
-      sh.fuel_used = &reg.counter("waran_plugin_fuel_used_total", labels);
-      sh.wall = &reg.histogram("waran_plugin_wall_ns", labels);
-      sh.sched = sched;
-      h.slots_h.push_back(sh);
-    };
-    for (const std::string& slot : spec.sched_slots) {
-      add_slot(spec.mac_domain, slot, /*sched=*/true);
-    }
-    if (!spec.agent_domain.empty()) {
-      add_slot(spec.agent_domain, "comm", /*sched=*/false);
-      add_slot(spec.agent_domain, "ctl", /*sched=*/false);
-    }
-    for (const std::string* domain : {&spec.mac_domain, &spec.agent_domain}) {
-      if (domain->empty()) continue;
-      for (AnomalyKind kind : kAllAnomalyKinds) {
-        AnomalyHandle ah;
-        ah.c = &reg.counter("waran_anomaly_total",
-                            {{"domain", *domain}, {"kind", to_string(kind)}});
-        ah.kind = kind;
-        h.anomalies.push_back(ah);
-      }
-    }
-    h.ring = spec.ring;
-    totals_[i].cell = spec.cell;
-    window_base_[i] = totals_[i];
-  }
+FleetAggregator::FleetAggregator(size_t cells, Collector collect)
+    : collect_(std::move(collect)), totals_(cells) {
+  for (size_t i = 0; i < cells; ++i) totals_[i].cell = static_cast<uint32_t>(i);
+  window_base_ = totals_;
 }
 
 const CellTelemetry& FleetAggregator::collect_cell(size_t i) {
-  const FleetCellSpec& spec = specs_[i];
-  const CellHandles& h = handles_[i];
   CellTelemetry& t = totals_[i];
-  for (const TelemetryCounter& c : kTelemetryCounters) t.*c.member = 0;
-  t.cell = spec.cell;
-  t.cells_merged = 1;
-  t.slots = h.slots->value();
-  t.slot_overruns = h.overruns->value();
-  t.prb_capacity = t.slots * spec.n_prbs;
-  t.slot_wall_ns = HistState::from(*h.slot_wall);
-  for (const SliceHandles& sh : h.slices) {
-    t.prb_granted += sh.prb_granted->value();
-    t.sched_faults += sh.sched_faults->value();
-    t.sanitized_allocs += sh.sanitized->value();
-    t.slots_scheduled += sh.slots_scheduled->value();
-  }
-  t.sched_wall_ns = HistState{};
-  for (const SlotHandles& sh : h.slots_h) {
-    t.plugin_calls += sh.calls->value();
-    t.plugin_traps += sh.traps->value();
-    t.plugin_fuel_exhausted += sh.fuel_exhausted->value();
-    t.plugin_declines += sh.declines->value();
-    t.plugin_fuel_used += sh.fuel_used->value();
-    if (sh.sched) t.sched_wall_ns.merge(HistState::from(*sh.wall));
-  }
-  for (const AnomalyHandle& ah : h.anomalies) {
-    const uint64_t v = ah.c->value();
-    t.anomalies += v;
-    if (ah.kind == AnomalyKind::kQuarantine) t.quarantines += v;
-    if (ah.kind == AnomalyKind::kFrameRejected) t.frames_rejected += v;
-  }
-  if (h.ring != nullptr) {
-    t.trace_writes = h.ring->writes();
-    t.trace_dropped = h.ring->dropped();
-  }
+  t = CellTelemetry{};
+  t.cell = static_cast<uint32_t>(i);
+  collect_(i, t);
   return t;
 }
 
@@ -216,7 +115,7 @@ std::string rollup_json(std::span<const CellTelemetry> cells) {
 
 CellTelemetry FleetAggregator::fleet_rollup(bool window) const {
   CellTelemetry out = empty_rollup();
-  for (size_t i = 0; i < specs_.size(); ++i) {
+  for (size_t i = 0; i < totals_.size(); ++i) {
     out.merge(window ? cell_window(i) : totals_[i]);
   }
   return out;

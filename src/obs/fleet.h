@@ -13,13 +13,15 @@
 //                    combined histogram would (tests/obs_fleet_test.cpp
 //                    proves this across boundary buckets).
 //
-//   FleetAggregator  the ground-truth side: resolves every per-cell labeled
-//                    instrument in the global MetricsRegistry once at
-//                    construction, then `collect_cell` re-reads them into a
-//                    preallocated CellTelemetry with zero heap allocation —
-//                    safe to run on the cell's own worker thread every
-//                    report period (bench/abl_obs asserts the zero-alloc
-//                    contract). Rollups go cell -> deployment.
+//   FleetAggregator  the ground-truth side: `collect_cell` fills a
+//                    preallocated CellTelemetry through one callable the
+//                    owner passes at construction (rt::GnbDeployment reads
+//                    the cell's own MAC, plugin managers, journals and trace
+//                    ring), with zero heap allocation — safe to run on the
+//                    cell's own worker thread every report period
+//                    (bench/abl_obs asserts the zero-alloc contract). The
+//                    aggregator keeps the totals, evaluation windows and
+//                    rollups (cell -> deployment) and their JSON.
 //
 //   FleetView        the consumer side: keyed (gnb, cell) latest-summary
 //                    store the NearRtRic maintains from telemetry blocks
@@ -36,12 +38,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/anomaly.h"
 #include "obs/metrics.h"
 
 namespace waran::obs {
@@ -53,6 +55,12 @@ class TraceRing;
 /// (ric/e2lite.h) the ids and counters are fixed-width little-endian
 /// fields; each histogram's buckets go at 4 bytes while its count and every
 /// bucket fit in 32 bits, and at 8 after that, and decode bit for bit.
+///
+/// Where a deployment cell's fields come from: the MAC, plugin-slot and
+/// histogram fields are the registry series those components write, read
+/// through their own handles (so, like the series, they carry what earlier
+/// deployments in the process wrote until the registry is reset); the
+/// anomaly fields count the records of the cell's own journals only.
 struct CellTelemetry {
   uint32_t gnb = 0;  ///< 0: a deployment is one gNB (kept in the E2 block and JSON)
   uint32_t cell = 0;
@@ -75,7 +83,10 @@ struct CellTelemetry {
   uint64_t plugin_fuel_exhausted = 0;
   uint64_t plugin_declines = 0;
   uint64_t plugin_fuel_used = 0;
-  // Containment events (from waran_anomaly_total{domain,kind}).
+  // Containment events the cell's own components journaled (its MAC, its
+  // scheduler manager and its agent's manager), counted since they were
+  // built: a component's journal starts empty, so a cell never inherits
+  // another deployment's records.
   uint64_t quarantines = 0;
   uint64_t frames_rejected = 0;
   uint64_t anomalies = 0;
@@ -124,32 +135,23 @@ inline constexpr TelemetryCounter kTelemetryCounters[] = {
     {"trace_dropped", &CellTelemetry::trace_dropped},
 };
 
-/// Static description of one cell the aggregator should cover. Slot/slice
-/// label sets must match what the deployment registered (GnbMac::add_slice,
-/// PluginManager metric labels) or the counters read as permanent zeros.
-struct FleetCellSpec {
-  uint32_t cell = 0;
-  std::string mac_domain;    ///< PluginManager domain of the schedulers ("mac0")
-  std::string agent_domain;  ///< GnbAgent domain ("gnb0"); "" = no E2 agent
-  std::vector<std::string> sched_slots;  ///< scheduler plugin slot names
-  std::vector<std::string> slice_ids;    ///< slice id labels ("0", "1", ...)
-  uint32_t n_prbs = 0;
-  const TraceRing* ring = nullptr;  ///< optional; feeds trace_writes/dropped
-};
-
 class FleetAggregator {
  public:
-  /// Resolves (or pre-creates at zero) every instrument it will ever read.
-  /// All allocation happens here; collect_cell never allocates.
-  explicit FleetAggregator(std::vector<FleetCellSpec> specs);
+  /// Adds cell i's counts into `t`, which arrives zeroed with its ids set.
+  /// Runs inside collect_cell, so the same rules hold: no allocation, no
+  /// lock, and only state cell i's own worker writes.
+  using Collector = std::function<void(size_t cell, CellTelemetry& t)>;
 
-  size_t cells() const { return specs_.size(); }
+  /// Covers cells 0..cells-1; cell i's summary carries cell id i.
+  FleetAggregator(size_t cells, Collector collect);
 
-  /// Re-reads cell i's instruments into its preallocated summary and
-  /// returns it. Zero-alloc warm path; callable from the cell's own worker
-  /// thread (reads only instruments that cell writes).
+  size_t cells() const { return totals_.size(); }
+
+  /// Re-reads cell i through the collector into its preallocated summary
+  /// and returns it. Zero-alloc warm path; callable from the cell's own
+  /// worker thread.
   const CellTelemetry& collect_cell(size_t i);
-  /// Last collected totals for cell i (since registry values last reset).
+  /// Last collected totals for cell i.
   const CellTelemetry& cell_total(size_t i) const { return totals_[i]; }
 
   /// Marks the current totals as the base of a new evaluation window.
@@ -161,43 +163,11 @@ class FleetAggregator {
   /// Merge of every cell's summary (`window` selects window deltas).
   CellTelemetry fleet_rollup(bool window = false) const;
 
-  const FleetCellSpec& spec(size_t i) const { return specs_[i]; }
-
   /// {"cells":[...per-cell totals...],"fleet":{...rollup...}}
   std::string to_json() const;
 
  private:
-  struct SliceHandles {
-    Counter* prb_granted = nullptr;
-    Counter* sched_faults = nullptr;
-    Counter* sanitized = nullptr;
-    Counter* slots_scheduled = nullptr;
-  };
-  struct SlotHandles {
-    Counter* calls = nullptr;
-    Counter* traps = nullptr;
-    Counter* fuel_exhausted = nullptr;
-    Counter* declines = nullptr;
-    Counter* fuel_used = nullptr;
-    Histogram* wall = nullptr;
-    bool sched = false;  ///< counts toward sched_wall_ns
-  };
-  struct AnomalyHandle {
-    Counter* c = nullptr;
-    AnomalyKind kind = AnomalyKind::kOther;
-  };
-  struct CellHandles {
-    Counter* slots = nullptr;
-    Counter* overruns = nullptr;
-    Histogram* slot_wall = nullptr;
-    std::vector<SliceHandles> slices;
-    std::vector<SlotHandles> slots_h;
-    std::vector<AnomalyHandle> anomalies;
-    const TraceRing* ring = nullptr;
-  };
-
-  std::vector<FleetCellSpec> specs_;
-  std::vector<CellHandles> handles_;
+  Collector collect_;
   std::vector<CellTelemetry> totals_;
   std::vector<CellTelemetry> window_base_;
 };

@@ -1,17 +1,15 @@
 #include "obs/flight.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/anomaly.h"
 #include "obs/trace.h"
 
 namespace waran::obs {
 
 namespace {
 
-constexpr size_t kAnomalyTail = 32;        ///< journal records kept in the bundle
+constexpr size_t kAnomalyTail = 32;        ///< anomaly records kept in the bundle
 constexpr uint32_t kTraceWindowSlots = 16;  ///< trailing slots of trace kept
 
 }  // namespace
@@ -35,6 +33,7 @@ std::string FlightRecorder::replay_command(uint64_t end_slot) const {
 std::string FlightRecorder::capture(std::string_view reason,
                                     const HealthReport& health,
                                     const FleetAggregator& agg,
+                                    std::span<const AnomalyRecord> anomalies,
                                     const std::vector<MergedTrack>& tracks,
                                     uint64_t end_slot) const {
   std::string out;
@@ -68,21 +67,13 @@ std::string FlightRecorder::capture(std::string_view reason,
   }
   out += ']';
 
-  // Journal tail, newest last, in canonical order. Cells journal
-  // concurrently, so arrival order (and the journal's seq) depends on
-  // thread interleaving; a stable sort by (slot, domain) keeps each
-  // single-writer domain's own order and makes the tail a pure function of
-  // the run. A record's seq here is its index in that order.
-  std::vector<AnomalyRecord> journal = AnomalyJournal::global().snapshot();
-  std::stable_sort(journal.begin(), journal.end(),
-                   [](const AnomalyRecord& a, const AnomalyRecord& b) {
-                     if (a.slot != b.slot) return a.slot < b.slot;
-                     return a.domain < b.domain;
-                   });
-  const size_t start = journal.size() > kAnomalyTail ? journal.size() - kAnomalyTail : 0;
+  // Tail of the merged view, newest last; a record's seq here is its index
+  // in that view.
+  const size_t start =
+      anomalies.size() > kAnomalyTail ? anomalies.size() - kAnomalyTail : 0;
   out += ",\"anomalies\":[";
-  for (size_t i = start; i < journal.size(); ++i) {
-    const AnomalyRecord& r = journal[i];
+  for (size_t i = start; i < anomalies.size(); ++i) {
+    const AnomalyRecord& r = anomalies[i];
     if (i > start) out += ',';
     std::snprintf(buf, sizeof(buf),
                   "{\"seq\":%zu,\"slot\":%" PRIu64 ",\"t_ns\":%" PRIu64

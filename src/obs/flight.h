@@ -12,27 +12,27 @@
 //   health        the breaching HealthReport, verdict by verdict.
 //   cells         every cell's window delta and running totals (exact
 //                 histogram state included via the telemetry JSON).
-//   anomalies     the journal tail around the breach, in canonical
-//                 (slot, domain) order, newest last.
+//   anomalies     the last records of the deployment's merged anomaly
+//                 view (merge_journals' canonical order), newest last.
 //   trace_window  the last 16 slots of every cell's trace ring, tagged
 //                 with the cell's merged-trace pid.
 //
 // The bundle is a pure function of deployment state that is itself
 // deterministic under virtual time, so capturing the same breach twice
 // yields byte-identical bundles — asserted by tests/obs_fleet_test.cpp and
-// relied on by the chaos harness's replay contract. The one input that is
-// not deterministic is the journal's arrival order: the cells of a
-// threaded deployment journal concurrently. So the anomaly tail is sorted
-// by (slot, domain) before it is cut, each domain has a single writer and
-// keeps its own order, and `seq` is a record's index in that order rather
-// than its arrival number.
+// relied on by the chaos harness's replay contract. The anomaly records
+// arrive already merged: each component journal has one writer, and the
+// merge orders them without regard to how threaded cells interleaved, so
+// `seq` in the bundle is a record's index in that merged order.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/anomaly.h"
 #include "obs/fleet.h"
 #include "obs/slo.h"
 
@@ -61,11 +61,13 @@ class FlightRecorder {
   /// replays `end_slot` slots, on virtual time when the context is.
   std::string replay_command(uint64_t end_slot) const;
 
-  /// Builds the bundle. `end_slot` anchors the trace window (events with
-  /// slot >= end_slot - 16 are kept); `tracks` may be empty when tracing is
-  /// off.
+  /// Builds the bundle. `anomalies` is the merged view (merge_journals),
+  /// of which the last 32 records are kept. `end_slot` anchors the trace
+  /// window (events with slot >= end_slot - 16 are kept); `tracks` may be
+  /// empty when tracing is off.
   std::string capture(std::string_view reason, const HealthReport& health,
                       const FleetAggregator& agg,
+                      std::span<const AnomalyRecord> anomalies,
                       const std::vector<MergedTrack>& tracks,
                       uint64_t end_slot) const;
 

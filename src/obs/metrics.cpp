@@ -32,10 +32,14 @@ void Histogram::reset() {
 
 HistState HistState::from(const Histogram& h) {
   HistState s;
-  for (size_t k = 0; k < Histogram::kBuckets; ++k) s.buckets[k] = h.bucket_count(k);
-  s.sum = h.sum();
-  s.count = h.count();
+  s.merge(h);
   return s;
+}
+
+void HistState::merge(const Histogram& h) {
+  for (size_t k = 0; k < Histogram::kBuckets; ++k) buckets[k] += h.bucket_count(k);
+  sum += h.sum();
+  count += h.count();
 }
 
 void HistState::merge(const HistState& o) {
@@ -132,7 +136,6 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(std::string_view name,
     e.kind = kind;
     switch (kind) {
       case Kind::kCounter: e.counter = std::make_unique<Counter>(); break;
-      case Kind::kGauge: e.gauge = std::make_unique<Gauge>(); break;
       case Kind::kHistogram: e.histogram = std::make_unique<Histogram>(); break;
     }
     it = entries_.emplace(std::move(key), std::move(e)).first;
@@ -142,10 +145,6 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(std::string_view name,
 
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
   return *find_or_create(name, labels, Kind::kCounter).counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name, Labels labels) {
-  return *find_or_create(name, labels, Kind::kGauge).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name, Labels labels) {
@@ -162,7 +161,6 @@ void MetricsRegistry::reset_values() {
   for (auto& [key, e] : entries_) {
     switch (e.kind) {
       case Kind::kCounter: e.counter->reset(); break;
-      case Kind::kGauge: e.gauge->reset(); break;
       case Kind::kHistogram: e.histogram->reset(); break;
     }
   }
@@ -175,9 +173,7 @@ std::string MetricsRegistry::to_prometheus() const {
   char buf[160];
   std::string last_typed;  // emit one # TYPE line per base name
   for (const auto& [key, e] : entries_) {
-    const char* type = e.kind == Kind::kCounter ? "counter"
-                       : e.kind == Kind::kGauge ? "gauge"
-                                                : "histogram";
+    const char* type = e.kind == Kind::kCounter ? "counter" : "histogram";
     if (e.base != last_typed) {
       out += "# TYPE " + e.base + " " + type + "\n";
       last_typed = e.base;
@@ -185,11 +181,6 @@ std::string MetricsRegistry::to_prometheus() const {
     switch (e.kind) {
       case Kind::kCounter:
         std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", e.counter->value());
-        out += e.base + e.labels + buf;
-        break;
-      case Kind::kGauge:
-        std::snprintf(buf, sizeof(buf), " %lld\n",
-                      static_cast<long long>(e.gauge->value()));
         out += e.base + e.labels + buf;
         break;
       case Kind::kHistogram: {
@@ -222,7 +213,7 @@ std::string MetricsRegistry::to_prometheus() const {
 
 std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string counters, gauges, histograms;
+  std::string counters, histograms;
   char buf[160];
   // Opens one `"name":` member in `out`, after a comma unless it is first.
   auto open_member = [](std::string& out, const Entry& e) {
@@ -237,12 +228,6 @@ std::string MetricsRegistry::to_json() const {
         open_member(counters, e);
         std::snprintf(buf, sizeof(buf), ":%" PRIu64, e.counter->value());
         counters += buf;
-        break;
-      case Kind::kGauge:
-        open_member(gauges, e);
-        std::snprintf(buf, sizeof(buf), ":%lld",
-                      static_cast<long long>(e.gauge->value()));
-        gauges += buf;
         break;
       case Kind::kHistogram: {
         const Histogram& h = *e.histogram;
@@ -264,8 +249,7 @@ std::string MetricsRegistry::to_json() const {
       }
     }
   }
-  return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-         "},\"histograms\":{" + histograms + "}}";
+  return "{\"counters\":{" + counters + "},\"histograms\":{" + histograms + "}}";
 }
 
 }  // namespace waran::obs

@@ -1,5 +1,5 @@
-// waran::obs metrics registry — named counters, gauges and fixed-bucket
-// log-scale histograms, with Prometheus text exposition and a JSON snapshot.
+// waran::obs metrics registry — named counters and fixed-bucket log-scale
+// histograms, with Prometheus text exposition and a JSON snapshot.
 //
 // Unlike common/stats.h's QuantileAcc (exact order statistics, one heap
 // append per sample — right for offline evaluation), these instruments are
@@ -37,17 +37,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> v_{0};
-};
-
-class Gauge {
- public:
-  void set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(int64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-  int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> v_{0};
 };
 
 /// Log2 histogram: 65 fixed buckets with exact power-of-two boundaries.
@@ -93,6 +82,8 @@ struct HistState {
 
   static HistState from(const Histogram& h);
   void merge(const HistState& o);
+  /// Adds a live histogram's current state: merge(from(h)) in one pass.
+  void merge(const Histogram& h);
   /// Subtracts an earlier snapshot of the same histogram (window delta).
   void subtract(const HistState& base);
   /// Nearest-rank quantile estimate, reported as the upper bound of the
@@ -123,13 +114,12 @@ class MetricsRegistry {
   /// returns a separate instrument of the requested kind (names should not
   /// be reused across kinds; the exporter keeps them distinct).
   Counter& counter(std::string_view name, Labels labels = {});
-  Gauge& gauge(std::string_view name, Labels labels = {});
   Histogram& histogram(std::string_view name, Labels labels = {});
 
   /// Prometheus text exposition format (type comments + one line per
   /// sample; histograms expand to cumulative _bucket/_sum/_count).
   std::string to_prometheus() const;
-  /// JSON snapshot: {"counters":{...},"gauges":{...},"histograms":{...}}.
+  /// JSON snapshot: {"counters":{...},"histograms":{...}}.
   std::string to_json() const;
 
   size_t size() const;
@@ -139,13 +129,12 @@ class MetricsRegistry {
   void reset_values();
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
   struct Entry {
     std::string base;    // metric name without labels
     std::string labels;  // rendered label block, "" or `{k="v",...}`
     Kind kind;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 

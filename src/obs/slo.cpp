@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "obs/anomaly.h"
-
 namespace waran::obs {
 
 const char* to_string(SloMetric metric) {
@@ -99,8 +97,7 @@ HealthReport SloEngine::evaluate(const FleetAggregator& agg,
         std::string source = cell == std::numeric_limits<uint32_t>::max()
                                  ? "fleet"
                                  : "cell " + std::to_string(cell);
-        AnomalyJournal::global().record(AnomalyKind::kSloBreach, "slo", source,
-                                        detail);
+        journal_.record(AnomalyKind::kSloBreach, "slo", source, detail);
       }
       report.verdicts.push_back(std::move(v));
     };
@@ -108,7 +105,8 @@ HealthReport SloEngine::evaluate(const FleetAggregator& agg,
       judge(agg.fleet_rollup(/*window=*/true), std::numeric_limits<uint32_t>::max());
     } else {
       for (size_t i = 0; i < agg.cells(); ++i) {
-        judge(agg.cell_window(i), agg.spec(i).cell);
+        const CellTelemetry w = agg.cell_window(i);
+        judge(w, w.cell);
       }
     }
   }

@@ -8,16 +8,17 @@
 // deltas, produces one SloVerdict per (spec, scope instance) and folds them
 // into a HealthReport — a machine-checkable verdict list that is a pure
 // function of the telemetry, so repeated virtual-time runs yield identical
-// reports. Every breached verdict is also journaled as
-// AnomalyKind::kSloBreach (domain "slo"), which feeds the metrics registry
-// and trace ring like every other containment event, and is the trigger the
-// FlightRecorder (flight.h) listens for.
+// reports. Every breached verdict is also recorded in the engine's own
+// journal as AnomalyKind::kSloBreach (domain "slo"), which feeds the
+// metrics registry and trace ring like every other containment event, and
+// is the trigger the FlightRecorder (flight.h) listens for.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "obs/anomaly.h"
 #include "obs/fleet.h"
 
 namespace waran::obs {
@@ -86,9 +87,13 @@ class SloEngine {
   HealthReport evaluate(const FleetAggregator& agg, uint64_t window_start_slot,
                         uint64_t window_end_slot);
 
+  /// The breaches evaluate() recorded.
+  const AnomalyJournal& journal() const { return journal_; }
+
  private:
   std::vector<SloSpec> slos_;
   uint64_t windows_ = 0;
+  AnomalyJournal journal_;
 };
 
 }  // namespace waran::obs

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "obs/anomaly.h"
+#include "obs/fleet.h"
 #include "obs/trace.h"
 
 namespace waran::plugin {
@@ -49,15 +49,14 @@ Result<std::shared_ptr<Plugin>> PluginManager::load_checked(
     const wasm::Linker& extra_host) {
   if (load_interceptor_) {
     if (std::optional<Error> err = load_interceptor_(slot)) {
-      obs::AnomalyJournal::global().record(obs::AnomalyKind::kLoadFailed, domain_,
-                                           slot, err->message);
+      journal_.record(obs::AnomalyKind::kLoadFailed, domain_, slot, err->message);
       return *err;
     }
   }
   auto loaded = Plugin::load(module_bytes, extra_host, default_limits_);
   if (!loaded.ok()) {
-    obs::AnomalyJournal::global().record(obs::AnomalyKind::kLoadFailed, domain_,
-                                         slot, loaded.error().message);
+    journal_.record(obs::AnomalyKind::kLoadFailed, domain_, slot,
+                    loaded.error().message);
     return loaded.error();
   }
   auto plugin = std::shared_ptr<Plugin>(std::move(*loaded));
@@ -76,8 +75,7 @@ Result<std::shared_ptr<Plugin>> PluginManager::load_checked(
   last_admission_ = analysis::admit(inst.module(), *inst.translation(), budget);
   if (!last_admission_->admitted) {
     const std::string reason = last_admission_->reject_reason();
-    obs::AnomalyJournal::global().record(obs::AnomalyKind::kAdmissionReject,
-                                         domain_, slot, reason);
+    journal_.record(obs::AnomalyKind::kAdmissionReject, domain_, slot, reason);
     obs::MetricsRegistry::global()
         .counter("waran_plugin_admission_rejects_total",
                  {{"domain", domain_}, {"slot", slot}})
@@ -175,18 +173,17 @@ Status PluginManager::call(std::string_view slot, std::string_view fn,
     if (result.error().code == Error::Code::kFuelExhausted) {
       ++s.health.fuel_exhaustions;
       s.m_fuel_exhausted->add();
-      obs::AnomalyJournal::global().record(obs::AnomalyKind::kFuelExhausted,
-                                           domain_, slot, result.error().message);
+      journal_.record(obs::AnomalyKind::kFuelExhausted, domain_, slot,
+                      result.error().message);
     } else {
       ++s.health.traps;
       s.m_traps->add();
-      obs::AnomalyJournal::global().record(obs::AnomalyKind::kTrap, domain_, slot,
-                                           result.error().message);
+      journal_.record(obs::AnomalyKind::kTrap, domain_, slot, result.error().message);
     }
-    if (s.health.consecutive_faults >= s.plugin->limits().quarantine_after_faults) {
+    if (s.health.consecutive_faults >= kQuarantineAfterFaults) {
       s.health.quarantined = true;
-      obs::AnomalyJournal::global().record(obs::AnomalyKind::kQuarantine, domain_,
-                                           slot, s.health.last_error);
+      journal_.record(obs::AnomalyKind::kQuarantine, domain_, slot,
+                      s.health.last_error);
       WARAN_LOG(kWarn, "plugin",
                 "slot '" << slot << "' quarantined after "
                          << s.health.consecutive_faults
@@ -220,6 +217,19 @@ const analysis::AdmissionReport* PluginManager::admission_report(
 const CallCostAcc* PluginManager::cost(const std::string& slot) const {
   auto it = slots_.find(slot);
   return it == slots_.end() ? nullptr : &it->second.cost;
+}
+
+void PluginManager::add_telemetry(std::string_view slot, obs::CellTelemetry& t,
+                                  obs::HistState* wall) const {
+  auto it = slots_.find(slot);
+  if (it == slots_.end()) return;
+  const Slot& s = it->second;
+  t.plugin_calls += s.m_calls->value();
+  t.plugin_traps += s.m_traps->value();
+  t.plugin_fuel_exhausted += s.m_fuel_exhausted->value();
+  t.plugin_declines += s.m_declines->value();
+  t.plugin_fuel_used += s.m_fuel_used->value();
+  if (wall != nullptr) wall->merge(*s.m_wall_ns);
 }
 
 Status PluginManager::reset_quarantine(const std::string& slot) {

@@ -7,7 +7,7 @@
 // upload can never take down a working scheduler; the switch itself is a
 // shared_ptr exchange between slot and caller.
 //
-// Quarantine (paper §6A fault tolerance): after `quarantine_after_faults`
+// Quarantine (paper §6A fault tolerance): after kQuarantineAfterFaults
 // consecutive faults the slot refuses further calls until reset or swapped,
 // and the embedder falls back to its default policy (the scheduler falls
 // back to host-side round-robin).
@@ -25,8 +25,13 @@
 
 #include "common/result.h"
 #include "common/stats.h"
+#include "obs/anomaly.h"
 #include "obs/metrics.h"
 #include "plugin/plugin.h"
+
+namespace waran::obs {
+struct CellTelemetry;
+}
 
 namespace waran::plugin {
 
@@ -67,9 +72,9 @@ class PluginManager {
     return last_admission_ ? &*last_admission_ : nullptr;
   }
 
-  /// Observability domain this manager reports under ("mac", "gnb0",
-  /// "ric"): the `domain` label on every per-slot metric and the journal
-  /// domain for anomalies. Set before installing plugins; slots installed
+  /// Observability domain this manager reports under ("mac0", "gnb0",
+  /// "ric"): the `domain` label on every per-slot metric and of the
+  /// anomalies it journals. Set before installing plugins; slots installed
   /// earlier keep the handles they resolved at install time.
   void set_domain(std::string domain) { domain_ = std::move(domain); }
   const std::string& domain() const { return domain_; }
@@ -111,6 +116,18 @@ class PluginManager {
   const CallCostAcc* cost(const std::string& slot) const;
   /// Lifts quarantine manually (operator intervention).
   Status reset_quarantine(const std::string& slot);
+
+  /// Traps, fuel exhaustions, quarantines, refused loads and admission
+  /// rejections of this manager's slots, recorded under domain().
+  obs::AnomalyJournal& journal() { return journal_; }
+  const obs::AnomalyJournal& journal() const { return journal_; }
+
+  /// Adds `slot`'s sandbox counts (calls, traps, fuel exhaustions, declines,
+  /// fuel used) to `t`, read through the registry handles the slot feeds,
+  /// and its wall-time histogram to `*wall` when `wall` is given. A slot
+  /// the manager does not have adds nothing. Allocation-free.
+  void add_telemetry(std::string_view slot, obs::CellTelemetry& t,
+                     obs::HistState* wall = nullptr) const;
 
   /// Direct access for introspection (memory probes in Fig. 5c).
   Plugin* plugin(const std::string& slot);
@@ -178,6 +195,7 @@ class PluginManager {
   /// Most recent admission analysis (load_checked fills it; install/swap
   /// copy it into the slot on success, rejected loads leave it here).
   std::optional<analysis::AdmissionReport> last_admission_;
+  obs::AnomalyJournal journal_;
 };
 
 }  // namespace waran::plugin

@@ -63,7 +63,7 @@ void Plugin::register_abi(wasm::Linker& linker) {
                  auto* ex = exchange_of(ctx);
                  uint32_t ptr = args[0].as_u32();
                  uint32_t len = args[1].as_u32();
-                 if (len > ex->max_output_bytes) {
+                 if (len > kMaxOutputBytes) {
                    return Error::trap("plugin output exceeds limit");
                  }
                  if (ex->output == nullptr) return Error::trap("output_write outside a call");
@@ -106,7 +106,6 @@ Result<std::unique_ptr<Plugin>> Plugin::load(std::span<const uint8_t> module_byt
                                              const PluginLimits& limits) {
   auto plugin = std::unique_ptr<Plugin>(new Plugin());
   plugin->limits_ = limits;
-  plugin->exchange_.max_output_bytes = limits.max_output_bytes;
 
   WARAN_TRY(module, wasm::decode_module(module_bytes));
   WARAN_CHECK_OK(wasm::validate_module(module));
@@ -154,7 +153,7 @@ Status Plugin::call(std::string_view fn, std::span<const uint8_t> input,
                     std::vector<uint8_t>& output, const CallOverrides& overrides) {
   last_call_stats_ = {};
   output.clear();
-  if (input.size() > limits_.max_input_bytes) {
+  if (input.size() > kMaxInputBytes) {
     return Error::limit_exceeded("plugin input exceeds limit");
   }
   const std::less<const uint8_t*> before;

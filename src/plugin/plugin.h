@@ -21,17 +21,19 @@
 
 namespace waran::plugin {
 
+/// Largest input payload the host passes to a plugin call.
+inline constexpr uint32_t kMaxInputBytes = 1 << 20;
+/// Largest output payload the host accepts from one (output_write traps
+/// beyond it, before reading plugin memory).
+inline constexpr uint32_t kMaxOutputBytes = 1 << 20;
+/// Consecutive faults after which PluginManager quarantines a slot (§6A).
+inline constexpr uint32_t kQuarantineAfterFaults = 3;
+
 /// Per-plugin resource policy. Defaults bound a scheduler plugin well below
 /// the 1 ms slot budget on any plausible host.
 struct PluginLimits {
   /// Fuel units (≈ interpreted instructions) per call; 0 disables metering.
   uint64_t fuel_per_call = 2'000'000;
-  /// Largest input payload the host will pass in.
-  uint32_t max_input_bytes = 1 << 20;
-  /// Largest output payload the host will accept.
-  uint32_t max_output_bytes = 1 << 20;
-  /// Consecutive faults before the manager quarantines the plugin (§6A).
-  uint32_t quarantine_after_faults = 3;
   /// Admission-time static analysis (analysis/analysis.h): with kEnforce,
   /// PluginManager verifies the translated streams and checks every
   /// export's static fuel/frame bounds against this slot budget before the
@@ -97,7 +99,6 @@ class Plugin {
     std::span<const uint8_t> input;
     std::vector<uint8_t>* output = nullptr;
     std::vector<std::string> log;
-    uint32_t max_output_bytes = 0;
   };
 
   static void register_abi(wasm::Linker& linker);

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "common/log.h"
-#include "obs/anomaly.h"
+#include "obs/fleet.h"
 #include "obs/trace.h"
 #include "ran/phy_tables.h"
 
@@ -195,10 +195,9 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedResponse& resp)
     // One journal entry per sanitized response (not per grant): the journal
     // answers "which slice misbehaved in which slot", the counter above
     // carries the magnitude.
-    obs::AnomalyJournal::global().record(
-        obs::AnomalyKind::kSanitized, config_.domain,
-        "slice " + std::to_string(slice.config.slice_id),
-        std::to_string(sanitized_here) + " grant(s) dropped or clamped");
+    journal_.record(obs::AnomalyKind::kSanitized, config_.domain,
+                    "slice " + std::to_string(slice.config.slice_id),
+                    std::to_string(sanitized_here) + " grant(s) dropped or clamped");
   }
   slice.m_prb_granted->add(quota - remaining);
 }
@@ -294,7 +293,7 @@ Status GnbMac::run_slot() {
   if (slot_wall_ns > static_cast<uint64_t>(config_.slot_us) * 1000) {
     m_slot_overruns_->add();
     m_cell_slot_overruns_->add();
-    obs::AnomalyJournal::global().record(
+    journal_.record(
         obs::AnomalyKind::kSlotOverrun, config_.domain, "slot",
         "slot processing took " + std::to_string(slot_wall_ns) + " ns (budget " +
             std::to_string(static_cast<uint64_t>(config_.slot_us) * 1000) + " ns)");
@@ -309,6 +308,20 @@ Status GnbMac::run_slots(uint32_t n) {
     WARAN_CHECK_OK(run_slot());
   }
   return {};
+}
+
+void GnbMac::add_telemetry(obs::CellTelemetry& t) const {
+  const uint64_t slots = m_cell_slots_->value();
+  t.slots += slots;
+  t.slot_overruns += m_cell_slot_overruns_->value();
+  t.prb_capacity += slots * config_.n_prbs;
+  t.slot_wall_ns.merge(*m_cell_slot_wall_ns_);
+  for (const auto& [id, slice] : slices_) {
+    t.prb_granted += slice.m_prb_granted->value();
+    t.sched_faults += slice.m_sched_faults->value();
+    t.sanitized_allocs += slice.m_sanitized->value();
+    t.slots_scheduled += slice.m_slots_scheduled->value();
+  }
 }
 
 const UeContext* GnbMac::ue(uint32_t rnti) const {

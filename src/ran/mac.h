@@ -22,10 +22,15 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "obs/anomaly.h"
 #include "obs/metrics.h"
 #include "ran/phy_tables.h"
 #include "ran/scheduler_iface.h"
 #include "ran/ue.h"
+
+namespace waran::obs {
+struct CellTelemetry;
+}
 
 namespace waran::ran {
 
@@ -48,10 +53,9 @@ struct MacConfig {
   /// aggregates (waran_mac_slots_total etc.) are shared across cells by
   /// design.
   uint32_t cell = 0;
-  /// Anomaly-journal domain for this MAC's records. Single-cell embedders
-  /// keep the default; the deployment uses "mac<cell>" so per-domain
-  /// journal sequences stay single-writer (and thus deterministic) when
-  /// cells run on separate worker threads.
+  /// Domain of the anomaly records this MAC journals, and the `domain`
+  /// label of their waran_anomaly_total series. The deployment uses
+  /// "mac<cell>", which its cell's scheduler manager reports under too.
   std::string domain = "mac";
 };
 
@@ -129,6 +133,15 @@ class GnbMac {
     for (const auto& [id, slice] : slices_) fn(slice.config, slice.stats);
   }
 
+  /// Sanitized responses and slot overruns, recorded under config().domain.
+  const obs::AnomalyJournal& journal() const { return journal_; }
+
+  /// Adds this MAC's counts to `t`: slots, overruns, PRBs granted and the
+  /// PRB capacity of those slots, the per-slice scheduler outcomes and the
+  /// slot wall-time histogram, read through the per-cell registry handles
+  /// the MAC writes. Allocation-free.
+  void add_telemetry(obs::CellTelemetry& t) const;
+
   /// Fault injection (waran::chaos): extra nanoseconds charged to the slot
   /// wall-clock before the overrun check, standing in for a host-side stall
   /// (page fault, preemption). The callback runs once per slot; return 0
@@ -173,8 +186,8 @@ class GnbMac {
   uint64_t slot_ = 0;
   // Registry handles for slot-level accounting (bound in the constructor;
   // cells share the unlabeled aggregates and additionally feed per-cell
-  // `waran_cell_*{cell=}` families, which the fleet telemetry plane
-  // (obs/fleet.h) reads for its cell -> gNB -> deployment rollup).
+  // `waran_cell_*{cell=}` families, which add_telemetry reads for the
+  // fleet telemetry plane's cell -> deployment rollup, obs/fleet.h).
   obs::Counter* m_slots_ = nullptr;
   obs::Counter* m_slot_overruns_ = nullptr;
   obs::Histogram* m_slot_wall_ns_ = nullptr;
@@ -193,6 +206,7 @@ class GnbMac {
   McsTable mcs_table_ = McsTable::kQam64;
   Xoshiro256 error_rng_{0x5eed};
   std::function<uint64_t()> slot_padding_;
+  obs::AnomalyJournal journal_;
 };
 
 }  // namespace waran::ran

@@ -140,9 +140,8 @@ Status GnbAgent::poll() {
       // The sandbox rejected the frame (bad magic/length/checksum): drop it
       // before any host-side parsing touches it.
       ++stats_.frames_rejected;
-      obs::AnomalyJournal::global().record(obs::AnomalyKind::kFrameRejected,
-                                           plugins_.domain(), "comm",
-                                           unframed.error().message);
+      plugins_.journal().record(obs::AnomalyKind::kFrameRejected, plugins_.domain(),
+                                "comm", unframed.error().message);
       continue;
     }
     auto type = peek_msg_type(payload_);

@@ -13,7 +13,6 @@
 #include <map>
 #include <span>
 
-#include "obs/anomaly.h"
 #include "plugin/manager.h"
 #include "ran/mac.h"
 #include "ric/e2lite.h"
@@ -92,7 +91,8 @@ class GnbAgent {
   }
 
   /// The agent's plugin manager ("comm" + "ctl" slots, domain
-  /// "gnb<cell_id>") — for health introspection and fault injection.
+  /// "gnb<cell_id>") — for health introspection and fault injection. Its
+  /// journal also holds the frames the comm plugin rejected.
   plugin::PluginManager& plugins() { return plugins_; }
 
   /// Slots between indications (RIC-configurable via the v2 control plugin
@@ -102,13 +102,6 @@ class GnbAgent {
   /// report_period_slots() slots, never at period 0.
   bool indication_due(uint64_t slots) const {
     return report_period_slots_ > 0 && slots % report_period_slots_ == 0;
-  }
-
-  /// Trap/anomaly journal entries recorded under this agent's observability
-  /// domain ("gnb<cell_id>"): comm/ctl plugin traps, fuel exhaustion,
-  /// quarantines and rejected frames, with slot context.
-  std::vector<obs::AnomalyRecord> anomalies() const {
-    return obs::AnomalyJournal::global().snapshot(plugins_.domain());
   }
 
  private:

@@ -107,9 +107,8 @@ Status NearRtRic::dispatch_indication(std::span<const uint8_t> payload, LinkRef&
       // xApp emitted garbage: sanitize by dropping its contribution.
       ++stats_.xapp_faults;
       RicMetrics::get().garbage_outputs.add();
-      obs::AnomalyJournal::global().record(obs::AnomalyKind::kSanitized,
-                                           plugins_.domain(), slot,
-                                           decoded.error().message);
+      plugins_.journal().record(obs::AnomalyKind::kSanitized, plugins_.domain(), slot,
+                                decoded.error().message);
       continue;
     }
     aggregated_.insert(aggregated_.end(), actions_.begin(), actions_.end());
@@ -173,9 +172,8 @@ Status NearRtRic::poll() {
       if (!unframed.ok()) {
         ++stats_.frames_rejected;
         RicMetrics::get().frames_rejected.add();
-        obs::AnomalyJournal::global().record(obs::AnomalyKind::kFrameRejected,
-                                             plugins_.domain(), "comm",
-                                             unframed.error().message);
+        plugins_.journal().record(obs::AnomalyKind::kFrameRejected, plugins_.domain(),
+                                  "comm", unframed.error().message);
         continue;
       }
       auto type = peek_msg_type(payload_);

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/anomaly.h"
 #include "plugin/manager.h"
 #include "ric/e2lite.h"
 #include "ric/transport.h"
@@ -80,13 +79,6 @@ class NearRtRic {
   /// report boundary this must equal the deployment's ground-truth
   /// aggregation exactly — the fleet plane's end-to-end invariant.
   const obs::FleetView& fleet_view() const { return fleet_view_; }
-
-  /// Trap/anomaly journal entries recorded under this RIC's observability
-  /// domain: every xApp trap, fuel exhaustion and quarantine, with
-  /// the xApp slot name and the MAC slot that was executing.
-  std::vector<obs::AnomalyRecord> anomalies() const {
-    return obs::AnomalyJournal::global().snapshot(plugins_.domain());
-  }
 
  private:
   struct LinkRef {

@@ -1,5 +1,6 @@
 #include "rt/deployment.h"
 
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <set>
@@ -45,6 +46,31 @@ struct GnbDeployment::Cell {
   /// First contained run_slot failure on this shard; written only by the
   /// cell's worker (or the coordinator between barriers).
   Status status;
+
+  /// The journals of the cell's components, in the canonical merge order.
+  std::array<const obs::AnomalyJournal*, 3> journals() const {
+    return {&sched_plugins->journal(), &mac->journal(), &agent->plugins().journal()};
+  }
+  /// The fleet plane's read of this cell (FleetAggregator::Collector):
+  /// runs on the cell's worker inside send_indication, so it allocates
+  /// nothing, takes no lock and reads only what this shard writes.
+  void collect(const std::vector<SliceSpec>& slices, obs::CellTelemetry& t) const {
+    mac->add_telemetry(t);
+    for (const SliceSpec& s : slices) {
+      sched_plugins->add_telemetry(s.name, t, &t.sched_wall_ns);
+    }
+    agent->plugins().add_telemetry("comm", t);
+    agent->plugins().add_telemetry("ctl", t);
+    for (const obs::AnomalyJournal* j : journals()) {
+      t.anomalies += j->total();
+      t.quarantines += j->count(obs::AnomalyKind::kQuarantine);
+      t.frames_rejected += j->count(obs::AnomalyKind::kFrameRejected);
+    }
+    if (ring != nullptr) {
+      t.trace_writes = ring->writes();
+      t.trace_dropped = ring->dropped();
+    }
+  }
   // Last member: its destructor joins the worker before the shard state
   // above is torn down.
   std::unique_ptr<CellExecutor> executor;
@@ -120,6 +146,16 @@ GnbDeployment::GnbDeployment(DeploymentConfig config) : config_(std::move(config
     cell->agent = std::make_unique<ric::GnbAgent>(i, *cell->mac, cell->quotas, *cell->link,
                                                   ric::Duplex::Side::kA,
                                                   config_.report_period_slots);
+    // Every anomaly kind of the cell's two domains is a series from the
+    // start, at zero, so a scrape also lists the kinds a cell never had.
+    for (const std::string* domain :
+         {&cell->mac->config().domain, &cell->agent->plugins().domain()}) {
+      for (size_t k = 0; k < obs::kAnomalyKinds; ++k) {
+        const char* kind = obs::to_string(static_cast<obs::AnomalyKind>(k));
+        obs::MetricsRegistry::global().counter("waran_anomaly_total",
+                                               {{"domain", *domain}, {"kind", kind}});
+      }
+    }
     if (i == 0) {
       ric_ = std::make_unique<ric::NearRtRic>(*cell->link, ric::Duplex::Side::kB);
     } else {
@@ -141,31 +177,16 @@ GnbDeployment::GnbDeployment(DeploymentConfig config) : config_(std::move(config
     ric_ring_->enable(config_.trace_capacity);
   }
 
-  // Fleet telemetry plane: one spec per cell, handles resolved here so the
-  // per-indication collection path never allocates.
-  {
-    std::vector<obs::FleetCellSpec> specs;
-    specs.reserve(cells_.size());
-    for (const auto& cp : cells_) {
-      obs::FleetCellSpec spec;
-      spec.cell = cp->id;
-      spec.mac_domain = "mac" + std::to_string(cp->id);
-      spec.agent_domain = "gnb" + std::to_string(cp->id);
-      for (const SliceSpec& s : config_.slices) {
-        spec.sched_slots.push_back(s.name);
-        spec.slice_ids.push_back(std::to_string(s.slice_id));
-      }
-      spec.n_prbs = config_.mac.n_prbs;
-      spec.ring = cp->ring.get();
-      specs.push_back(std::move(spec));
-    }
-    fleet_ = std::make_unique<obs::FleetAggregator>(std::move(specs));
-  }
+  // Fleet telemetry plane: each cell reads its own components.
+  fleet_ = std::make_unique<obs::FleetAggregator>(
+      cells_.size(), [this](size_t i, obs::CellTelemetry& t) {
+        cells_[i]->collect(config_.slices, t);
+      });
   for (size_t i = 0; i < cells_.size(); ++i) {
     Cell* c = cells_[i].get();
     c->agent->set_telemetry_provider([this, c, i]() -> const obs::CellTelemetry* {
-      // Runs on the cell's own worker: reads only cell-i-labeled
-      // instruments, writes only this cell's aggregator slot.
+      // Runs on the cell's own worker and writes only this cell's
+      // aggregator slot.
       const obs::CellTelemetry& t = fleet_->collect_cell(i);
       c->last_shipped = t;
       c->shipped = true;
@@ -341,9 +362,23 @@ std::string GnbDeployment::export_merged_trace() const {
   return obs::export_merged_chrome_trace(trace_tracks());
 }
 
+std::vector<const obs::AnomalyJournal*> GnbDeployment::journals() const {
+  std::vector<const obs::AnomalyJournal*> out;
+  for (const auto& cp : cells_) {
+    for (const obs::AnomalyJournal* j : cp->journals()) out.push_back(j);
+  }
+  if (ric_ != nullptr) out.push_back(&ric_->plugins().journal());
+  if (slo_ != nullptr) out.push_back(&slo_->journal());
+  return out;
+}
+
+std::vector<obs::AnomalyRecord> GnbDeployment::anomalies() const {
+  return obs::merge_journals(journals());
+}
+
 std::string GnbDeployment::capture_flight_bundle(std::string_view reason) const {
   obs::FlightRecorder recorder(flight_ctx_);
-  return recorder.capture(reason, last_health_, *fleet_, trace_tracks(),
+  return recorder.capture(reason, last_health_, *fleet_, anomalies(), trace_tracks(),
                           slots_run_);
 }
 

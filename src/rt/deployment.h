@@ -3,15 +3,17 @@
 // MVNO schedulers behind a per-cell PluginManager), its own E2 Duplex link
 // and GnbAgent, and its own trace ring, all reporting to a single shared
 // NearRtRic. Each shard's execution is pinned to one CellExecutor worker
-// thread; shared state is limited to thread-safe paths (MetricsRegistry and
-// AnomalyJournal atomics/mutex, Duplex's internal lock, the RIC driven only
-// by the coordinator thread).
+// thread; shared state is limited to thread-safe paths (MetricsRegistry
+// atomics, Duplex's internal lock, the RIC driven only by the coordinator
+// thread). Each component that contains faults journals them itself, so a
+// journal has one writer at a time and a deployment's anomalies are its
+// own.
 //
 // run_slots(n) steps every cell in lockstep: all cells execute slot k
 // concurrently, park at the executors' idle barrier, then the coordinator
 // polls the RIC and advances the virtual clock. With virtual_time this is
 // fully deterministic — same config + seed => bit-identical metrics
-// snapshot, trace hashes and journal, threaded or not (see digest()).
+// snapshot, trace hashes and anomaly view, threaded or not (see digest()).
 //
 // Construction never throws: wiring failures land in status() and the
 // deployment refuses to run.
@@ -26,6 +28,7 @@
 
 #include "analysis/analysis.h"
 #include "common/result.h"
+#include "obs/anomaly.h"
 #include "obs/fleet.h"
 #include "obs/flight.h"
 #include "obs/slo.h"
@@ -129,7 +132,7 @@ class GnbDeployment {
   ric::NearRtRic& ric() { return *ric_; }
 
   // --- Fleet telemetry plane (obs/fleet.h). The aggregator is always on:
-  // --- handles resolve at construction, per-cell collection rides each
+  // --- per-cell collection reads the cell's own components and rides each
   // --- cell's indication (zero-alloc, on the cell's own thread).
   obs::FleetAggregator& fleet() { return *fleet_; }
   const obs::FleetAggregator& fleet() const { return *fleet_; }
@@ -147,6 +150,17 @@ class GnbDeployment {
   void set_breach_hook(std::function<void(const obs::HealthReport&)> hook) {
     breach_hook_ = std::move(hook);
   }
+
+  /// Every component journal, in canonical order: cell by cell its
+  /// scheduler manager's, its MAC's (a slot's scheduler faults come before
+  /// the MAC's end-of-slot overrun) and its agent manager's; then the RIC
+  /// manager's; then the SLO engine's (when on).
+  std::vector<const obs::AnomalyJournal*> journals() const;
+  /// The deployment's one anomaly view: every retained record of
+  /// journals(), ordered by (slot, domain), then by journal in the order
+  /// above, then in record order (obs::merge_journals). Threaded and
+  /// inline runs give the same view.
+  std::vector<obs::AnomalyRecord> anomalies() const;
 
   /// Replay coordinates embedded in flight bundles; the constructor fills
   /// seed/cells/virtual_time, callers may override (chaos adds its episode
@@ -171,8 +185,8 @@ class GnbDeployment {
   /// snapshot plus per-cell MAC/slice/agent state, RIC stats and the trace
   /// hash. Two runs with the same config and seed — threaded or inline —
   /// must produce byte-identical digests under virtual time (callers reset
-  /// the global registry/journal before constructing the deployment, since
-  /// those accumulate across runs).
+  /// the global registry before constructing the deployment, since its
+  /// values accumulate across runs).
   std::string digest() const;
 
  private:

@@ -272,7 +272,6 @@ TEST(Admission, AcceptsExampleSchedulersUnderDefaultBudget) {
   plugin::PluginLimits limits;
   limits.admission = analysis::AdmissionMode::kEnforce;
   plugin::PluginManager mgr(limits);
-  mgr.set_domain("adm-accept");
   for (const char* kind : {"rr", "pf", "mt"}) {
     auto bytes = sched::plugins::scheduler(kind);
     ASSERT_TRUE(bytes.ok()) << kind;
@@ -299,7 +298,6 @@ TEST(Admission, RejectsOverBudgetPluginBeforeFirstCall) {
   limits.fuel_per_call = 10;  // below every scheduler's static minimum
   limits.admission = analysis::AdmissionMode::kEnforce;
   plugin::PluginManager mgr(limits);
-  mgr.set_domain("adm-reject");
 
   auto bytes = sched::plugins::scheduler("rr");
   ASSERT_TRUE(bytes.ok());
@@ -315,8 +313,8 @@ TEST(Admission, RejectsOverBudgetPluginBeforeFirstCall) {
   EXPECT_NE(report->reject_reason().find("fuel"), std::string::npos)
       << report->reject_reason();
 
-  // Exactly one anomaly in this manager's domain, and it is the rejection.
-  auto records = obs::AnomalyJournal::global().snapshot("adm-reject");
+  // Exactly one anomaly in this manager's journal, and it is the rejection.
+  auto records = mgr.journal().snapshot();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].kind, obs::AnomalyKind::kAdmissionReject);
   EXPECT_EQ(records[0].source, "mvno");
@@ -332,7 +330,6 @@ TEST(Admission, SwapIsAdmissionCheckedToo) {
   plugin::PluginLimits limits;
   limits.admission = analysis::AdmissionMode::kEnforce;
   plugin::PluginManager mgr(limits);
-  mgr.set_domain("adm-swap");
   auto bytes = sched::plugins::scheduler("rr");
   ASSERT_TRUE(bytes.ok());
   ASSERT_TRUE(mgr.install("mvno", *bytes).ok());
@@ -358,8 +355,6 @@ TEST(AdmissionEpisode, EnforcedDeploymentAdmitsEveryScheduler) {
   // A refused scheduler at deployment level is covered by
   // FleetPlane.CellAnomaliesCountEveryKindIncludingAdmissionRejects (a
   // refused hot swap); here every scheduler fits the PluginLimits budget.
-  const size_t before =
-      obs::AnomalyJournal::global().snapshot("mac0").size();
 
   rt::DeploymentConfig cfg;
   cfg.cells = 1;
@@ -377,7 +372,7 @@ TEST(AdmissionEpisode, EnforcedDeploymentAdmitsEveryScheduler) {
     EXPECT_TRUE(report->admitted) << s.name;
     EXPECT_EQ(report->limits.fuel_per_call, plugin::PluginLimits{}.fuel_per_call);
   }
-  EXPECT_EQ(obs::AnomalyJournal::global().snapshot("mac0").size(), before);
+  EXPECT_EQ(dep.sched_plugins(0).journal().total(), 0u);
 }
 
 }  // namespace

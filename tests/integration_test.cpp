@@ -105,11 +105,9 @@ TEST(Integration, HotSwapStormNeverDropsService) {
 }
 
 TEST(Integration, QuarantinedPluginSliceRunsOnFallbackIndefinitely) {
-  plugin::PluginLimits limits;
-  limits.quarantine_after_faults = 3;
   ran::GnbMac mac(ran::MacConfig{});
   mac.set_inter_scheduler(std::make_unique<sched::WeightedShareInterScheduler>());
-  plugin::PluginManager mgr(limits);
+  plugin::PluginManager mgr;
   auto bad = sched::plugins::faulty("oob");
   ASSERT_TRUE(bad.ok());
   ASSERT_TRUE(mgr.install("evil", *bad).ok());
@@ -124,7 +122,7 @@ TEST(Integration, QuarantinedPluginSliceRunsOnFallbackIndefinitely) {
   // Sandbox faults stop at quarantine; the fallback keeps serving. After
   // quarantine every slot still counts as a (cheap) scheduler fault at the
   // MAC, but throughput is unaffected.
-  EXPECT_EQ(mgr.health("evil")->faults(), 3u);
+  EXPECT_EQ(mgr.health("evil")->faults(), plugin::kQuarantineAfterFaults);
   double rate = mac.ue(rnti)->rate_bps(mac.now_s());
   EXPECT_GT(rate, 10e6);  // full RR fallback on 52 PRBs at MCS 20
 }

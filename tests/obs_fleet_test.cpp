@@ -14,8 +14,10 @@
 //   - A breached SLO lands kSloBreach journal entries, fires the breach
 //     hook, and yields a deterministic flight-recorder bundle.
 //   - A bundle's replay line names the run's slot count and clock, and
-//     its anomaly tail does not depend on the journal's arrival order.
-//   - A cell's anomaly count covers every AnomalyKind.
+//     its anomaly tail does not depend on how journals interleaved.
+//   - A cell's anomaly count covers every AnomalyKind, counts only its own
+//     deployment's records, and every count of a cell equals the ledgers
+//     of the components it reads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +36,7 @@
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
+#include "plugin/manager.h"
 #include "ric/e2lite.h"
 #include "ric/gnb_agent.h"
 #include "ric/near_rt_ric.h"
@@ -371,9 +374,10 @@ TEST(E2Telemetry, TrailingGarbageStaysADecodeError) {
 // ---------------------------------------------------------------------------
 // Deployment wiring: ground truth vs RIC reconstruction, determinism, SLOs
 
+// The registry is process-wide: tests that compare its series start from
+// zeroed values.
 void reset_global_obs() {
   obs::MetricsRegistry::global().reset_values();
-  obs::AnomalyJournal::global().clear();
   obs::set_current_slot(0);
 }
 
@@ -550,7 +554,7 @@ TEST(FleetPlane, BreachedSloJournalsAndCapturesFlightBundle) {
 
   // Every breached verdict is journaled as kSloBreach under domain "slo".
   uint64_t journaled = 0;
-  for (const obs::AnomalyRecord& r : obs::AnomalyJournal::global().snapshot()) {
+  for (const obs::AnomalyRecord& r : dep.anomalies()) {
     if (r.kind == obs::AnomalyKind::kSloBreach) {
       ++journaled;
       EXPECT_EQ(r.domain, "slo");
@@ -595,6 +599,98 @@ TEST(FleetPlane, CellAnomaliesCountEveryKindIncludingAdmissionRejects) {
   EXPECT_EQ(dep.fleet().collect_cell(0).anomalies, journaled);
 }
 
+TEST(FleetPlane, AnomaliesBelongToTheirDeployment) {
+  // Two deployments of one config in one process, nothing reset between
+  // them: the second reports none of the first one's anomalies. SLO
+  // windows are off: they judge registry-backed counts, which still carry
+  // the first deployment's slots (the registry stays process-wide).
+  reset_global_obs();
+  rt::DeploymentConfig cfg = fleet_config(1, /*threaded=*/false);
+  cfg.slo_window_slots = 0;
+  {
+    rt::GnbDeployment first(cfg);
+    ASSERT_TRUE(first.status().ok());
+    // Every cell-0 slot overruns, and a trapping scheduler is quarantined.
+    first.mac(0).set_slot_time_padding([] { return uint64_t{2'000'000}; });
+    auto oob = sched::plugins::faulty("oob");
+    ASSERT_TRUE(oob.ok());
+    ASSERT_TRUE(first.sched_plugins(0).swap("stream-co", *oob).ok());
+    ASSERT_TRUE(first.run_slots(40).ok());
+    const obs::CellTelemetry& t = first.fleet().collect_cell(0);
+    ASSERT_GT(t.anomalies, 40u);
+    ASSERT_EQ(t.quarantines, 1u);
+  }
+  rt::GnbDeployment second(cfg);
+  ASSERT_TRUE(second.status().ok());
+  ASSERT_TRUE(second.run_slots(40).ok());
+  const obs::CellTelemetry& t = second.fleet().collect_cell(0);
+  EXPECT_EQ(t.anomalies, 0u);
+  EXPECT_EQ(t.quarantines, 0u);
+  EXPECT_TRUE(second.anomalies().empty());
+  for (const obs::AnomalyJournal* j : second.journals()) EXPECT_EQ(j->total(), 0u);
+}
+
+TEST(FleetPlane, CellCountsEqualItsComponentsLedgers) {
+  // Every count a cell ships equals the ledger of a component the cell
+  // owns: its slices' stats, the calls of its scheduler, comm and ctl
+  // slots (of no other slot), and its own journals.
+  reset_global_obs();
+  const rt::DeploymentConfig cfg = fleet_config(2, /*threaded=*/true);
+  rt::GnbDeployment dep(cfg);
+  ASSERT_TRUE(dep.status().ok());
+  // A slot outside the slices, as the chaos grower is: its calls are not
+  // the cell's.
+  plugin::PluginManager& mgr0 = dep.sched_plugins(0);
+  auto extra = sched::plugins::scheduler("rr");
+  ASSERT_TRUE(extra.ok());
+  ASSERT_TRUE(mgr0.install("extra", *extra).ok());
+  std::vector<uint8_t> out;
+  for (int i = 0; i < 5; ++i) (void)mgr0.call("extra", "schedule", {}, out);
+  ASSERT_EQ(mgr0.cost("extra")->calls(), 5u);
+  auto oob = sched::plugins::faulty("oob");
+  ASSERT_TRUE(oob.ok());
+  ASSERT_TRUE(mgr0.swap("stream-co", *oob).ok());
+  ASSERT_TRUE(dep.run_slots(40).ok());
+
+  for (uint32_t c = 0; c < dep.cells(); ++c) {
+    const obs::CellTelemetry& t = dep.fleet().collect_cell(c);
+    uint64_t calls = 0, traps = 0, fuel = 0;
+    auto add_slot = [&](plugin::PluginManager& m, const std::string& slot) {
+      calls += m.cost(slot)->calls();
+      traps += m.health(slot)->traps;
+      fuel += m.cost(slot)->total_fuel();
+    };
+    for (const rt::SliceSpec& s : cfg.slices) add_slot(dep.sched_plugins(c), s.name);
+    add_slot(dep.agent(c).plugins(), "comm");
+    add_slot(dep.agent(c).plugins(), "ctl");
+    EXPECT_EQ(t.plugin_calls, calls) << "cell " << c;
+    EXPECT_EQ(t.plugin_traps, traps) << "cell " << c;
+    EXPECT_EQ(t.plugin_fuel_used, fuel) << "cell " << c;
+
+    uint64_t scheduled = 0, faults = 0;
+    dep.mac(c).for_each_slice([&](const ran::SliceConfig&, const ran::SliceStats& st) {
+      scheduled += st.slots_scheduled;
+      faults += st.scheduler_faults;
+    });
+    EXPECT_EQ(t.slots_scheduled, scheduled) << "cell " << c;
+    EXPECT_EQ(t.sched_faults, faults) << "cell " << c;
+
+    uint64_t journaled = 0, quarantines = 0;
+    const obs::AnomalyJournal* journals[] = {&dep.mac(c).journal(),
+                                             &dep.sched_plugins(c).journal(),
+                                             &dep.agent(c).plugins().journal()};
+    for (const obs::AnomalyJournal* j : journals) {
+      journaled += j->total();
+      quarantines += j->count(obs::AnomalyKind::kQuarantine);
+    }
+    EXPECT_EQ(t.anomalies, journaled) << "cell " << c;
+    EXPECT_EQ(t.quarantines, quarantines) << "cell " << c;
+  }
+  // Cell 0 faulted, so its comparisons are not between zeros.
+  EXPECT_GT(dep.fleet().cell_total(0).plugin_traps, 0u);
+  EXPECT_EQ(dep.fleet().cell_total(0).quarantines, 1u);
+}
+
 TEST(FlightRecorder, ScenarioReplayLineNamesSlotsAndClock) {
   // The replay line must reproduce the run it came from: its slot count
   // and, on virtual time, its clock.
@@ -619,26 +715,29 @@ TEST(FlightRecorder, AnomalyTailIsIndependentOfArrivalOrder) {
   // Cells journal concurrently, so the same records can arrive in any
   // interleaving; the bundle's anomaly tail must not depend on it.
   rt::VirtualClockGuard clock(5000);
-  const obs::FleetAggregator agg({});
+  const obs::FleetAggregator agg(0, nullptr);
   const obs::FlightRecorder recorder(obs::FlightContext{});
   auto capture = [&](bool mac0_first) {
     reset_global_obs();
     obs::set_current_slot(7);
-    auto record = [](const char* domain, const char* detail) {
-      obs::AnomalyJournal::global().record(obs::AnomalyKind::kTrap, domain, "s", detail);
+    obs::AnomalyJournal mac0, mac1;
+    auto record = [](obs::AnomalyJournal& j, const char* domain, const char* detail) {
+      j.record(obs::AnomalyKind::kTrap, domain, "s", detail);
     };
     if (mac0_first) {
-      record("mac0", "a");
-      record("mac1", "c");
-      record("mac0", "b");
-      record("mac1", "d");
+      record(mac0, "mac0", "a");
+      record(mac1, "mac1", "c");
+      record(mac0, "mac0", "b");
+      record(mac1, "mac1", "d");
     } else {
-      record("mac1", "c");
-      record("mac1", "d");
-      record("mac0", "a");
-      record("mac0", "b");
+      record(mac1, "mac1", "c");
+      record(mac1, "mac1", "d");
+      record(mac0, "mac0", "a");
+      record(mac0, "mac0", "b");
     }
-    return recorder.capture("test", obs::HealthReport{}, agg, {}, /*end_slot=*/8);
+    const obs::AnomalyJournal* journals[] = {&mac1, &mac0};
+    return recorder.capture("test", obs::HealthReport{}, agg,
+                            obs::merge_journals(journals), {}, /*end_slot=*/8);
   };
   const std::string a = capture(/*mac0_first=*/true);
   const std::string b = capture(/*mac0_first=*/false);

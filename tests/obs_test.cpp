@@ -18,15 +18,13 @@
 namespace waran::obs {
 namespace {
 
-// The registry and journal are process-wide singletons; each test starts
-// from a clean sheet and records into its own ring, bound to the test
-// thread.
+// The registry is a process-wide singleton; each test starts from a clean
+// sheet and records into its own ring, bound to the test thread.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     TraceRing::bind_current(&ring_);
     MetricsRegistry::global().reset_values();
-    AnomalyJournal::global().clear();
     set_current_slot(0);
   }
   void TearDown() override { TraceRing::bind_current(nullptr); }
@@ -176,15 +174,12 @@ TEST_F(ObsTest, RegistryReturnsStableInstruments) {
 TEST_F(ObsTest, PrometheusExportFormat) {
   auto& reg = MetricsRegistry::global();
   reg.counter("waran_test_prom_total", {{"domain", "mac"}, {"slot", "rr"}}).add(3);
-  reg.gauge("waran_test_prom_gauge").set(-5);
   reg.histogram("waran_test_prom_ns").add(7);
 
   std::string text = reg.to_prometheus();
   EXPECT_NE(text.find("# TYPE waran_test_prom_total counter"), std::string::npos);
   EXPECT_NE(text.find("waran_test_prom_total{domain=\"mac\",slot=\"rr\"} 3"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE waran_test_prom_gauge gauge"), std::string::npos);
-  EXPECT_NE(text.find("waran_test_prom_gauge -5"), std::string::npos);
   EXPECT_NE(text.find("# TYPE waran_test_prom_ns histogram"), std::string::npos);
   EXPECT_NE(text.find("waran_test_prom_ns_bucket{le=\"+Inf\"} 1"), std::string::npos);
   EXPECT_NE(text.find("waran_test_prom_ns_sum 7"), std::string::npos);
@@ -207,44 +202,51 @@ TEST_F(ObsTest, JsonExportRoundTrips) {
   EXPECT_EQ(hist["sum"].as_number(), 100.0);
 }
 
-TEST_F(ObsTest, AnomalyJournalFiltersByDomain) {
-  auto& journal = AnomalyJournal::global();
+TEST_F(ObsTest, MergedJournalsOrderBySlotDomainThenJournal) {
+  AnomalyJournal mac, ric;
   set_current_slot(9);
-  journal.record(AnomalyKind::kTrap, "ric", "xapp:sla", "oob");
-  journal.record(AnomalyKind::kFrameRejected, "gnb0", "comm", "bad magic");
-  journal.record(AnomalyKind::kFuelExhausted, "ric", "xapp:sla", "fuel");
+  ric.record(AnomalyKind::kTrap, "ric", "xapp:sla", "oob");
+  mac.record(AnomalyKind::kSanitized, "mac0", "slice 1", "clamped");
+  set_current_slot(8);
+  ric.record(AnomalyKind::kFuelExhausted, "ric", "xapp:sla", "fuel");
+  mac.record(AnomalyKind::kFrameRejected, "ric", "comm", "bad magic");
 
-  auto all = journal.snapshot();
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0].slot, 9u);
-  EXPECT_EQ(all[0].kind, AnomalyKind::kTrap);
-
-  auto ric_only = journal.snapshot("ric");
-  ASSERT_EQ(ric_only.size(), 2u);
-  EXPECT_EQ(ric_only[1].kind, AnomalyKind::kFuelExhausted);
-  EXPECT_TRUE(journal.snapshot("nonexistent").empty());
-  EXPECT_EQ(journal.total(), 3u);
+  const AnomalyJournal* journals[] = {&mac, &ric};
+  const std::vector<AnomalyRecord> merged = merge_journals(journals);
+  ASSERT_EQ(merged.size(), 4u);
+  // Slot 8 first; within (8, "ric") the earlier journal in the list wins.
+  EXPECT_EQ(merged[0].detail, "bad magic");
+  EXPECT_EQ(merged[1].detail, "fuel");
+  EXPECT_EQ(merged[2].detail, "clamped");  // "mac0" < "ric" in slot 9
+  EXPECT_EQ(merged[3].detail, "oob");
+  EXPECT_EQ(merged[3].slot, 9u);
+  EXPECT_EQ(merged[3].kind, AnomalyKind::kTrap);
+  EXPECT_EQ(mac.total() + ric.total(), 4u);
 }
 
 TEST_F(ObsTest, AnomalyJournalEvictsAtCapacityButTotalIsMonotone) {
-  auto& journal = AnomalyJournal::global();
+  AnomalyJournal journal;
   journal.set_capacity(4);
   for (int i = 0; i < 10; ++i) {
-    journal.record(AnomalyKind::kOther, "mac", "s", std::to_string(i));
+    journal.record(i < 7 ? AnomalyKind::kOther : AnomalyKind::kTrap, "mac", "s",
+                   std::to_string(i));
   }
   auto records = journal.snapshot();
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records.front().detail, "6");
   EXPECT_EQ(records.back().detail, "9");
   EXPECT_EQ(journal.total(), 10u);
-  // Sequence numbers survive eviction.
+  // Per-kind counts and sequence numbers survive eviction.
+  EXPECT_EQ(journal.count(AnomalyKind::kOther), 7u);
+  EXPECT_EQ(journal.count(AnomalyKind::kTrap), 3u);
+  EXPECT_EQ(journal.count(AnomalyKind::kQuarantine), 0u);
   EXPECT_EQ(records.back().seq, 9u);
-  journal.set_capacity(1024);
 }
 
 TEST_F(ObsTest, AnomalyRecordFeedsMetricsAndTrace) {
   ring_.enable(16);
-  AnomalyJournal::global().record(AnomalyKind::kTrap, "ric", "xapp:t", "boom");
+  AnomalyJournal journal;
+  journal.record(AnomalyKind::kTrap, "ric", "xapp:t", "boom");
   auto events = ring_.snapshot();
   bool saw_anomaly = false;
   for (const TraceEvent& e : events) {
@@ -268,9 +270,10 @@ TEST_F(ObsTest, UnboundThreadTracesNothingButStillJournals) {
     ObsSpan span(TraceCat::kWasm, "unbound");
   }
   EXPECT_EQ(heap_probe::allocations(), allocs_before);
-  AnomalyJournal::global().record(AnomalyKind::kTrap, "mac", "slot", "boom");
+  AnomalyJournal journal;
+  journal.record(AnomalyKind::kTrap, "mac", "slot", "boom");
   EXPECT_EQ(ring_.writes(), 0u);
-  auto records = AnomalyJournal::global().snapshot();
+  auto records = journal.snapshot();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].kind, AnomalyKind::kTrap);
   EXPECT_EQ(records[0].detail, "boom");

@@ -123,17 +123,19 @@ TEST(Plugin, WrongEntrypointTypeRejected) {
 }
 
 TEST(Plugin, OutputTooLargeIsTrapped) {
-  PluginLimits limits;
-  limits.max_output_bytes = 16;
-  auto p = Plugin::load(compile(R"(
-    export fn run() -> i32 { output_write(0, 1000); return 0; }
-  )"),
-                        {}, limits);
+  // One byte past the limit traps on the length alone, before the host
+  // reads plugin memory (which is far smaller than the limit).
+  const std::string src = "export fn run() -> i32 { output_write(0, " +
+                          std::to_string(kMaxOutputBytes + 1) + "); return 0; }";
+  auto p = Plugin::load(compile(src.c_str()));
   ASSERT_TRUE(p.ok());
+  ASSERT_LT((*p)->memory_bytes(), kMaxOutputBytes);
   std::vector<uint8_t> out;
   Status st = (*p)->call("run", {}, out);
   ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Error::Code::kTrap);
   EXPECT_NE(st.error().message.find("output exceeds"), std::string::npos);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Plugin, OutputFromOutOfBoundsMemoryTraps) {
@@ -190,15 +192,13 @@ TEST(Plugin, TrapDoesNotPoisonNextCall) {
 }
 
 TEST(Plugin, InputTooLargeRejectedBeforeExecution) {
-  PluginLimits limits;
-  limits.max_input_bytes = 8;
-  auto p = Plugin::load(compile(kEchoSrc), {}, limits);
+  auto p = Plugin::load(compile(kEchoSrc));
   ASSERT_TRUE(p.ok());
   // A dispatched call first, so the rejected one must reset the cost record.
   std::vector<uint8_t> out;
   ASSERT_TRUE((*p)->call("run", std::vector<uint8_t>(4, 1), out).ok());
   ASSERT_GT((*p)->last_call_stats().instrs_retired, 0u);
-  std::vector<uint8_t> big(100, 1);
+  std::vector<uint8_t> big(kMaxInputBytes + 1, 1);
   Status st = (*p)->call("run", big, out);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code, Error::Code::kLimitExceeded);
@@ -282,17 +282,18 @@ TEST(Manager, FailedSwapKeepsOldPlugin) {
 }
 
 TEST(Manager, QuarantineAfterConsecutiveFaults) {
-  PluginLimits limits;
-  limits.quarantine_after_faults = 3;
-  PluginManager mgr(limits);
+  ASSERT_EQ(kQuarantineAfterFaults, 3u);
+  PluginManager mgr;
   ASSERT_TRUE(mgr.install("bad", compile(R"(
     export fn run() -> i32 { trap(); return 0; }
   )")).ok());
   std::vector<uint8_t> out;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     EXPECT_FALSE(mgr.call("bad", "run", {}, out).ok());
   }
-  EXPECT_TRUE(mgr.health("bad")->quarantined);
+  EXPECT_FALSE(mgr.health("bad")->quarantined);  // not at the 2nd fault
+  EXPECT_FALSE(mgr.call("bad", "run", {}, out).ok());
+  EXPECT_TRUE(mgr.health("bad")->quarantined);  // at the 3rd
   // Further calls rejected without dispatch.
   Status r = mgr.call("bad", "run", {}, out);
   ASSERT_FALSE(r.ok());
@@ -300,9 +301,7 @@ TEST(Manager, QuarantineAfterConsecutiveFaults) {
 }
 
 TEST(Manager, SuccessResetsConsecutiveFaultCount) {
-  PluginLimits limits;
-  limits.quarantine_after_faults = 3;
-  PluginManager mgr(limits);
+  PluginManager mgr;
   // Trap when input is empty, succeed otherwise.
   ASSERT_TRUE(mgr.install("flaky", compile(R"(
     export fn run() -> i32 {
@@ -322,13 +321,13 @@ TEST(Manager, SuccessResetsConsecutiveFaultCount) {
 }
 
 TEST(Manager, SwapLiftsQuarantine) {
-  PluginLimits limits;
-  limits.quarantine_after_faults = 1;
-  PluginManager mgr(limits);
+  PluginManager mgr;
   ASSERT_TRUE(mgr.install("s", compile(
       "export fn run() -> i32 { trap(); return 0; }")).ok());
   std::vector<uint8_t> out;
-  EXPECT_FALSE(mgr.call("s", "run", {}, out).ok());
+  for (uint32_t i = 0; i < kQuarantineAfterFaults; ++i) {
+    EXPECT_FALSE(mgr.call("s", "run", {}, out).ok());
+  }
   EXPECT_TRUE(mgr.health("s")->quarantined);
   ASSERT_TRUE(mgr.swap("s", compile(kEchoSrc)).ok());
   EXPECT_FALSE(mgr.health("s")->quarantined);
@@ -338,9 +337,7 @@ TEST(Manager, SwapLiftsQuarantine) {
 TEST(Manager, DeclinesDoNotQuarantine) {
   // A plugin that deliberately rejects its input (nonzero status) must not
   // be quarantined — rejecting bad frames is its job.
-  PluginLimits limits;
-  limits.quarantine_after_faults = 2;
-  PluginManager mgr(limits);
+  PluginManager mgr;
   ASSERT_TRUE(mgr.install("validator", compile(R"(
     export fn run() -> i32 { return 1; }
   )")).ok());

@@ -274,10 +274,7 @@ TEST(Mac, SliceIndexTracksUeChurn) {
     }
     const char* name() const override { return "fixed"; }
   };
-  obs::AnomalyJournal::global().clear();
-  MacConfig config;
-  config.domain = "mac-churn";
-  GnbMac mac(config);
+  GnbMac mac(MacConfig{});
   mac.set_inter_scheduler(std::make_unique<Fixed>());
   auto owned_a = std::make_unique<Recording>();
   auto owned_b = std::make_unique<Recording>();
@@ -323,7 +320,7 @@ TEST(Mac, SliceIndexTracksUeChurn) {
   // journaled once per response.
   EXPECT_EQ(mac.slice_stats(1)->sanitized_allocs, 2u * kSlots);
   EXPECT_EQ(mac.slice_stats(2)->sanitized_allocs, 0u);
-  const auto records = obs::AnomalyJournal::global().snapshot("mac-churn");
+  const auto records = mac.journal().snapshot();
   ASSERT_EQ(records.size(), kSlots);
   for (const auto& r : records) {
     EXPECT_EQ(r.kind, obs::AnomalyKind::kSanitized);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/tracked_alloc.h"
-#include "obs/anomaly.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plugin/plugin.h"
@@ -140,11 +139,10 @@ TEST(CellExecutor, WaitIdleIsAHappensBeforeBarrier) {
 // ---------------------------------------------------------------------------
 // rt::GnbDeployment determinism
 
-// The deployment digests global singleton state (metrics registry, anomaly
-// journal), so comparable runs must each start from a clean sheet.
+// The deployment digests the process-wide metrics registry, so comparable
+// runs must each start from a clean sheet.
 void reset_global_obs() {
   obs::MetricsRegistry::global().reset_values();
-  obs::AnomalyJournal::global().clear();
   obs::set_current_slot(0);
 }
 

@@ -1,7 +1,7 @@
 // waran_obs — runs the instrumented MVNO-slicing deployment and exports the
 // observability surfaces: a merged cross-cell Chrome trace_event JSON
 // (chrome://tracing / Perfetto), a Prometheus text snapshot, a JSON
-// snapshot, a flight-recorder bundle, and the trap/anomaly journal. This is
+// snapshot, a flight-recorder bundle, and the deployment's anomalies. This is
 // the CLI face of waran::obs and the CI smoke check for the whole telemetry
 // pipeline.
 //
@@ -33,8 +33,8 @@
 // --check self-validates the exports and exits non-zero on violation:
 // well-formed Prometheus text with the expected families, a parseable trace
 // with nested mac/wasm/host spans on every cell's track and the ric track,
-// parseable JSON, a flight bundle with its replay line, a non-empty anomaly
-// journal, an exact fleet slot count, and the RIC's wire-reconstructed
+// parseable JSON, a flight bundle with its replay line, journaled
+// anomalies, an exact fleet slot count, and the RIC's wire-reconstructed
 // fleet view equal to the deployment's ground truth. With --virtual-time it
 // also runs the deployment a second time and requires byte-identical trace,
 // health, rollup and bundle.
@@ -170,12 +170,12 @@ void print_run(const Options& opt, rt::GnbDeployment& dep, const Run& run) {
     std::printf(" slice %u: %.2f Mb/s", id, mac.slice_rate_bps(id) / 1e6);
   }
 
-  auto anomalies = obs::AnomalyJournal::global().snapshot();
-  std::printf("\n\nanomaly journal (%zu records, newest last):\n", anomalies.size());
+  const std::vector<obs::AnomalyRecord> anomalies = dep.anomalies();
+  std::printf("\n\nanomalies (%zu records, newest last):\n", anomalies.size());
   const size_t start = anomalies.size() > 8 ? anomalies.size() - 8 : 0;
   for (size_t i = start; i < anomalies.size(); ++i) {
     const obs::AnomalyRecord& a = anomalies[i];
-    std::printf("  [%llu] slot %llu %s/%s %s: %s\n", static_cast<unsigned long long>(a.seq),
+    std::printf("  [%zu] slot %llu %s/%s %s: %s\n", i,
                 static_cast<unsigned long long>(a.slot), a.domain.c_str(),
                 a.source.c_str(), obs::to_string(a.kind), a.detail.c_str());
   }
@@ -183,11 +183,10 @@ void print_run(const Options& opt, rt::GnbDeployment& dep, const Run& run) {
 
 Run run_once(const Options& opt, bool print) {
   Run out;
-  // Runs accumulate into the global registry/journal; reset so repeated
-  // runs are comparable byte-for-byte.
+  // Runs accumulate into the global registry; reset so repeated runs are
+  // comparable byte-for-byte.
   auto& reg = obs::MetricsRegistry::global();
   reg.reset_values();
-  obs::AnomalyJournal::global().clear();
 
   rt::DeploymentConfig dc;
   dc.cells = opt.cells;
@@ -243,7 +242,7 @@ Run run_once(const Options& opt, bool print) {
   // summaries the cells last shipped.
   out.ric_matches = dep.ric().fleet_view() == dep.shipped_view();
   out.telemetry_updates = dep.ric().stats().telemetry_updates;
-  out.anomalies = obs::AnomalyJournal::global().total();
+  for (const obs::AnomalyJournal* j : dep.journals()) out.anomalies += j->total();
 
   // Workers are parked between run_slots calls, so the coordinator may
   // collect every cell for the final ground-truth rollup.
@@ -379,7 +378,7 @@ int check(const Options& opt, const Run& first) {
     }
   }
 
-  if (first.anomalies == 0) fail("anomaly journal is empty despite injected faults");
+  if (first.anomalies == 0) fail("no anomaly was journaled despite injected faults");
 
   // Hierarchical rollup: each cell's counter increments once per run slot.
   if (first.fleet_slots != static_cast<uint64_t>(opt.cells) * opt.slots) {
