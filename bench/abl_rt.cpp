@@ -21,6 +21,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/json_capture.h"
+#include "rt/clock.h"
 #include "rt/deployment.h"
 
 namespace {
@@ -66,11 +67,14 @@ BENCHMARK(BM_MultiCellSlots)
 // UE-count stress sweep: how slot cost scales with per-slice UE population
 // and with slice count (each slice is one Wasm scheduler call per slot, so
 // slices/cell scales dispatch count while UEs/slice scales per-call work).
+// With e2:0 the E2 loop is off and the run times the slot path alone.
+// ns_per_ue_slot is the wall time per slot divided by the cell's UEs.
 // Keys land in BENCH_interp.json as abl_rt.BM_UeStress.* — reported for
 // trend tracking, not gated (absolute cost varies with CI hardware).
 void BM_UeStress(benchmark::State& state) {
   const uint32_t ues_per_slice = static_cast<uint32_t>(state.range(0));
   const uint32_t slices = static_cast<uint32_t>(state.range(1));
+  const bool e2 = state.range(2) != 0;
   static const char* kPolicies[] = {"rr", "mt", "pf"};
 
   rt::DeploymentConfig cfg;
@@ -78,7 +82,7 @@ void BM_UeStress(benchmark::State& state) {
   cfg.seed = 42;
   cfg.threaded = false;  // single cell: measure the slot path, not the pool
   cfg.virtual_time = true;
-  cfg.report_period_slots = 10;
+  cfg.report_period_slots = e2 ? 10 : 0;
   cfg.slices.clear();
   for (uint32_t s = 0; s < slices; ++s) {
     rt::SliceSpec spec;
@@ -95,6 +99,9 @@ void BM_UeStress(benchmark::State& state) {
     state.SkipWithError(dep.status().error().message.c_str());
     return;
   }
+  // Wall time through the rt clock's real source (the deployment runs on
+  // virtual time).
+  const uint64_t t0 = rt::Clock::global().real_ns();
   for (auto _ : state) {
     auto st = dep.run_slots(kSlotsPerIter);
     if (!st.ok()) {
@@ -102,20 +109,27 @@ void BM_UeStress(benchmark::State& state) {
       return;
     }
   }
+  const double wall_ns = static_cast<double>(rt::Clock::global().real_ns() - t0);
+  const double ues = static_cast<double>(ues_per_slice * slices);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kSlotsPerIter));
-  state.counters["ues"] = static_cast<double>(ues_per_slice * slices);
+  state.counters["ues"] = ues;
   state.counters["slices"] = static_cast<double>(slices);
+  state.counters["ns_per_ue_slot"] =
+      wall_ns / (static_cast<double>(state.iterations()) * kSlotsPerIter * ues);
 }
 
 BENCHMARK(BM_UeStress)
-    ->Args({2, 3})
-    ->Args({8, 3})
-    ->Args({32, 3})
-    ->Args({64, 3})
-    ->Args({341, 3})  // ~1,024 UEs per cell
-    ->Args({8, 6})
-    ->ArgNames({"ues_per_slice", "slices"});
+    ->Args({2, 3, 1})
+    ->Args({8, 3, 1})
+    ->Args({32, 3, 1})
+    ->Args({64, 3, 1})
+    ->Args({341, 3, 1})  // ~1,024 UEs per cell
+    ->Args({8, 6, 1})
+    ->Args({8, 3, 0})
+    ->Args({64, 3, 0})
+    ->Args({341, 3, 0})
+    ->ArgNames({"ues_per_slice", "slices", "e2"});
 
 /// slots/sec for the N-cell run (the median under --benchmark_repetitions),
 /// or 0 if that run is missing.

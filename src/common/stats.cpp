@@ -52,37 +52,49 @@ double QuantileAcc::stddev() const {
 void RateMeter::add(double t, uint64_t bits) {
   // Clamp regressions forward: the ring must stay sorted by time or evict()
   // would drop the wrong end of the window.
-  if (count_ > 0 && t < at(count_ - 1).t) t = at(count_ - 1).t;
-  push({t, bits});
-  window_bits_ += bits;
-  total_bits_ += bits;
+  if (live_ && t < newest_t_) t = newest_t_;
+  newest_t_ = t;
+  live_ = true;
+  if (bits > 0) {
+    if (count_ == ring_.size()) regrow(std::max<size_t>(16, ring_.size() * 2));
+    at(count_) = {t, bits};
+    ++count_;
+    window_bits_ += bits;
+    total_bits_ += bits;
+  }
   evict(t);
 }
 
-void RateMeter::push(Entry e) {
-  if (count_ == ring_.size()) {
-    std::vector<Entry> grown(std::max<size_t>(16, ring_.size() * 2));
-    for (size_t i = 0; i < count_; ++i) grown[i] = at(i);
-    ring_ = std::move(grown);
-    head_ = 0;
-  }
-  at(count_) = e;
-  ++count_;
+void RateMeter::reserve(size_t samples) {
+  if (samples <= ring_.size()) return;
+  size_t capacity = std::max<size_t>(16, ring_.size());
+  while (capacity < samples) capacity *= 2;
+  regrow(capacity);
+}
+
+void RateMeter::regrow(size_t capacity) {
+  std::vector<Entry> grown(capacity);
+  for (size_t i = 0; i < count_; ++i) grown[i] = at(i);
+  ring_ = std::move(grown);
+  head_ = 0;
 }
 
 void RateMeter::evict(double t) const {
-  while (count_ > 0 && at(0).t < t - window_s_) {
+  const double edge = t - window_s_;
+  while (count_ > 0 && at(0).t < edge) {
     window_bits_ -= at(0).bits;
     head_ = (head_ + 1) & (ring_.size() - 1);
     --count_;
   }
+  // The newest sample leaves last: once it is out, so is every sample.
+  if (newest_t_ < edge) live_ = false;
 }
 
 double RateMeter::rate_bps(double t) const {
-  if (count_ == 0) return 0.0;
+  if (!live_) return 0.0;
   // A stale query (earlier than the newest arrival) would count bits that
-  // arrive "after" the window's right edge; anchor it to the newest entry.
-  if (t < at(count_ - 1).t) t = at(count_ - 1).t;
+  // arrive "after" the window's right edge; anchor it to the newest sample.
+  if (t < newest_t_) t = newest_t_;
   evict(t);
   if (window_s_ <= 0) return 0.0;
   return static_cast<double>(window_bits_) / window_s_;

@@ -45,20 +45,30 @@ class QuantileAcc {
 
 /// Sliding-window throughput meter: record (time, bits) arrivals, query the
 /// average rate over the trailing window. Times are in seconds and expected
-/// monotone; a timestamp older than the newest recorded entry is clamped
+/// monotone; a timestamp older than the newest recorded sample is clamped
 /// forward so the window never un-sorts (clock skew between reporting paths
-/// must not corrupt eviction). The window lives in a ring that doubles when
-/// full, so a meter fed at a steady rate stops allocating once the ring
-/// holds one window.
+/// must not corrupt eviction).
+///
+/// Only samples that carry bits are stored, so a meter fed a zero every
+/// slot keeps just its deliveries. A zero-bit sample still counts as the
+/// window's newest sample for the clamps, and the window is empty only
+/// once every sample, zero-bit ones included, has left it: every answer is
+/// the one a meter storing all samples gives. The samples live in a ring
+/// that doubles when full; reserve() sizes it up front.
 class RateMeter {
  public:
   explicit RateMeter(double window_s = 1.0) : window_s_(window_s) {}
 
   void add(double t, uint64_t bits);
   /// Average bit/s over [t - window, t]. Query times earlier than the newest
-  /// recorded entry are clamped to it; an empty window reports 0.
+  /// recorded sample are clamped to it; an empty window reports 0.
   double rate_bps(double t) const;
   uint64_t total_bits() const { return total_bits_; }
+
+  /// Room for `samples` stored samples without growing; never shrinks.
+  void reserve(size_t samples);
+  /// Samples the ring holds before it grows.
+  size_t capacity() const { return ring_.size(); }
 
  private:
   struct Entry {
@@ -66,14 +76,19 @@ class RateMeter {
     uint64_t bits;
   };
   double window_s_;
-  // Entries oldest first from head_; the capacity is zero or a power of two.
+  // Samples with bits, oldest first from head_; the capacity is zero or a
+  // power of two.
   mutable std::vector<Entry> ring_;
   mutable size_t head_ = 0;
   mutable size_t count_ = 0;
   mutable uint64_t window_bits_ = 0;
+  // Time of the newest sample, zero-bit ones included, and whether any
+  // sample is still inside the window.
+  double newest_t_ = 0.0;
+  mutable bool live_ = false;
   uint64_t total_bits_ = 0;
   Entry& at(size_t i) const { return ring_[(head_ + i) & (ring_.size() - 1)]; }
-  void push(Entry e);
+  void regrow(size_t capacity);
   void evict(double t) const;
 };
 

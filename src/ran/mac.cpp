@@ -55,16 +55,17 @@ void GnbMac::set_inter_scheduler(std::unique_ptr<InterSliceScheduler> scheduler)
 
 void GnbMac::set_mcs_table(McsTable table) {
   mcs_table_ = table;
-  for (auto& [rnti, ue] : ues_) ue->channel().set_mcs_table(table);
+  for (auto& ue : ues_) ue->channel().set_mcs_table(table);
 }
 
 namespace {
 
-/// Position of `rnti` in a slice's RNTI-ordered index (or where it would go).
-std::vector<UeContext*>::const_iterator find_rnti(const std::vector<UeContext*>& ues,
-                                                 uint32_t rnti) {
+/// Position of `rnti` in an RNTI-ordered vector of UE pointers (or where it
+/// would go).
+template <class Ues>
+auto find_rnti(Ues& ues, uint32_t rnti) {
   return std::lower_bound(ues.begin(), ues.end(), rnti,
-                          [](const UeContext* ue, uint32_t r) { return ue->rnti() < r; });
+                          [](const auto& ue, uint32_t r) { return ue->rnti() < r; });
 }
 
 }  // namespace
@@ -79,14 +80,14 @@ uint32_t GnbMac::add_ue(uint32_t slice_id, Channel channel, TrafficSource traffi
   const auto pos = find_rnti(slice.ues, rnti) - slice.ues.begin();
   slice.ues.insert(slice.ues.begin() + pos, ue.get());
   slice.delivered.insert(slice.delivered.begin() + pos, SlotDelivery{});
-  ues_.emplace(rnti, std::move(ue));
+  ues_.insert(find_rnti(ues_, rnti), std::move(ue));
   return rnti;
 }
 
 Status GnbMac::remove_ue(uint32_t rnti) {
-  auto it = ues_.find(rnti);
-  if (it == ues_.end()) return Error::not_found("no such UE");
-  SliceState& slice = slices_.at(it->second->slice_id());
+  auto it = find_rnti(ues_, rnti);
+  if (it == ues_.end() || (*it)->rnti() != rnti) return Error::not_found("no such UE");
+  SliceState& slice = slices_.at((*it)->slice_id());
   const auto pos = find_rnti(slice.ues, rnti) - slice.ues.begin();
   slice.ues.erase(slice.ues.begin() + pos);
   slice.delivered.erase(slice.delivered.begin() + pos);
@@ -189,9 +190,9 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedResponse& resp)
       delivered.fresh_bits += deliverable;
     }
   }
-  slice.stats.sanitized_allocs += sanitized_here;
-  slice.m_sanitized->add(sanitized_here);
   if (sanitized_here > 0) {
+    slice.stats.sanitized_allocs += sanitized_here;
+    slice.m_sanitized->add(sanitized_here);
     // One journal entry per sanitized response (not per grant): the journal
     // answers "which slice misbehaved in which slot", the counter above
     // carries the magnitude.
@@ -199,7 +200,7 @@ void GnbMac::apply_response(SliceState& slice, const codec::SchedResponse& resp)
                     "slice " + std::to_string(slice.config.slice_id),
                     std::to_string(sanitized_here) + " grant(s) dropped or clamped");
   }
-  slice.m_prb_granted->add(quota - remaining);
+  if (remaining < quota) slice.m_prb_granted->add(quota - remaining);
 }
 
 Status GnbMac::run_slot() {
@@ -211,26 +212,31 @@ Status GnbMac::run_slot() {
                          static_cast<uint32_t>(slot_));
   const uint64_t slot_t0 = obs::now_ns();
 
-  // Phase 1: arrivals + channel.
-  for (auto& [rnti, ue] : ues_) ue->begin_slot(config_.slot_us);
-
-  // Phase 2: inter-slice quotas.
+  // Phases 1 and 2 walk each slice's members in RNTI order. A UE's
+  // arrivals and channel step touch only that UE, so the walk order cannot
+  // change a result.
   demands_.clear();
   order_.clear();
-  double now = now_s();
+  // The slice load (rate windows, link adaptation) only for a scheduler
+  // that reads it.
+  const bool load = inter_->reads_slice_load();
+  const double now = now_s();
   for (auto& [id, slice] : slices_) {
     SliceDemand d;
     d.config = &slice.config;
     double tbs_sum = 0;
-    for (const UeContext* ue : slice.ues) {
-      d.backlog_bytes += ue->buffer_bytes();
+    for (UeContext* ue : slice.ues) {
+      // Phase 1: arrivals + channel.
+      ue->begin_slot(config_.slot_us);
+      // Phase 2: the slice's demand.
+      const uint32_t backlog = ue->buffer_bytes();
+      if (backlog > 0) ++d.active_ues;
+      if (!load) continue;
+      d.backlog_bytes += backlog;
       d.current_rate_bps += ue->rate_bps(now);
-      if (ue->buffer_bytes() > 0) {
-        ++d.active_ues;
-        tbs_sum += transport_block_bits(ue->channel().mcs(), 1, mcs_table_);
-      }
+      if (backlog > 0) tbs_sum += transport_block_bits(ue->channel().mcs(), 1, mcs_table_);
     }
-    if (d.active_ues > 0) d.est_bits_per_prb = tbs_sum / d.active_ues;
+    if (load && d.active_ues > 0) d.est_bits_per_prb = tbs_sum / d.active_ues;
     demands_.push_back(d);
     order_.push_back(&slice);
   }
@@ -325,19 +331,19 @@ void GnbMac::add_telemetry(obs::CellTelemetry& t) const {
 }
 
 const UeContext* GnbMac::ue(uint32_t rnti) const {
-  auto it = ues_.find(rnti);
-  return it == ues_.end() ? nullptr : it->second.get();
+  auto it = find_rnti(ues_, rnti);
+  return it == ues_.end() || (*it)->rnti() != rnti ? nullptr : it->get();
 }
 
 UeContext* GnbMac::ue(uint32_t rnti) {
-  auto it = ues_.find(rnti);
-  return it == ues_.end() ? nullptr : it->second.get();
+  auto it = find_rnti(ues_, rnti);
+  return it == ues_.end() || (*it)->rnti() != rnti ? nullptr : it->get();
 }
 
 std::vector<uint32_t> GnbMac::ue_rntis() const {
   std::vector<uint32_t> rntis;
   rntis.reserve(ues_.size());
-  for (const auto& [rnti, _] : ues_) rntis.push_back(rnti);
+  for (const auto& ue : ues_) rntis.push_back(ue->rnti());
   return rntis;
 }
 

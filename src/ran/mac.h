@@ -118,7 +118,7 @@ class GnbMac {
   /// without building an id vector. fn must not add or remove UEs.
   template <class Fn>
   void for_each_ue(Fn&& fn) const {
-    for (const auto& [rnti, ue] : ues_) fn(*ue);
+    for (const auto& ue : ues_) fn(*ue);
   }
 
   /// Slice throughput over the trailing second (sum of member UE rates).
@@ -196,7 +196,9 @@ class GnbMac {
   obs::Histogram* m_cell_slot_wall_ns_ = nullptr;
   uint32_t next_rnti_ = 0x4601;  // srsRAN's first C-RNTI
   std::map<uint32_t, SliceState> slices_;
-  std::map<uint32_t, std::unique_ptr<UeContext>> ues_;
+  // Every UE, in ascending RNTI order. The slot loop walks the slices'
+  // member vectors instead.
+  std::vector<std::unique_ptr<UeContext>> ues_;
   std::unique_ptr<InterSliceScheduler> inter_;
   // Inter-slice inputs and output, rebuilt every slot; kept for their
   // capacity.

@@ -1,7 +1,7 @@
 #include "ran/phy_tables.h"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstddef>
 
 namespace waran::ran {
@@ -75,11 +75,11 @@ constexpr uint32_t search_mcs_for_cqi(uint32_t cqi, McsTable table) {
 constexpr size_t table_index(McsTable table) { return table == McsTable::kQam256 ? 1 : 0; }
 
 // Link adaptation runs for every UE in every slot but has only 2 x 16
-// inputs, and the TBS model reads one efficiency per MCS: both are
+// inputs, and the TBS model reads one se * kDataResPerPrb per MCS: both are
 // evaluated once, at compile time, from the rows above.
 struct LinkTables {
   uint8_t mcs_for_cqi[2][kMaxCqi + 1] = {};
-  double se[2][kMaxMcs + 1] = {};
+  std::array<std::array<double, kMaxMcs + 1>, 2> se_res = {};
 };
 
 constexpr LinkTables make_link_tables() {
@@ -90,7 +90,7 @@ constexpr LinkTables make_link_tables() {
       t.mcs_for_cqi[i][c] = static_cast<uint8_t>(search_mcs_for_cqi(c, table));
     }
     for (uint32_t m = 0; m <= max_mcs(table); ++m) {
-      t.se[i][m] = row_spectral_efficiency(m, table);
+      t.se_res[i][m] = row_spectral_efficiency(m, table) * kDataResPerPrb;
     }
   }
   return t;
@@ -99,6 +99,8 @@ constexpr LinkTables make_link_tables() {
 constexpr LinkTables kLinkTables = make_link_tables();
 
 }  // namespace
+
+constexpr std::array<std::array<double, kMaxMcs + 1>, 2> detail::kSeRes = kLinkTables.se_res;
 
 double cqi_spectral_efficiency(uint32_t cqi, McsTable table) {
   return cqi_efficiency(cqi, table);
@@ -122,12 +124,6 @@ uint32_t cqi_from_mcs(uint32_t mcs, McsTable table) {
     if (cqi_spectral_efficiency(c, table) >= need - 1e-9) return c;
   }
   return kMaxCqi;
-}
-
-uint32_t transport_block_bits(uint32_t mcs, uint32_t n_prb, McsTable table) {
-  if (n_prb == 0) return 0;
-  const double se = kLinkTables.se[table_index(table)][std::min(mcs, max_mcs(table))];
-  return static_cast<uint32_t>(std::floor(se * kDataResPerPrb * n_prb));
 }
 
 uint32_t cqi_from_snr_db(double snr_db) {

@@ -6,6 +6,9 @@
 // configuration) yields ~45 Mb/s, matching srsRAN's reported DL rates.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace waran::ran {
@@ -44,9 +47,21 @@ uint32_t mcs_from_cqi(uint32_t cqi, McsTable table = McsTable::kQam64);
 /// for pinning MCS in the Fig. 5b experiment).
 uint32_t cqi_from_mcs(uint32_t mcs, McsTable table = McsTable::kQam64);
 
-/// Transport block size in BITS for one slot over `n_prb` PRBs at `mcs`.
-uint32_t transport_block_bits(uint32_t mcs, uint32_t n_prb,
-                              McsTable table = McsTable::kQam64);
+namespace detail {
+/// se(mcs) * kDataResPerPrb for every MCS of each table (indexed by
+/// McsTable's value): the TBS model's one factor per MCS, evaluated at
+/// compile time in phy_tables.cpp.
+extern const std::array<std::array<double, kMaxMcs + 1>, 2> kSeRes;
+}  // namespace detail
+
+/// Transport block size in BITS for one slot over `n_prb` PRBs at `mcs`
+/// (MCS clamped to the table maximum). The product is non-negative, so the
+/// truncating cast is the model's floor.
+inline uint32_t transport_block_bits(uint32_t mcs, uint32_t n_prb,
+                                     McsTable table = McsTable::kQam64) {
+  const size_t t = table == McsTable::kQam256 ? 1 : 0;
+  return static_cast<uint32_t>(detail::kSeRes[t][std::min(mcs, max_mcs(table))] * n_prb);
+}
 
 /// SNR (dB) -> CQI mapping used by the channel model. Piecewise-linear
 /// thresholds: CQI 1 at ~-6 dB up to CQI 15 at ~22 dB.

@@ -37,11 +37,17 @@ class IntraSliceScheduler {
 };
 
 /// Inter-slice scheduler: divides the carrier's PRBs among slices.
+///
+/// The MAC always fills `config` and `active_ues`. The slice load
+/// (`backlog_bytes`, `current_rate_bps`, `est_bits_per_prb`) costs a pass
+/// over every UE's rate window and link adaptation, so the MAC fills it only
+/// for a scheduler whose reads_slice_load() is true, and leaves it zero
+/// otherwise.
 struct SliceDemand {
   const SliceConfig* config = nullptr;
   uint32_t backlog_bytes = 0;    ///< summed UE buffers in the slice
   double current_rate_bps = 0;   ///< slice throughput over the last second
-  uint32_t active_ues = 0;
+  uint32_t active_ues = 0;       ///< UEs with a non-empty buffer
   /// Mean bits one PRB carries per slot across the slice's active UEs
   /// (0 when idle) — lets target-rate scheduling convert bit/s to PRBs.
   double est_bits_per_prb = 0;
@@ -55,6 +61,11 @@ class InterSliceScheduler {
   /// `demands`) with PRB quotas summing to <= n_prbs.
   virtual void allocate(uint32_t n_prbs, std::span<const SliceDemand> demands,
                         std::span<uint32_t> quotas) = 0;
+
+  /// Whether allocate() reads the slice load fields of its demands. A
+  /// scheduler that decides from `config` and `active_ues` alone returns
+  /// false, and the MAC skips computing the load.
+  virtual bool reads_slice_load() const { return true; }
 
   virtual const char* name() const = 0;
 };

@@ -3,6 +3,8 @@
 // the evaluation plots, EWMA long-term rate for proportional-fair).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/stats.h"
@@ -19,7 +21,7 @@ class UeContext {
         slice_id_(slice_id),
         channel_(std::move(channel)),
         traffic_(std::move(traffic)),
-        rate_meter_(1.0),
+        rate_meter_(kRateWindowS),
         pf_tc_(pf_time_constant_slots) {}
 
   uint32_t rnti() const { return rnti_; }
@@ -54,6 +56,12 @@ class UeContext {
   /// the HARQ buffer at first transmission). One EWMA update per slot.
   void complete_slot(uint32_t fresh_bits, uint32_t harq_bits, double now_s,
                      double slots_per_s) {
+    // The rate window is sized once, at the UE's first slot, to a full
+    // window of slots: a window holds both of its edge slots, and a slot
+    // adds its sample before it evicts. It never grows after that slot.
+    if (rate_meter_.capacity() == 0) {
+      rate_meter_.reserve(static_cast<size_t>(std::min(kRateWindowS * slots_per_s, 1e6)) + 2);
+    }
     uint32_t bytes = fresh_bits / 8;
     buffer_bytes_ = bytes >= buffer_bytes_ ? 0 : buffer_bytes_ - bytes;
     uint32_t total = fresh_bits + harq_bits;
@@ -87,6 +95,7 @@ class UeContext {
 
  private:
   static constexpr uint32_t kMaxBufferBytes = 8 << 20;
+  static constexpr double kRateWindowS = 1.0;
 
   uint32_t rnti_;
   uint32_t slice_id_;

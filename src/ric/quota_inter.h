@@ -31,6 +31,7 @@ class QuotaTableInterScheduler final : public ran::InterSliceScheduler {
     }
   }
 
+  bool reads_slice_load() const override { return false; }
   const char* name() const override { return "ric-quota-table"; }
 
  private:

@@ -209,6 +209,14 @@ GnbDeployment::GnbDeployment(DeploymentConfig config) : config_(std::move(config
     if (!status_.ok()) return;
   }
 
+  if (slo_ != nullptr) {
+    // The first SLO window starts from this deployment's own totals: the
+    // registry series a cell reads may hold what an earlier deployment in
+    // the same process wrote.
+    for (size_t i = 0; i < cells_.size(); ++i) fleet_->collect_cell(i);
+    fleet_->begin_window();
+  }
+
   if (config_.threaded) {
     for (auto& cell : cells_) cell->executor->start();
   }

@@ -22,38 +22,27 @@ void CellExecutor::stop() {
   }
   work_cv_.notify_all();
   thread_.join();
-  std::lock_guard<std::mutex> lock(mu_);
+  // The worker drained the queue before it returned: inline posts may run.
   running_ = false;
 }
 
-bool CellExecutor::threaded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return running_;
-}
-
 void CellExecutor::post(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (running_) {
-      queue_.push_back(std::move(task));
-      work_cv_.notify_one();
-      return;
-    }
+  if (!running_) {
+    // Inline mode: same FIFO schedule, caller's thread.
+    task();
+    ++tasks_run_;
+    return;
   }
-  // Inline mode: same FIFO schedule, caller's thread.
-  task();
   std::lock_guard<std::mutex> lock(mu_);
-  ++tasks_run_;
+  queue_.push_back(std::move(task));
+  work_cv_.notify_one();
 }
 
 void CellExecutor::wait_idle() {
+  // Inline tasks finished inside post(); a stopped worker left no queue.
+  if (!running_) return;
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && !busy_; });
-}
-
-uint64_t CellExecutor::tasks_run() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tasks_run_;
 }
 
 void CellExecutor::loop() {

@@ -15,8 +15,11 @@
 // Without start() (or after stop()) post() runs the task inline on the
 // caller's thread — byte-identical schedule, no concurrency — which is what
 // single-threaded tier-1 tests and the differential determinism checks use.
+// That hand-off takes no lock: post(), wait_idle(), threaded() and
+// tasks_run() read only atomics when no worker runs.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -39,7 +42,7 @@ class CellExecutor {
   void start();
   /// Drains the queue, then joins the worker. Subsequent posts run inline.
   void stop();
-  bool threaded() const;
+  bool threaded() const { return running_; }
 
   /// Enqueues `task` for the worker (or runs it inline when not started).
   void post(std::function<void()> task);
@@ -48,19 +51,22 @@ class CellExecutor {
   void wait_idle();
 
   const std::string& name() const { return name_; }
-  uint64_t tasks_run() const;
+  uint64_t tasks_run() const { return tasks_run_; }
 
  private:
   void loop();
 
   std::string name_;
   std::thread thread_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;  // worker wakes on new work / stop
   std::condition_variable idle_cv_;  // wait_idle callers wake on drain
   std::deque<std::function<void()>> queue_;
-  uint64_t tasks_run_ = 0;
-  bool running_ = false;   // worker thread exists
+  // Written by the worker under mu_, or inline by the caller of post().
+  std::atomic<uint64_t> tasks_run_{0};
+  // Worker thread exists. Written by start()/stop() on the thread that
+  // posts, so post() reads it without the lock.
+  std::atomic<bool> running_{false};
   bool busy_ = false;      // worker is inside a task
   bool stopping_ = false;
 };

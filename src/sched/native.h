@@ -75,6 +75,7 @@ class WeightedShareInterScheduler final : public ran::InterSliceScheduler {
  public:
   void allocate(uint32_t n_prbs, std::span<const ran::SliceDemand> demands,
                 std::span<uint32_t> quotas) override;
+  bool reads_slice_load() const override { return false; }
   const char* name() const override { return "weighted-share"; }
 };
 

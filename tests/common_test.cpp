@@ -282,6 +282,87 @@ TEST(RateMeter, RingWrapAndGrowthMatchBruteForceWindow) {
   }
 }
 
+// The meter's contract evaluated directly: every sample is kept, zero-bit
+// ones included; a regressed add and a stale query clamp to the newest kept
+// sample; every add and query drops the samples that have left its window.
+class ReferenceRateMeter {
+ public:
+  explicit ReferenceRateMeter(double window_s) : window_s_(window_s) {}
+
+  void add(double t, uint64_t bits) {
+    if (!kept_.empty() && t < kept_.back().first) t = kept_.back().first;
+    kept_.emplace_back(t, bits);
+    drop_before(t - window_s_);
+  }
+
+  double rate_bps(double t) {
+    if (kept_.empty()) return 0.0;
+    if (t < kept_.back().first) t = kept_.back().first;
+    drop_before(t - window_s_);
+    if (window_s_ <= 0) return 0.0;
+    uint64_t bits = 0;
+    for (const auto& [at, b] : kept_) bits += b;
+    return static_cast<double>(bits) / window_s_;
+  }
+
+ private:
+  void drop_before(double edge) {
+    std::erase_if(kept_, [edge](const auto& e) { return e.first < edge; });
+  }
+
+  double window_s_;
+  std::vector<std::pair<double, uint64_t>> kept_;
+};
+
+TEST(RateMeter, RandomizedOpsMatchReferenceModel) {
+  // Mostly zero-bit samples (as an unscheduled UE adds every slot),
+  // regressed adds, stale, current, near-future and far-future queries,
+  // and reserve() calls, over windows of 1, 0.5 and 0 s: every answer must
+  // equal the reference's exactly.
+  for (const double window : {1.0, 0.5, 0.0}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      RateMeter m(window);
+      ReferenceRateMeter ref(window);
+      Xoshiro256 rng(seed * 7919 + static_cast<uint64_t>(window * 10));
+      double t = 0.0;
+      uint64_t total = 0;
+      for (int op = 0; op < 20000; ++op) {
+        const double u = rng.uniform();
+        if (u < 0.55) {
+          // A sample at the current slot, one slot ahead, or after a gap.
+          const double v = rng.uniform();
+          t += v < 0.4 ? 0.0 : v < 0.9 ? 0.001 * static_cast<double>(rng.range(1, 20))
+                                       : rng.uniform() * 3.0 * (window + 0.1);
+          const uint64_t bits =
+              rng.uniform() < 0.6 ? 0 : static_cast<uint64_t>(rng.range(1, 1'000'000));
+          m.add(t, bits);
+          ref.add(t, bits);
+          total += bits;
+        } else if (u < 0.62) {
+          // A regressed add (clock skew).
+          const uint64_t bits =
+              rng.uniform() < 0.5 ? 0 : static_cast<uint64_t>(rng.range(1, 1000));
+          const double back = t - rng.uniform() * 2.0;
+          m.add(back, bits);
+          ref.add(back, bits);
+          total += bits;
+        } else if (u < 0.63) {
+          m.reserve(static_cast<size_t>(rng.range(0, 3000)));
+        } else {
+          const double v = rng.uniform();
+          const double q = v < 0.4   ? t
+                           : v < 0.6 ? t - rng.uniform() * 2.0
+                           : v < 0.9 ? t + rng.uniform() * 2.0 * (window + 0.1)
+                                     : t + 100.0;
+          ASSERT_EQ(m.rate_bps(q), ref.rate_bps(q))
+              << "window " << window << " seed " << seed << " op " << op;
+        }
+      }
+      EXPECT_EQ(m.total_bits(), total);
+    }
+  }
+}
+
 TEST(Log, PerComponentOverrides) {
   set_log_level(LogLevel::kWarn);
   EXPECT_FALSE(log_enabled(LogLevel::kDebug, "mac"));

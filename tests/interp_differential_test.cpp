@@ -23,8 +23,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -35,6 +33,7 @@
 #include "common/rng.h"
 #include "ric/plugin_sources.h"
 #include "sched/plugins.h"
+#include "tests/outcome_record.h"
 #include "tests/wasm_test_util.h"
 #include "wasm/wasm.h"
 #include "wasmbuilder/builder.h"
@@ -132,96 +131,20 @@ std::string describe_call(const char* fn, const std::vector<TypedValue>& args,
   return s;
 }
 
-/// The record file: `<test>\t<what>\t<observed>` lines, in the order each
-/// test makes its calls.
-class OutcomeRecord {
- public:
-  static OutcomeRecord& get() {
-    static OutcomeRecord record;
-    return record;
-  }
-
-  void add(const std::string& what, const std::string& observed) {
-    observed_[current_test()].push_back(what + "\t" + observed);
-  }
-
-  /// Compares the running test's lines with the record.
-  void check_current_test() {
-    const std::string test = current_test();
-    const std::vector<std::string>& seen = observed_[test];
-    const std::vector<std::string>& want = recorded_[test];
-    const size_t common = std::min(seen.size(), want.size());
-    for (size_t i = 0; i < common; ++i) {
-      EXPECT_EQ(seen[i], want[i]) << test << " line " << i;
-    }
-    for (size_t i = common; i < want.size(); ++i) {
-      ADD_FAILURE() << test << ": missing line " << i << ": " << want[i];
-    }
-    for (size_t i = common; i < seen.size(); ++i) {
-      ADD_FAILURE() << test << ": extra line " << i << ": " << seen[i];
-    }
-  }
-
-  /// Fails on a recorded test the binary no longer has.
-  void check_tests_exist() const {
-    const ::testing::TestSuite* suite = nullptr;
-    const ::testing::UnitTest& ut = *::testing::UnitTest::GetInstance();
-    for (int i = 0; i < ut.total_test_suite_count(); ++i) {
-      if (std::string(ut.GetTestSuite(i)->name()) == "InterpDifferential") {
-        suite = ut.GetTestSuite(i);
-      }
-    }
-    ASSERT_NE(suite, nullptr);
-    for (const auto& [test, lines] : recorded_) {
-      bool found = false;
-      for (int j = 0; j < suite->total_test_count(); ++j) {
-        found = found || test == suite->GetTestInfo(j)->name();
-      }
-      EXPECT_TRUE(found) << "record names a test this binary lacks: " << test;
-    }
-  }
-
-  /// Writes every observed line when the whole binary ran.
-  void write_observed() const {
-    const ::testing::UnitTest& ut = *::testing::UnitTest::GetInstance();
-    if (ut.test_to_run_count() != ut.total_test_count()) return;
-    std::ofstream out("interp_outcomes.observed");
-    for (const auto& [test, lines] : observed_) {
-      for (const std::string& line : lines) out << test << "\t" << line << "\n";
-    }
-  }
-
- private:
-  OutcomeRecord() {
-    std::ifstream in(WARAN_TESTS_DIR "/data/interp_outcomes.txt");
-    std::string line;
-    while (std::getline(in, line)) {
-      const size_t tab = line.find('\t');
-      if (tab == std::string::npos) continue;
-      recorded_[line.substr(0, tab)].push_back(line.substr(tab + 1));
-    }
-  }
-
-  static std::string current_test() {
-    return ::testing::UnitTest::GetInstance()->current_test_info()->name();
-  }
-
-  std::map<std::string, std::vector<std::string>> recorded_;
-  std::map<std::string, std::vector<std::string>> observed_;
-};
-
-class RecordWriter : public ::testing::Environment {
- public:
-  void TearDown() override { OutcomeRecord::get().write_observed(); }
-};
+/// The record: `<test>\t<what>\t<observed>` lines, in the order each test
+/// makes its calls.
+outcomes::OutcomeRecord& record() {
+  static outcomes::OutcomeRecord r("InterpDifferential", "interp_outcomes");
+  return r;
+}
 
 const auto* const kRecordWriter =
-    ::testing::AddGlobalTestEnvironment(new RecordWriter);
+    ::testing::AddGlobalTestEnvironment(new outcomes::RecordWriter(record()));
 
 /// Every test of the suite checks its lines against the record when it ends.
 class InterpDifferential : public ::testing::Test {
  protected:
-  void TearDown() override { OutcomeRecord::get().check_current_test(); }
+  void TearDown() override { record().check_current_test(); }
 };
 
 /// One module instantiated twice — switch oracle vs threaded hot path.
@@ -242,7 +165,7 @@ struct DiffPair {
     EXPECT_EQ(a.fuel_used, b.fuel_used) << fn;
     EXPECT_EQ(a.instrs, b.instrs) << fn;
     EXPECT_EQ(a.mem_hash, b.mem_hash) << fn;
-    OutcomeRecord::get().add(label + describe_call(fn, args, opts), format_outcome(a));
+    record().add(label + describe_call(fn, args, opts) + "\t" + format_outcome(a));
     EXPECT_EQ(format_outcome(b), format_outcome(a)) << fn;
   }
 };
@@ -851,7 +774,7 @@ std::string without_layout_field(const std::string& line) {
 }
 
 TEST_F(InterpDifferential, CorpusAdmissionMatchesRecord) {
-  OutcomeRecord::get().check_tests_exist();
+  record().check_tests_exist();
   const auto corpus = plugin_corpus();
   ASSERT_EQ(corpus.size(), 18u);
   for (const auto& [name, bytes] : corpus) {
@@ -867,8 +790,8 @@ TEST_F(InterpDifferential, CorpusAdmissionMatchesRecord) {
     for (size_t pos = 0; pos < summary.size(); ++line_no) {
       const size_t nl = summary.find('\n', pos);
       const std::string line = summary.substr(pos, nl - pos);
-      OutcomeRecord::get().add(name + " summary " + std::to_string(line_no),
-                               without_layout_field(line));
+      record().add(name + " summary " + std::to_string(line_no) + "\t" +
+                   without_layout_field(line));
       pos = nl == std::string::npos ? summary.size() : nl + 1;
     }
   }

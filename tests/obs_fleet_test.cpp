@@ -602,8 +602,8 @@ TEST(FleetPlane, CellAnomaliesCountEveryKindIncludingAdmissionRejects) {
 TEST(FleetPlane, AnomaliesBelongToTheirDeployment) {
   // Two deployments of one config in one process, nothing reset between
   // them: the second reports none of the first one's anomalies. SLO
-  // windows are off: they judge registry-backed counts, which still carry
-  // the first deployment's slots (the registry stays process-wide).
+  // windows are off here; FirstSloWindowJudgesOnlyItsOwnDeployment covers
+  // them.
   reset_global_obs();
   rt::DeploymentConfig cfg = fleet_config(1, /*threaded=*/false);
   cfg.slo_window_slots = 0;
@@ -628,6 +628,32 @@ TEST(FleetPlane, AnomaliesBelongToTheirDeployment) {
   EXPECT_EQ(t.quarantines, 0u);
   EXPECT_TRUE(second.anomalies().empty());
   for (const obs::AnomalyJournal* j : second.journals()) EXPECT_EQ(j->total(), 0u);
+}
+
+TEST(FleetPlane, FirstSloWindowJudgesOnlyItsOwnDeployment) {
+  // The registry stays process-wide, so the series a cell's counts come
+  // from still hold an earlier deployment's slots, overruns and faults.
+  // A deployment built after one whose cell 0 overran every slot and
+  // quarantined its scheduler, with nothing reset between them, must
+  // judge its first SLO window on its own slots alone.
+  reset_global_obs();
+  const rt::DeploymentConfig cfg = fleet_config(1, /*threaded=*/false);
+  {
+    rt::GnbDeployment first(cfg);
+    ASSERT_TRUE(first.status().ok());
+    first.mac(0).set_slot_time_padding([] { return uint64_t{2'000'000}; });
+    auto oob = sched::plugins::faulty("oob");
+    ASSERT_TRUE(oob.ok());
+    ASSERT_TRUE(first.sched_plugins(0).swap("stream-co", *oob).ok());
+    ASSERT_TRUE(first.run_slots(2 * cfg.slo_window_slots).ok());
+    ASSERT_EQ(first.slo_breach_windows(), 2u);
+  }
+  rt::GnbDeployment second(cfg);
+  ASSERT_TRUE(second.status().ok());
+  ASSERT_TRUE(second.run_slots(cfg.slo_window_slots).ok());
+  EXPECT_TRUE(second.last_health().healthy) << second.last_health().to_json();
+  EXPECT_EQ(second.last_health().breaches, 0u);
+  EXPECT_EQ(second.slo_breach_windows(), 0u);
 }
 
 TEST(FleetPlane, CellCountsEqualItsComponentsLedgers) {
