@@ -240,13 +240,14 @@ Status GnbMac::run_slot() {
     demands_.push_back(d);
     order_.push_back(&slice);
   }
+  // Phase 3: inter-slice quotas.
   quotas_.resize(order_.size());
   {
     obs::ObsSpan inter_span(obs::TraceCat::kMac, "inter_slice");
     inter_->allocate(config_.n_prbs, demands_, quotas_);
   }
 
-  // Phases 3+4 per slice.
+  // Phase 4 per slice: request, schedule, apply.
   for (size_t i = 0; i < order_.size(); ++i) {
     SliceState& slice = *order_[i];
     slice.stats.last_quota = quotas_[i];
@@ -275,8 +276,8 @@ Status GnbMac::run_slot() {
     apply_response(slice, slice.response);
   }
 
-  // Deliver (every UE ticks its EWMA, scheduled or not). Each UE belongs
-  // to exactly one slice, and complete_slot touches only its own UE.
+  // Phase 5: deliver (every UE ticks its EWMA, scheduled or not). Each UE
+  // belongs to exactly one slice, and complete_slot touches only its own UE.
   double slots_per_s = 1e6 / config_.slot_us;
   double deliver_time = now_s();
   for (auto& [id, slice] : slices_) {

@@ -72,8 +72,6 @@ constexpr uint32_t search_mcs_for_cqi(uint32_t cqi, McsTable table) {
   return best;
 }
 
-constexpr size_t table_index(McsTable table) { return table == McsTable::kQam256 ? 1 : 0; }
-
 // Link adaptation runs for every UE in every slot but has only 2 x 16
 // inputs, and the TBS model reads one se * kDataResPerPrb per MCS: both are
 // evaluated once, at compile time, from the rows above.
@@ -85,7 +83,7 @@ struct LinkTables {
 constexpr LinkTables make_link_tables() {
   LinkTables t;
   for (McsTable table : {McsTable::kQam64, McsTable::kQam256}) {
-    const size_t i = table_index(table);
+    const size_t i = detail::table_index(table);
     for (uint32_t c = 0; c <= kMaxCqi; ++c) {
       t.mcs_for_cqi[i][c] = static_cast<uint8_t>(search_mcs_for_cqi(c, table));
     }
@@ -115,7 +113,7 @@ uint32_t mcs_modulation_order(uint32_t mcs, McsTable table) {
 }
 
 uint32_t mcs_from_cqi(uint32_t cqi, McsTable table) {
-  return kLinkTables.mcs_for_cqi[table_index(table)][std::min(cqi, kMaxCqi)];
+  return kLinkTables.mcs_for_cqi[detail::table_index(table)][std::min(cqi, kMaxCqi)];
 }
 
 uint32_t cqi_from_mcs(uint32_t mcs, McsTable table) {

@@ -48,9 +48,11 @@ uint32_t mcs_from_cqi(uint32_t cqi, McsTable table = McsTable::kQam64);
 uint32_t cqi_from_mcs(uint32_t mcs, McsTable table = McsTable::kQam64);
 
 namespace detail {
-/// se(mcs) * kDataResPerPrb for every MCS of each table (indexed by
-/// McsTable's value): the TBS model's one factor per MCS, evaluated at
-/// compile time in phy_tables.cpp.
+/// Row of `table` in the per-table lookup arrays.
+constexpr size_t table_index(McsTable table) { return table == McsTable::kQam256 ? 1 : 0; }
+
+/// se(mcs) * kDataResPerPrb for every MCS of each table: the TBS model's
+/// one factor per MCS, evaluated at compile time in phy_tables.cpp.
 extern const std::array<std::array<double, kMaxMcs + 1>, 2> kSeRes;
 }  // namespace detail
 
@@ -59,8 +61,8 @@ extern const std::array<std::array<double, kMaxMcs + 1>, 2> kSeRes;
 /// truncating cast is the model's floor.
 inline uint32_t transport_block_bits(uint32_t mcs, uint32_t n_prb,
                                      McsTable table = McsTable::kQam64) {
-  const size_t t = table == McsTable::kQam256 ? 1 : 0;
-  return static_cast<uint32_t>(detail::kSeRes[t][std::min(mcs, max_mcs(table))] * n_prb);
+  return static_cast<uint32_t>(
+      detail::kSeRes[detail::table_index(table)][std::min(mcs, max_mcs(table))] * n_prb);
 }
 
 /// SNR (dB) -> CQI mapping used by the channel model. Piecewise-linear

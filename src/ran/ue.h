@@ -45,7 +45,7 @@ class UeContext {
     channel_.step();
   }
 
-  /// Slot phase 3: `bits` were delivered to this UE this slot (0 if it was
+  /// Slot phase 5: `bits` were delivered to this UE this slot (0 if it was
   /// not scheduled). Updates buffer, EWMA and the rate meter.
   void deliver(uint32_t bits, double now_s, double slots_per_s) {
     complete_slot(bits, 0, now_s, slots_per_s);

@@ -14,6 +14,7 @@
 #include "ran/traffic.h"
 #include "ran/ue.h"
 #include "sched/native.h"
+#include "tests/heap_probe_guard.h"
 
 namespace waran::ran {
 namespace {
@@ -186,6 +187,25 @@ TEST(Ue, DeliverDrainsBufferAndUpdatesEwma) {
   double after_one = ue.avg_tput_bps();
   ue.deliver(0, 0.002, 1000.0);  // idle slot decays the EWMA
   EXPECT_LT(ue.avg_tput_bps(), after_one);
+}
+
+TEST(Ue, RateWindowIsSizedOnceAtItsFirstSlot) {
+  // Construction adds no rate-window storage; the first slot sizes the ring
+  // to a full window of slots, so a UE served in every slot never grows it.
+  // At 1023 slots/s a full window is one sample past a power of two.
+  for (const double slots_per_s : {1000.0, 2000.0, 1023.0}) {
+    const uint64_t before = heap_probe::allocations();
+    UeContext ue(1, 0, Channel::pinned_mcs(10), TrafficSource::full_buffer());
+    const uint64_t constructed = heap_probe::allocations();
+    ue.deliver(1000, 1 / slots_per_s, slots_per_s);
+    const uint64_t sized = heap_probe::allocations();
+    for (int slot = 2; slot <= 3 * slots_per_s; ++slot) {
+      ue.deliver(1000, slot / slots_per_s, slots_per_s);
+    }
+    EXPECT_EQ(constructed, before) << slots_per_s << " slots/s";
+    EXPECT_EQ(sized - constructed, 1u) << slots_per_s << " slots/s";
+    EXPECT_EQ(heap_probe::allocations(), sized) << slots_per_s << " slots/s";
+  }
 }
 
 TEST(Mac, RunSlotWithoutInterSchedulerFails) {
